@@ -37,7 +37,6 @@ from .limit_solver import (
     SmoothedPiecewiseLinear,
     Trajectory,
     default_grid,
-    dissipation_limit,
     elastic_strip,
     solve_limit,
 )
@@ -68,7 +67,6 @@ from .profiles import (
     SurfaceProfile,
     derivative_extrema,
     eval_profile,
-    scaled_profile,
 )
 from .variational import (
     CertificateReport,
@@ -77,7 +75,6 @@ from .variational import (
     ViscousQuadratic,
     contact_set_member,
     de_giorgi_certificate,
-    fenchel_residual,
     k_of_xi,
     legendre_conjugate_limit,
     legendre_conjugate_numeric,

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,8 @@ def build_profile(block) -> SurfaceProfile:
             harmonic=_integer(sub, "harmonic", path, default=1, minimum=1),
             phase=_number(sub, "phase", path, default=0.0),
         )
+    if not isinstance(block["terms"], list):
+        _fail(path, "terms must be an array of term objects")
     terms = []
     for i, raw in enumerate(block["terms"]):
         term_path = f"{path}.terms[{i}]"
@@ -148,35 +151,21 @@ def build_profile(block) -> SurfaceProfile:
     return SurfaceProfile(terms=tuple(terms))
 
 
+_MODELS = {cls.name: cls for cls in (VerticalBristle, SlantedBristle, AngularBristle)}
+
+
 def build_model(block):
     path = "model"
     if not isinstance(block, dict) or "kind" not in block:
         _fail(path, "needs a 'kind' of vertical, slanted or angular")
     kind = block["kind"]
-    if kind == "vertical":
-        _check_keys(block, path, required=("kind", "k", "L_rest", "h"))
-        return VerticalBristle(
-            k=_number(block, "k", path, positive=True),
-            L_rest=_number(block, "L_rest", path),
-            h=_number(block, "h", path, positive=True),
-        )
-    if kind == "slanted":
-        _check_keys(block, path, required=("kind", "k", "L_rest", "h", "theta"))
-        return SlantedBristle(
-            k=_number(block, "k", path, positive=True),
-            L_rest=_number(block, "L_rest", path),
-            h=_number(block, "h", path, positive=True),
-            theta=_number(block, "theta", path),
-        )
-    if kind == "angular":
-        _check_keys(block, path, required=("kind", "k", "L", "h", "theta_rest"))
-        return AngularBristle(
-            k=_number(block, "k", path, positive=True),
-            L=_number(block, "L", path, positive=True),
-            h=_number(block, "h", path, positive=True),
-            theta_rest=_number(block, "theta_rest", path),
-        )
-    _fail(path, f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        _fail(path, f"unknown model kind {kind!r}")
+    names = [f.name for f in fields(_MODELS[kind])]
+    _check_keys(block, path, required=("kind", *names))
+    return _MODELS[kind](
+        **{n: _number(block, n, path, positive=n in ("k", "L", "h")) for n in names}
+    )
 
 
 def build_loading(block):
@@ -262,7 +251,8 @@ def build_simulation(block):
         for i, pair in enumerate(windows):
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail(path, f"windows[{i}] must be a [t1, t2] pair")
-            parsed.append((float(pair[0]), float(pair[1])))
+            key = f"windows[{i}]"
+            parsed.append(tuple(_number_list({key: pair}, key, path)))
         windows = tuple(parsed)
     return {
         "epsilon": _number(block, "epsilon", path, default=None),

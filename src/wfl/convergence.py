@@ -83,7 +83,7 @@ def _pool_size(requested: Optional[int], jobs: int) -> int:
     if requested is None:
         requested = os.cpu_count() or 1
     cap = os.environ.get("WFL_THREADS")
-    if cap is not None:
+    if cap:
         try:
             cap_value = int(cap)
         except ValueError as exc:

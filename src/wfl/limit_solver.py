@@ -33,18 +33,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidInitialStateError
+from .profiles import like_input
 
 DEFAULT_GRID_POINTS = 4097  # horizon / 4096 steps
 
 
 def _as_array(t):
     return np.atleast_1d(np.asarray(t, dtype=float))
-
-
-def _like_input(t, values: np.ndarray):
-    if np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0):
-        return float(values[0])
-    return values
 
 
 class LoadingProgram(ABC):
@@ -85,11 +80,11 @@ class Ramp(LoadingProgram):
 
     def q(self, t):
         ts = _as_array(t)
-        return _like_input(t, self.q0 + self.rate * ts)
+        return like_input(t, self.q0 + self.rate * ts)
 
     def qdot(self, t):
         ts = _as_array(t)
-        return _like_input(t, np.full_like(ts, self.rate))
+        return like_input(t, np.full_like(ts, self.rate))
 
     @property
     def horizon(self) -> float:
@@ -122,13 +117,13 @@ class SinusoidLoading(LoadingProgram):
     def q(self, t):
         ts = _as_array(t)
         u = 2.0 * math.pi * self.frequency * ts + self.phase
-        return _like_input(t, self.q0 + self.amplitude * np.sin(u))
+        return like_input(t, self.q0 + self.amplitude * np.sin(u))
 
     def qdot(self, t):
         ts = _as_array(t)
         u = 2.0 * math.pi * self.frequency * ts + self.phase
         rate = 2.0 * math.pi * self.frequency * self.amplitude
-        return _like_input(t, rate * np.cos(u))
+        return like_input(t, rate * np.cos(u))
 
     @property
     def horizon(self) -> float:
@@ -192,7 +187,7 @@ class SmoothedPiecewiseLinear(LoadingProgram):
             u = ts[mask] - lo
             q_lo = vals[i] - s0 * self.blend
             out[mask] = q_lo + s0 * u + (s1 - s0) * u * u / (4.0 * self.blend)
-        return _like_input(t, out)
+        return like_input(t, out)
 
     def qdot(self, t):
         ts = _as_array(t)
@@ -209,7 +204,7 @@ class SmoothedPiecewiseLinear(LoadingProgram):
             s0, s1 = slopes[i - 1], slopes[i]
             u = (ts[mask] - lo) / (2.0 * self.blend)
             out[mask] = s0 + (s1 - s0) * u
-        return _like_input(t, out)
+        return like_input(t, out)
 
     @property
     def horizon(self) -> float:
@@ -307,9 +302,7 @@ def elastic_strip(system: LimitSystem, t):
     ell = system.ell(ts)
     lower = system.phi_force_inv(ell - system.rho_plus)
     upper = system.phi_force_inv(ell - system.rho_minus)
-    if np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0):
-        return float(lower[0]), float(upper[0])
-    return lower, upper
+    return like_input(t, lower), like_input(t, upper)
 
 
 @dataclass(frozen=True)
@@ -329,9 +322,6 @@ class Trajectory:
                 raise ConfigError(f"trajectory field {name} has mismatched length")
         if n < 2 or np.any(np.diff(self.times) <= 0.0):
             raise ConfigError("trajectory times must be strictly increasing")
-
-    def state_at(self, t) -> float:
-        return float(np.interp(t, self.times, self.states))
 
     def dissipated(self, t1: float, t2: float) -> float:
         """Energy dissipated on [t1, t2], additive across adjacent windows."""
@@ -402,8 +392,3 @@ def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
         energies=energies,
         dissipation=dissipation,
     )
-
-
-def dissipation_limit(trajectory: Trajectory, t1: float, t2: float) -> float:
-    """Dissipated energy of a quasistatic trajectory over [t1, t2]."""
-    return trajectory.dissipated(t1, t2)

@@ -34,6 +34,19 @@ from which the friction thresholds follow:
 
     alpha > 0:  rho_plus = alpha * mu_plus,  rho_minus = alpha * mu_minus
     alpha < 0:  rho_plus = alpha * mu_minus, rho_minus = alpha * mu_plus.
+
+Each geometry is one class holding ``name``, ``alpha``, ``slope_factor``
+and five methods, to which the module functions delegate; a fourth
+geometry is one more class.
+
+* ``conditions(extrema)``: admissibility inequalities, for :func:`validate`;
+* ``clearance(profile)``: tolerated corrugation height, for :func:`epsilon_limit`;
+* ``tip_shift(y)``: root minus tip abscissa (relative to flat contact) at
+  tip height ``y``, and its ``y``-derivative; the contact point solves
+  ``p + shift(eps w(p / eps)) = z``.  ``None`` when the tip sits under the root;
+* ``force(y, wp)``, ``energy(y)``: microscale force and potential at tip
+  height ``y`` and surface slope ``wp``, for :func:`wiggly_force` and
+  :func:`wiggly_energy`.
 """
 
 from __future__ import annotations
@@ -54,7 +67,13 @@ from .errors import (
     ScaleValidityError,
     ZeroTensionError,
 )
-from .profiles import DerivativeExtrema, SurfaceProfile, derivative_extrema, eval_profile
+from .profiles import (
+    DerivativeExtrema,
+    SurfaceProfile,
+    derivative_extrema,
+    eval_profile,
+    like_input,
+)
 
 
 def _require_finite(**values: float) -> None:
@@ -86,19 +105,25 @@ class VerticalBristle:
             )
 
     name = "vertical"
-
-    @property
-    def slope_factor(self) -> float:
-        return 0.0
-
-    @property
-    def gap_constant(self) -> float:
-        """Offset between root and tip abscissa at flat contact (zero here)."""
-        return 0.0
+    slope_factor = 0.0
+    tip_shift = None
 
     @property
     def alpha(self) -> float:
         return self.k * (self.L_rest - self.h)
+
+    def conditions(self, extrema: DerivativeExtrema) -> tuple[AdmissibilityCondition, ...]:
+        return ()
+
+    def clearance(self, profile: SurfaceProfile) -> float:
+        return 0.5 * self.h
+
+    def force(self, y, wp):
+        return self.k * (self.L_rest - self.h + y) * wp
+
+    def energy(self, y):
+        rest = self.L_rest - self.h
+        return 0.5 * self.k * ((rest + y) ** 2 - rest ** 2)
 
 
 @dataclass(frozen=True)
@@ -134,13 +159,32 @@ class SlantedBristle:
         return -math.tan(self.theta)
 
     @property
-    def gap_constant(self) -> float:
-        return -self.h * math.tan(self.theta)
-
-    @property
     def alpha(self) -> float:
         cos_t = math.cos(self.theta)
         return (self.k / cos_t) * (self.L_rest - self.h / cos_t)
+
+    def conditions(self, extrema: DerivativeExtrema) -> tuple[AdmissibilityCondition, ...]:
+        margin = 1.0 / math.tan(self.theta) - extrema.omega_plus
+        return (AdmissibilityCondition("omega_plus < cot(theta)", margin > 0.0, margin),)
+
+    def clearance(self, profile: SurfaceProfile) -> float:
+        omega_plus = derivative_extrema(profile).omega_plus
+        return 0.25 * self.h * (1.0 - math.tan(self.theta) * omega_plus)
+
+    def tip_shift(self, y):
+        tan_t = math.tan(self.theta)
+        return -tan_t * y, -tan_t
+
+    def force(self, y, wp):
+        cos_t = math.cos(self.theta)
+        tan_t = math.tan(self.theta)
+        stretch = self.L_rest - (self.h - y) / cos_t
+        return (self.k / cos_t) * stretch * wp / (1.0 - tan_t * wp)
+
+    def energy(self, y):
+        cos_t = math.cos(self.theta)
+        rest = self.L_rest - self.h / cos_t
+        return 0.5 * self.k * ((rest + y / cos_t) ** 2 - rest ** 2)
 
 
 @dataclass(frozen=True)
@@ -184,13 +228,37 @@ class AngularBristle:
         return self.h / math.sqrt(self.L ** 2 - self.h ** 2)
 
     @property
-    def gap_constant(self) -> float:
-        return -math.sqrt(self.L ** 2 - self.h ** 2)
-
-    @property
     def alpha(self) -> float:
         return self.k * (self.theta_lim - self.theta_rest) / math.sqrt(
             self.L ** 2 - self.h ** 2
+        )
+
+    def conditions(self, extrema: DerivativeExtrema) -> tuple[AdmissibilityCondition, ...]:
+        margin_lo = extrema.omega_minus + math.tan(self.theta_lim)
+        margin_hi = self.slope_factor - extrema.omega_plus
+        return (
+            AdmissibilityCondition("-tan(theta_lim) < omega_minus", margin_lo > 0.0, margin_lo),
+            AdmissibilityCondition("omega_plus < cot(theta_lim)", margin_hi > 0.0, margin_hi),
+        )
+
+    def clearance(self, profile: SurfaceProfile) -> float:
+        return 0.5 * min(self.h, self.L - self.h)
+
+    def tip_shift(self, y):
+        L, h = self.L, self.h
+        s = np.sqrt(L * L - (h - y) ** 2)
+        return s - math.sqrt(L * L - h * h), (h - y) / s
+
+    def force(self, y, wp):
+        s = np.sqrt(self.L ** 2 - (self.h - y) ** 2)
+        theta = np.arccos((self.h - y) / self.L)
+        a_local = (self.h - y) / s
+        return self.k * (theta - self.theta_rest) * wp / (s * (1.0 + a_local * wp))
+
+    def energy(self, y):
+        theta = np.arccos((self.h - y) / self.L)
+        return 0.5 * self.k * (
+            (theta - self.theta_rest) ** 2 - (self.theta_lim - self.theta_rest) ** 2
         )
 
 
@@ -248,29 +316,7 @@ def validate(model: BristleModel, extrema: DerivativeExtrema) -> AdmissibilityRe
     Returns one condition per inequality with its margin (positive when
     satisfied).  Vertical bristles have no profile-dependent condition.
     """
-    conditions: list[AdmissibilityCondition] = []
-    if isinstance(model, SlantedBristle):
-        cot = 1.0 / math.tan(model.theta)
-        margin = cot - extrema.omega_plus
-        conditions.append(
-            AdmissibilityCondition("omega_plus < cot(theta)", margin > 0.0, margin)
-        )
-    elif isinstance(model, AngularBristle):
-        tan_lim = math.tan(model.theta_lim)
-        margin_lo = extrema.omega_minus + tan_lim
-        conditions.append(
-            AdmissibilityCondition(
-                "-tan(theta_lim) < omega_minus", margin_lo > 0.0, margin_lo
-            )
-        )
-        cot_lim = model.slope_factor
-        margin_hi = cot_lim - extrema.omega_plus
-        conditions.append(
-            AdmissibilityCondition(
-                "omega_plus < cot(theta_lim)", margin_hi > 0.0, margin_hi
-            )
-        )
-    return AdmissibilityReport(tuple(conditions))
+    return AdmissibilityReport(model.conditions(extrema))
 
 
 def mu_from_omega(
@@ -386,9 +432,7 @@ def invert_contact_map(
             raise InversionFailureError(
                 f"contact map inversion stalled at residual {np.max(np.abs(r)):.3e}"
             )
-    if np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0):
-        return float(p[0])
-    return p
+    return like_input(z, p)
 
 
 @dataclass(frozen=True)
@@ -475,15 +519,7 @@ def epsilon_limit(model: BristleModel, profile: SurfaceProfile) -> float:
     model's geometric clearances, otherwise contact may detach or become
     multivalued.  Runs at larger ``eps`` are refused.
     """
-    bound = profile.amplitude_bound
-    if isinstance(model, VerticalBristle):
-        clearance = 0.5 * model.h
-    elif isinstance(model, SlantedBristle):
-        omega_plus = derivative_extrema(profile).omega_plus
-        clearance = 0.25 * model.h * (1.0 - math.tan(model.theta) * omega_plus)
-    else:
-        clearance = 0.5 * min(model.h, model.L - model.h)
-    return clearance / bound
+    return model.clearance(profile) / profile.amplitude_bound
 
 
 def _require_valid_epsilon(model: BristleModel, profile: SurfaceProfile, epsilon: float) -> None:
@@ -497,64 +533,46 @@ def _require_valid_epsilon(model: BristleModel, profile: SurfaceProfile, epsilon
         )
 
 
-def _tip_abscissa(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
-    """Surface abscissa p of the contact point when the root sits at z.
+def _contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, z, slope=True):
+    """Tip height ``y = eps w(p / eps)`` and slope ``w'(p / eps)`` at the contact.
 
-    Solves the model-specific root-tip relation at corrugation scale eps
-    with a safeguarded Newton iteration (the relation is strictly monotone
-    inside the validity region).
+    ``p`` solves the root-tip relation ``p + shift(y) = z`` by safeguarded
+    Newton (the relation is strictly monotone inside the validity region),
+    with a bisection sweep for points that stall.  A tip under its root
+    solves nothing, and skips ``w'`` when ``slope`` is false.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=float))
-    if isinstance(model, VerticalBristle):
-        return zs
-    if isinstance(model, SlantedBristle):
-        tan_t = math.tan(model.theta)
-
-        def residual(p):
-            return p - tan_t * epsilon * eval_profile(profile, p / epsilon, 0) - zs
-
-        def dresidual(p):
-            return 1.0 - tan_t * eval_profile(profile, p / epsilon, 1)
-
-        radius = abs(tan_t) * epsilon * profile.amplitude_bound
-    else:
-        h, L = model.h, model.L
-        s0 = math.sqrt(L * L - h * h)
-
-        def residual(p):
-            y = epsilon * eval_profile(profile, p / epsilon, 0)
-            return p + (np.sqrt(L * L - (h - y) ** 2) - s0) - zs
-
-        def dresidual(p):
-            y = epsilon * eval_profile(profile, p / epsilon, 0)
-            a_local = (h - y) / np.sqrt(L * L - (h - y) ** 2)
-            return 1.0 + a_local * eval_profile(profile, p / epsilon, 1)
-
+    p, shift = zs, model.tip_shift
+    if shift is not None:
         ymax = epsilon * profile.amplitude_bound
-        radius = max(
-            abs(math.sqrt(L * L - (h - ymax) ** 2) - s0),
-            abs(math.sqrt(L * L - (h + ymax) ** 2) - s0),
-        )
-    lo, hi = zs - radius, zs + radius
-    p = zs.copy()
-    for _ in range(100):
-        r = residual(p)
-        if np.max(np.abs(r)) <= 1e-13 * max(1.0, float(np.max(np.abs(zs)))):
-            return p
-        p = np.clip(p - r / dresidual(p), lo, hi)
-    r = residual(p)
-    bad = np.abs(r) > 1e-12
-    if np.any(bad):
-        p_lo, p_hi = lo.copy(), hi.copy()
-        for _ in range(80):
-            mid = 0.5 * (p_lo + p_hi)
-            high = residual(mid) > 0.0
-            p_hi = np.where(high, mid, p_hi)
-            p_lo = np.where(high, p_lo, mid)
-        p = np.where(bad, 0.5 * (p_lo + p_hi), p)
-        if np.max(np.abs(residual(p))) > 1e-10:
-            raise InversionFailureError("tip location iteration failed to converge")
-    return p
+        radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
+        lo, hi = zs - radius, zs + radius
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(zs))))
+        for _ in range(100):
+            x = p / epsilon
+            y = epsilon * eval_profile(profile, x, 0)
+            wp = eval_profile(profile, x, 1)
+            s, ds = shift(y)
+            r = p + s - zs
+            if np.max(np.abs(r)) <= tol:
+                return y, wp
+            p = np.clip(p - r / (1.0 + ds * wp), lo, hi)
+
+        def residual(q):
+            return q + shift(epsilon * eval_profile(profile, q / epsilon, 0))[0] - zs
+
+        bad = np.abs(residual(p)) > 1e-12
+        if np.any(bad):
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                high = residual(mid) > 0.0
+                hi = np.where(high, mid, hi)
+                lo = np.where(high, lo, mid)
+            p = np.where(bad, 0.5 * (lo + hi), p)
+            if np.max(np.abs(residual(p))) > 1e-10:
+                raise InversionFailureError("tip location iteration failed to converge")
+    x = p / epsilon
+    return epsilon * eval_profile(profile, x, 0), (eval_profile(profile, x, 1) if slope else None)
 
 
 def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
@@ -565,50 +583,13 @@ def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z
     root-tip relation.
     """
     _require_valid_epsilon(model, profile, epsilon)
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    p = _tip_abscissa(model, profile, epsilon, zs)
-    wp = eval_profile(profile, p / epsilon, 1)
-    if isinstance(model, VerticalBristle):
-        y = epsilon * eval_profile(profile, p / epsilon, 0)
-        out = model.k * (model.L_rest - model.h + y) * wp
-    elif isinstance(model, SlantedBristle):
-        cos_t = math.cos(model.theta)
-        tan_t = math.tan(model.theta)
-        y = epsilon * eval_profile(profile, p / epsilon, 0)
-        stretch = model.L_rest - (model.h - y) / cos_t
-        out = (model.k / cos_t) * stretch * wp / (1.0 - tan_t * wp)
-    else:
-        y = epsilon * eval_profile(profile, p / epsilon, 0)
-        s = np.sqrt(model.L ** 2 - (model.h - y) ** 2)
-        theta = np.arccos((model.h - y) / model.L)
-        a_local = (model.h - y) / s
-        out = model.k * (theta - model.theta_rest) * wp / (s * (1.0 + a_local * wp))
-    if np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0):
-        return float(out[0])
-    return out
+    return like_input(z, model.force(*_contact(model, profile, epsilon, z)))
 
 
 def wiggly_energy(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
     """Microscale bristle potential at root position ``z``, zeroed on the flat."""
     _require_valid_epsilon(model, profile, epsilon)
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    p = _tip_abscissa(model, profile, epsilon, zs)
-    y = epsilon * eval_profile(profile, p / epsilon, 0)
-    if isinstance(model, VerticalBristle):
-        rest = model.L_rest - model.h
-        out = 0.5 * model.k * ((rest + y) ** 2 - rest ** 2)
-    elif isinstance(model, SlantedBristle):
-        cos_t = math.cos(model.theta)
-        rest = model.L_rest - model.h / cos_t
-        out = 0.5 * model.k * ((rest + y / cos_t) ** 2 - rest ** 2)
-    else:
-        theta = np.arccos((model.h - y) / model.L)
-        out = 0.5 * model.k * (
-            (theta - model.theta_rest) ** 2 - (model.theta_lim - model.theta_rest) ** 2
-        )
-    if np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0):
-        return float(out[0])
-    return out
+    return like_input(z, model.energy(_contact(model, profile, epsilon, z, slope=False)[0]))
 
 
 # ---------------------------------------------------------------------------

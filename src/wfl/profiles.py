@@ -131,27 +131,19 @@ def eval_profile(profile: SurfaceProfile, x, order: int = 0):
             out += term.amplitude * rate * np.cos(u)
         else:
             out -= term.amplitude * rate * rate * np.sin(u)
-    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return float(out)
-    return out
+    return like_input(x, out)
 
 
-def scaled_profile(profile: SurfaceProfile, epsilon: float, x, order: int = 0):
-    """Evaluate the corrugation at microscale ``epsilon``.
+def like_input(x, values: np.ndarray):
+    """``values`` as a float when ``x`` is a scalar (or a 0-d array), else as is.
 
-    Order 0 gives ``epsilon * w(x / epsilon)`` (the physical height, which
-    shrinks with epsilon) and order 1 gives ``w'(x / epsilon)`` (the slope,
-    which does not).
+    Functions that compute on ``np.asarray(x)`` or ``np.atleast_1d(x)``
+    return through this, so a scalar argument gets a scalar back.
     """
-    if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise InvalidScaleError(f"epsilon must be positive and finite, got {epsilon}")
-    if order == 0:
-        return epsilon * eval_profile(profile, np.asarray(x, dtype=float) / epsilon, 0) \
-            if not np.isscalar(x) else epsilon * eval_profile(profile, x / epsilon, 0)
-    if order == 1:
-        return eval_profile(profile, np.asarray(x, dtype=float) / epsilon, 1) \
-            if not np.isscalar(x) else eval_profile(profile, x / epsilon, 1)
-    raise ValueError(f"order must be 0 or 1 for scaled evaluation, got {order}")
+    if isinstance(x, np.ndarray):
+        return values if x.ndim else values.item()
+    # a Python float is the common scalar, and testing for it is cheaper than isscalar
+    return values.item() if type(x) is float or np.isscalar(x) else values
 
 
 def _refine_slope_extremum(profile: SurfaceProfile, lo: float, hi: float, sign: float) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "legendre_conjugate_limit",
     "legendre_conjugate_numeric",
     "k_of_xi",
-    "fenchel_residual",
     "contact_set_member",
     "limit_density",
     "de_giorgi_certificate",
@@ -240,11 +239,6 @@ class LimitWithK:
         if value == math.inf:
             return math.inf
         return value - v * xi
-
-
-def fenchel_residual(density, v, xi):
-    """Duality defect M(v, xi) - v*xi; nonnegative, zero on the contact set."""
-    return density.residual(v, xi)
 
 
 def contact_set_member(

@@ -330,6 +330,27 @@ class TestErrorReporting:
         assert code == 1
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, block, value, named, output",
+        [
+            ("coeffs", "model", {"kind": ["a"], "k": 1.0, "L_rest": 2.0, "h": 1.0},
+             "config model", "coeffs.csv"),
+            ("coeffs", "profile", {"terms": 3}, "config profile", "coeffs.csv"),
+            ("converge", "simulation", {"epsilons": [0.1], "windows": [["a", 1.0]]},
+             "windows[0]", "convergence.csv"),
+        ],
+        ids=["model-kind-list", "profile-terms-int", "simulation-window-string"],
+    )
+    def test_malformed_block_is_one_line_exit_one(
+        self, tmp_path, capsys, command, block, value, named, output
+    ):
+        code, out = run(tmp_path, command, dict(CANONICAL, **{block: value}))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (out / output).exists()
+
     def test_horizon_beyond_loading_rejected(self, tmp_path):
         payload = dict(CANONICAL)
         payload["simulation"] = {"horizon": 3.0}

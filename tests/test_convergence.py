@@ -120,6 +120,12 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(canonical_system(0.5), PROFILE, MODEL, epsilons=[0.1])
 
+    def test_empty_thread_cap_env_means_unset(self, monkeypatch):
+        monkeypatch.delenv("WFL_THREADS", raising=False)
+        unset = convergence._pool_size(None, 8)
+        monkeypatch.setenv("WFL_THREADS", "")
+        assert convergence._pool_size(None, 8) == unset
+
     def test_thread_cap_env_limits_pool(self, monkeypatch):
         monkeypatch.setenv("WFL_THREADS", "1")
         report = run_sweep(canonical_system(0.5), PROFILE, MODEL, epsilons=[0.1])

@@ -13,7 +13,6 @@ from wfl.limit_solver import (
     SinusoidLoading,
     SmoothedPiecewiseLinear,
     default_grid,
-    dissipation_limit,
     elastic_strip,
     solve_limit,
 )
@@ -145,9 +144,9 @@ def test_ramp_dissipation_value():
     traj = solve_limit(system, 0.0)
     # slides from 0 to 1.9 at threshold 0.1
     assert traj.total_dissipation == pytest.approx(0.19, rel=1e-12)
-    assert dissipation_limit(traj, 0.0, 2.0) == pytest.approx(0.19, rel=1e-12)
+    assert traj.dissipated(0.0, 2.0) == pytest.approx(0.19, rel=1e-12)
     # nothing dissipates while stuck
-    assert dissipation_limit(traj, 0.0, 0.05) == 0.0
+    assert traj.dissipated(0.0, 0.05) == 0.0
 
 
 def test_dissipation_window_additivity():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from wfl import (
     AngularBristle,
@@ -210,14 +211,6 @@ def test_coefficient_invariant_enforced():
         FrictionCoefficients(1.0, 0.1, -0.1, -0.2, -0.3)
 
 
-def test_gap_constants():
-    assert VerticalBristle(1.0, 2.0, 1.0).gap_constant == 0.0
-    s = SlantedBristle(1.0, 20.0, 1.0, 0.25)
-    assert s.gap_constant == pytest.approx(-math.tan(0.25), rel=1e-15)
-    a = AngularBristle(1.0, math.sqrt(2.0), 1.0, 0.0)
-    assert a.gap_constant == pytest.approx(-1.0, rel=1e-15)
-
-
 def test_geometry_validation():
     with pytest.raises(GeometryError):
         VerticalBristle(-1.0, 2.0, 1.0)
@@ -406,6 +399,97 @@ def test_epsilon_limit_orders():
     v = epsilon_limit(VerticalBristle(1.0, 2.0, 1.0), CANONICAL)
     a = epsilon_limit(AngularBristle(1.0, math.sqrt(2.0), 1.0, 0.0), CANONICAL)
     assert 0.0 < a < v
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the per-geometry formulas, written out in full
+# ---------------------------------------------------------------------------
+
+ORACLE_MODELS = [
+    VerticalBristle(1.0, 2.0, 1.0),
+    SlantedBristle(1.0, 3.0, 1.0, math.pi / 6),
+    AngularBristle(1.0, math.sqrt(2.0), 1.0, 0.1),
+]
+ORACLE_IDS = ["vertical", "slanted", "angular"]
+ORACLE_EPS = 0.5
+ORACLE_Z = np.linspace(-0.3, 0.7, 41)
+
+
+def oracle_contact(model, profile, eps, z):
+    """Tip height and surface slope from the root-tip relation, solved by brentq."""
+    def height(p):
+        return eps * eval_profile(profile, p / eps, 0)
+
+    if isinstance(model, SlantedBristle):
+        def relation(p):
+            return p - math.tan(model.theta) * height(p) - z
+    elif isinstance(model, AngularBristle):
+        L, h = model.L, model.h
+
+        def relation(p):
+            return p + math.sqrt(L ** 2 - (h - height(p)) ** 2) - math.sqrt(L ** 2 - h ** 2) - z
+    else:
+        return height(z), eval_profile(profile, z / eps, 1)
+    p = brentq(relation, z - eps, z + eps, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    return height(p), eval_profile(profile, p / eps, 1)
+
+
+def oracle_force_energy(model, y, wp):
+    if isinstance(model, VerticalBristle):
+        rest = model.L_rest - model.h
+        force = model.k * (rest + y) * wp
+        energy = 0.5 * model.k * ((rest + y) ** 2 - rest ** 2)
+    elif isinstance(model, SlantedBristle):
+        cos_t, tan_t = math.cos(model.theta), math.tan(model.theta)
+        rest = model.L_rest - model.h / cos_t
+        force = (model.k / cos_t) * (model.L_rest - (model.h - y) / cos_t) * wp / (1.0 - tan_t * wp)
+        energy = 0.5 * model.k * ((rest + y / cos_t) ** 2 - rest ** 2)
+    else:
+        s = math.sqrt(model.L ** 2 - (model.h - y) ** 2)
+        theta = math.acos((model.h - y) / model.L)
+        force = model.k * (theta - model.theta_rest) * wp / (s * (1.0 + (model.h - y) / s * wp))
+        energy = 0.5 * model.k * (
+            (theta - model.theta_rest) ** 2 - (model.theta_lim - model.theta_rest) ** 2
+        )
+    return force, energy
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["array", "scalar"])
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+def test_force_and_energy_match_the_written_out_formulas(model, scalar):
+    # tolerance: 1e-12 relative to the largest oracle magnitude on the sample
+    oracle = np.array([
+        oracle_force_energy(model, *oracle_contact(model, TWO_MODE, ORACLE_EPS, float(z)))
+        for z in ORACLE_Z
+    ])
+    if scalar:
+        force = np.array([wiggly_force(model, TWO_MODE, ORACLE_EPS, float(z)) for z in ORACLE_Z])
+        energy = np.array([wiggly_energy(model, TWO_MODE, ORACLE_EPS, float(z)) for z in ORACLE_Z])
+    else:
+        force = wiggly_force(model, TWO_MODE, ORACLE_EPS, ORACLE_Z)
+        energy = wiggly_energy(model, TWO_MODE, ORACLE_EPS, ORACLE_Z)
+    for got, want in ((force, oracle[:, 0]), (energy, oracle[:, 1])):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+def test_margins_and_epsilon_limit_match_the_written_out_formulas(model):
+    extrema = derivative_extrema(TWO_MODE)
+    bound = TWO_MODE.amplitude_bound
+    if isinstance(model, SlantedBristle):
+        margins = [1.0 / math.tan(model.theta) - extrema.omega_plus]
+        limit = 0.25 * model.h * (1.0 - math.tan(model.theta) * extrema.omega_plus) / bound
+    elif isinstance(model, AngularBristle):
+        cot_lim = model.h / math.sqrt(model.L ** 2 - model.h ** 2)
+        margins = [extrema.omega_minus + math.tan(model.theta_lim), cot_lim - extrema.omega_plus]
+        limit = 0.5 * min(model.h, model.L - model.h) / bound
+    else:
+        margins = []
+        limit = 0.5 * model.h / bound
+    report = validate(model, extrema)
+    assert [c.margin for c in report.conditions] == margins
+    assert all(c.satisfied for c in report.conditions)
+    assert epsilon_limit(model, TWO_MODE) == limit
 
 
 # ---------------------------------------------------------------------------

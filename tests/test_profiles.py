@@ -16,7 +16,6 @@ from wfl import (
     SurfaceProfile,
     derivative_extrema,
     eval_profile,
-    scaled_profile,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -143,46 +142,6 @@ def test_bounds_dominate_samples():
         p = random_profile(rng)
         assert np.max(np.abs(eval_profile(p, xs, 0))) <= p.amplitude_bound + 1e-15
         assert np.max(np.abs(eval_profile(p, xs, 1))) <= p.slope_bound + 1e-15
-
-
-# ---------------------------------------------------------------------------
-# microscale evaluation
-# ---------------------------------------------------------------------------
-
-def test_scaled_height_example():
-    # eps * w(x/eps) at eps=0.5, x=0.125: argument 0.25, sin = 1,
-    # value 0.5 * 0.1/(2 pi).
-    p = SurfaceProfile.sinusoid(0.1)
-    assert scaled_profile(p, 0.5, 0.125, 0) == pytest.approx(0.05 / TWO_PI, rel=1e-15)
-
-
-def test_scaled_slope_is_scale_free():
-    p = SurfaceProfile.sinusoid(0.1)
-    # slope at the corrugation scale has magnitude independent of eps
-    for eps in (1.0, 0.25, 0.01):
-        assert scaled_profile(p, eps, 0.0, 1) == eval_profile(p, 0.0, 1)
-        x = 0.3 * eps
-        assert scaled_profile(p, eps, x, 1) == pytest.approx(eval_profile(p, 0.3, 1), rel=1e-12)
-
-
-def test_scaled_height_shrinks_linearly():
-    p = SurfaceProfile.sinusoid(0.1)
-    v1 = scaled_profile(p, 0.2, 0.05, 0)
-    v2 = scaled_profile(p, 0.1, 0.025, 0)
-    assert v1 == pytest.approx(2.0 * v2, rel=1e-12)
-
-
-def test_scaled_rejects_bad_epsilon():
-    p = SurfaceProfile.sinusoid(0.1)
-    for eps in (0.0, -1.0, math.nan):
-        with pytest.raises(InvalidScaleError):
-            scaled_profile(p, eps, 0.1, 0)
-
-
-def test_scaled_rejects_second_derivative():
-    p = SurfaceProfile.sinusoid(0.1)
-    with pytest.raises(ValueError):
-        scaled_profile(p, 0.5, 0.1, 2)
 
 
 # ---------------------------------------------------------------------------

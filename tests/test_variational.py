@@ -17,7 +17,6 @@ from wfl.variational import (
     ViscousQuadratic,
     contact_set_member,
     de_giorgi_certificate,
-    fenchel_residual,
     k_of_xi,
     legendre_conjugate_limit,
     legendre_conjugate_numeric,
@@ -132,7 +131,7 @@ class TestViscousQuadratic:
         density = ViscousQuadratic(epsilon=0.05, gamma=1.3)
         for v in (-2.0, -0.3, 0.0, 1.7):
             xi = density.time_scale * v
-            assert fenchel_residual(density, v, xi) <= 1e-12
+            assert density.residual(v, xi) <= 1e-12
 
     def test_residual_equals_direct_defect(self):
         density = ViscousQuadratic(epsilon=0.1)
@@ -156,18 +155,18 @@ class TestLimitWithK:
     def test_sticking_contact_is_exact(self):
         density = LimitWithK(wprime=sin_force, interval=OMEGA)
         for xi in (-RHO, -0.03, 0.0, 0.08, RHO):
-            assert fenchel_residual(density, 0.0, xi) == 0.0
+            assert density.residual(0.0, xi) == 0.0
 
     def test_sliding_contact_is_exact(self):
         density = LimitWithK(wprime=sin_force, interval=OMEGA)
-        assert fenchel_residual(density, 1.0, RHO) <= 1e-12
-        assert fenchel_residual(density, -1.0, -RHO) <= 1e-12
-        assert fenchel_residual(density, 3.5, RHO) <= 1e-12
+        assert density.residual(1.0, RHO) <= 1e-12
+        assert density.residual(-1.0, -RHO) <= 1e-12
+        assert density.residual(3.5, RHO) <= 1e-12
 
     def test_indicator_fires_outside(self):
         density = LimitWithK(wprime=sin_force, interval=OMEGA)
         assert density.value(1.0, RHO + 1e-9) == math.inf
-        assert fenchel_residual(density, -2.0, RHO + 1e-9) == math.inf
+        assert density.residual(-2.0, RHO + 1e-9) == math.inf
 
     def test_random_pairs_nonnegative(self):
         density = LimitWithK(wprime=sin_force, interval=OMEGA)
@@ -176,7 +175,7 @@ class TestLimitWithK:
         for v, xi in zip(
             rng.uniform(-2.0, 2.0, 20000), rng.uniform(-0.2, 0.2, 20000)
         ):
-            worst = min(worst, fenchel_residual(density, float(v), float(xi)))
+            worst = min(worst, density.residual(float(v), float(xi)))
         assert worst >= -1e-12
 
     def test_memoization_quantizes_the_argument(self):
