@@ -73,7 +73,10 @@ def _number(obj, key, path, default=None, positive=False, nonnegative=False):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"{key} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail(path, f"{key} must be finite")
     if positive and value <= 0.0:
@@ -91,6 +94,8 @@ def _integer(obj, key, path, default=None, minimum=None):
         _fail(path, f"{key} must be an integer")
     if minimum is not None and value < minimum:
         _fail(path, f"{key} must be >= {minimum}, got {value}")
+    if value > 10**6:  # integers size arrays: a larger one would exhaust memory
+        _fail(path, f"{key} must be <= {10**6}")
     return value
 
 
@@ -109,12 +114,7 @@ def _number_list(obj, key, path, default=None):
     values = obj[key]
     if not isinstance(values, list) or not values:
         _fail(path, f"{key} must be a non-empty array of numbers")
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            _fail(path, f"{key}[{i}] must be a number")
-        out.append(float(v))
-    return out
+    return [_number({f"{key}[{i}]": v}, f"{key}[{i}]", path) for i, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, an integer over 4300 digits
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     _check_keys(raw, "top level", optional=_TOP_LEVEL_BLOCKS)
     return raw
@@ -616,7 +616,7 @@ def cmd_k_table(raw: dict, out: Path, svg: bool) -> None:
     if xi_min >= xi_max:
         _fail(path, f"need xi_min < xi_max, got ({xi_min}, {xi_max})")
     xis = np.linspace(xi_min, xi_max, count)
-    values = [density.k(float(xi)) for xi in xis]
+    values = density.k(xis)
     _write_csv(out / "k_table.csv", ("xi", "K"), zip(xis, values))
     if svg:
         line_plot(

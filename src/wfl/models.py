@@ -282,11 +282,6 @@ class FrictionCoefficients:
                 f"rho_minus={self.rho_minus}, rho_plus={self.rho_plus}"
             )
 
-    @property
-    def asymmetry(self) -> float:
-        """rho_plus + rho_minus; zero for a direction-symmetric contact."""
-        return self.rho_plus + self.rho_minus
-
 
 @dataclass(frozen=True)
 class AdmissibilityCondition:
@@ -448,11 +443,6 @@ class PerceivedProfile:
     grid: np.ndarray
     heights: np.ndarray
     slopes: np.ndarray
-
-    def height(self, z) -> float:
-        """Exact W(z) by inversion (not interpolation)."""
-        p = invert_contact_map(self.base, self.slope_factor, z)
-        return eval_profile(self.base, p, 0)
 
     def slope(self, z) -> float:
         """Exact W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z)."""

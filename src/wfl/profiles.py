@@ -79,18 +79,9 @@ class SurfaceProfile:
         return cls(terms=(FourierTerm(amplitude, harmonic, phase),))
 
     @property
-    def kind(self) -> str:
-        return "sinusoid" if len(self.terms) == 1 else "fourier"
-
-    @property
     def amplitude_bound(self) -> float:
         """Upper bound on sup |w|: the sum of absolute amplitudes."""
         return sum(abs(t.amplitude) for t in self.terms)
-
-    @property
-    def slope_bound(self) -> float:
-        """Upper bound on sup |w'|."""
-        return sum(abs(t.amplitude) * TWO_PI * t.harmonic for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -101,10 +92,6 @@ class DerivativeExtrema:
     omega_minus: float
     location_plus: float
     location_minus: float
-
-    @property
-    def symmetric(self) -> bool:
-        return math.isclose(self.omega_plus, -self.omega_minus, rel_tol=1e-12)
 
 
 def eval_profile(profile: SurfaceProfile, x, order: int = 0):

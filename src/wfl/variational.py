@@ -20,16 +20,18 @@ the certificate exists to catch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .limit_solver import LimitSystem, Trajectory
 from .models import BristleModel, coefficients, invert_contact_map
-from .profiles import SurfaceProfile, eval_profile
+from .profiles import SurfaceProfile, eval_profile, like_input
 
 __all__ = [
     "ElasticInterval",
@@ -61,16 +63,8 @@ class ElasticInterval:
             )
 
     @classmethod
-    def from_coefficients(cls, coeffs) -> "ElasticInterval":
-        return cls(lower=coeffs.rho_minus, upper=coeffs.rho_plus)
-
-    @classmethod
     def from_system(cls, system: LimitSystem) -> "ElasticInterval":
         return cls(lower=system.rho_minus, upper=system.rho_plus)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def contains(self, xi: float, tol: float = 0.0) -> bool:
         return self.lower - tol <= xi <= self.upper + tol
@@ -102,70 +96,36 @@ def _sample(wprime: Callable, ys: np.ndarray) -> np.ndarray:
     return np.array([float(wprime(float(y))) for y in ys])
 
 
-_GAUSS_ORDERS = (25, 50)
-_GAUSS_RULES = {n: np.polynomial.legendre.leggauss(n) for n in _GAUSS_ORDERS}
-
-
-def _gauss(g: Callable, a: float, b: float, order: int) -> float:
-    nodes, weights = _GAUSS_RULES[order]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(weights, _sample(g, mid + half * nodes)))
-
-
-def _integrate_piece(g: Callable, a: float, b: float, tol: float, depth: int = 0) -> float:
-    coarse = _gauss(g, a, b, 25)
-    fine = _gauss(g, a, b, 50)
-    if abs(fine - coarse) <= max(tol, 1e-15 * abs(fine)) or depth >= 30:
-        return fine
-    m = 0.5 * (a + b)
-    half_tol = 0.5 * tol
-    return _integrate_piece(g, a, m, half_tol, depth + 1) + _integrate_piece(
-        g, m, b, half_tol, depth + 1
-    )
-
-
-def k_of_xi(xi: float, wprime: Callable, abs_tol: float = 1e-10, scan: int = 1024) -> float:
-    """Mean absolute force gap K(xi) = int_0^1 |xi - W'(y)| dy.
+def k_of_xi(xi: float, wprime: Callable) -> float:
+    """Mean absolute force gap K(xi) = int_0^1 |xi - W'(y)| dy, by quadrature.
 
     The integrand has kinks where ``xi`` crosses the force profile, so the
     period is split at bracketed roots of ``xi - W'`` and each constant-sign
-    piece is integrated by adaptive Gauss quadrature of the smooth signed
-    integrand.  When there is no crossing at all, the zero-average property
-    of ``W'`` collapses the integral to ``|xi|`` exactly.
+    piece is integrated by ``scipy.integrate.quad``.  When there is no
+    crossing at all, the zero-average property of ``W'`` collapses the
+    integral to ``|xi|`` exactly.  This is the reference route for any
+    sampled ``W'``; :meth:`LimitWithK.k` is the exact one for a bristle.
     """
     xi = float(xi)
-    ys = np.linspace(0.0, 1.0, scan + 1)
-    f = xi - _sample(wprime, ys)
-    signs = np.sign(f)
+    ys = np.linspace(0.0, 1.0, 1025)
+    signs = np.sign(xi - _sample(wprime, ys))
 
-    cuts = {0.0, 1.0}
-    interior = np.nonzero(signs[1:-1] == 0.0)[0] + 1
-    for i in interior:
-        cuts.add(float(ys[i]))
-
-    def scalar_gap(y: float) -> float:
+    def gap(y: float) -> float:
         return xi - float(np.asarray(wprime(y)).reshape(-1)[0])
 
-    crossing = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    for i in crossing:
-        root = brentq(
-            scalar_gap, float(ys[i]), float(ys[i + 1]), xtol=1e-15, rtol=8.9e-16
-        )
-        cuts.add(float(root))
+    cuts = {0.0, 1.0}
+    cuts.update(float(y) for y in ys[1:-1][signs[1:-1] == 0.0])
+    for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
+        cuts.add(float(brentq(gap, float(ys[i]), float(ys[i + 1]), xtol=1e-15, rtol=8.9e-16)))
 
     pieces = sorted(cuts)
     if len(pieces) == 2:
         # constant sign on the whole period: the W' part averages to zero
         return abs(xi)
-
-    piece_tol = abs_tol / max(1, len(pieces) - 1)
-    total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        if b - a <= 1e-15:
-            continue
-        total += abs(_integrate_piece(lambda y: xi - wprime(y), a, b, piece_tol))
-    return total
+    return sum(
+        abs(quad(gap, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0])
+        for a, b in zip(pieces[:-1], pieces[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -200,45 +160,116 @@ class ViscousQuadratic:
 class LimitWithK:
     """Rate-independent density |v| K(xi) + indicator of the threshold interval.
 
-    ``K`` evaluations are memoized on a 1e-12-relative quantization of the
-    argument; K is 1-Lipschitz, so the substitution error is below every
-    tolerance used by callers and repeated near-threshold queries from
-    certificate sweeps collapse to a handful of quadratures.
+    The force profile ``W'(y) = alpha w'(p) / (1 + a w'(p))`` at ``p = g^{-1}(y)``,
+    ``g(p) = p + a w(p)``, has the exact antiderivative ``alpha w(g^{-1}(y))``.
     """
 
-    wprime: Callable
+    profile: SurfaceProfile
+    slope_factor: float
+    alpha: float
     interval: ElasticInterval
-    abs_tol: float = 1e-10
-    scan: int = 1024
-    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
-    @property
-    def _quantum(self) -> float:
-        return 1e-12 * self.interval.upper
+    @cached_property
+    def _table(self) -> tuple:
+        """Nodes ``p``, slopes ``s = w'(p)`` and first and last index of the pieces
+        of [0, 1] where w' is monotone, each stored with ``s`` increasing: a level
+        crosses a piece at most once, in the cell that ``searchsorted`` names.
+        Pieces break at the refined roots of w'' (a grid cell is 1/16 period of
+        harmonic 64), so no cell hides two crossings near an extremum of w'.
+        """
+        profile = self.profile
+        grid = np.linspace(0.0, 1.0, 1025)
+        curv = eval_profile(profile, grid, 2)
+        flips = np.flatnonzero(curv[:-1] * curv[1:] < 0.0)
+        turns = [brentq(lambda p: eval_profile(profile, p, 2), grid[i], grid[i + 1], xtol=1e-15)
+                 for i in flips]
+        nodes = np.insert(grid, flips + 1, turns)
+        breaks = np.insert(curv == 0.0, flips + 1, True)
+        breaks[[0, -1]] = True
+        bounds = np.flatnonzero(breaks)
+        slopes = eval_profile(profile, nodes, 1)
+        pieces = [np.arange(lo, hi + 1) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        order = np.concatenate([i if slopes[i[-1]] >= slopes[i[0]] else i[::-1] for i in pieces])
+        last = np.cumsum([i.size for i in pieces]) - 1
+        return nodes[order], slopes[order], np.r_[0, last[:-1] + 1], last
 
-    def k(self, xi: float) -> float:
-        xi = float(xi)
-        if xi >= self.interval.upper or xi <= self.interval.lower:
-            # no crossing outside the force range: exact absolute value
-            return abs(xi)
-        key = round(xi / self._quantum)
-        if key not in self._cache:
-            self._cache[key] = k_of_xi(
-                key * self._quantum, self.wprime, self.abs_tol, self.scan
-            )
-        return self._cache[key]
+    def wprime(self, y):
+        """W'(y) through the contact-map inversion: the sampled route, for oracles."""
+        p = invert_contact_map(self.profile, self.slope_factor, y)
+        wp = eval_profile(self.profile, p, 1)
+        return self.alpha * wp / (1.0 + self.slope_factor * wp)
+
+    def k(self, xi):
+        """K(xi) = int_0^1 |xi - W'(y)| dy for a scalar or an array ``xi``.
+
+        With ``y = g(p)``, ``xi - W'`` has the sign of ``xi - (alpha - a xi) w'(p)``
+        as admissibility keeps ``1 + a w' > 0``; inside the thresholds
+        ``alpha - a xi`` has the sign of alpha, so the sign flips where w'
+        crosses the level ``xi / (alpha - a xi)``.  Between crossings the
+        integral is the increment of ``F(p) = xi g(p) - alpha w(p)``, and K
+        sums their absolute values.  Outside the thresholds K = |xi| exactly.
+        """
+        flat = np.asarray(xi, dtype=float).ravel()
+        out = np.abs(flat)
+        inner = np.flatnonzero((flat > self.interval.lower) & (flat < self.interval.upper))
+        rows = 2**15 // self._table[2].size  # bounds the (rows, pieces) temporaries
+        for start in range(0, inner.size, rows):
+            block = inner[start:start + rows]
+            out[block] = self._crossing_sum(flat[block])
+        return like_input(xi, out.reshape(np.shape(xi)))
+
+    def _crossing_sum(self, xi: np.ndarray) -> np.ndarray:
+        profile, a, alpha = self.profile, self.slope_factor, self.alpha
+        nodes, slopes, first, last = self._table
+        level = xi / (alpha - a * xi)
+        rows, cells = [], []
+        for i, k in zip(first, last):
+            rows.append(np.flatnonzero((level > slopes[i]) & (level <= slopes[k])))
+            # slopes[cell - 1] < level <= slopes[cell]
+            cells.append(i + np.searchsorted(slopes[i:k + 1], level[rows[-1]]))
+        cols = np.repeat(np.arange(1, first.size + 1), [r.size for r in rows])
+        rows, cell = np.concatenate(rows), np.concatenate(cells)
+        p0, p1, s0 = nodes[cell - 1], nodes[cell], slopes[cell - 1]
+        guess = p0 + (level[rows] - s0) / (slopes[cell] - s0) * (p1 - p0)
+        # per row the cuts 0, one slot per piece, 1; an empty slot repeats
+        # the cut before it, which adds a zero-width piece
+        cuts = np.zeros((xi.size, first.size + 2))
+        cuts[:, -1] = 1.0
+        cuts[rows, cols] = _polish(profile, level[rows], guess, p0, p1)
+        cuts = np.maximum.accumulate(cuts, axis=1)
+        f = xi[:, None] * cuts + (a * xi - alpha)[:, None] * eval_profile(profile, cuts, 0)
+        return np.abs(np.diff(f, axis=1)).sum(axis=1)
 
     def value(self, v, xi):
-        chi = legendre_conjugate_limit(xi, self.interval)
-        if chi == math.inf:
+        if legendre_conjugate_limit(xi, self.interval) == math.inf:
             return math.inf
         return abs(v) * self.k(xi)
 
     def residual(self, v, xi):
-        value = self.value(v, xi)
-        if value == math.inf:
-            return math.inf
-        return value - v * xi
+        return self.value(v, xi) - v * xi  # inf stays inf
+
+
+def _polish(profile, level, p, p0, p1):
+    """Roots of ``w'(p) = level`` where ``w'(p0) < level <= w'(p1)``, elementwise.
+
+    Newton on w' (w'' from :func:`eval_profile`), bisecting when a step leaves
+    the shrinking bracket.  K is stationary in each cut, so a root off by d
+    moves K by O(d^2): each root stops on its own once its step is below
+    1e-8, and a scalar and an array call agree exactly.
+    """
+    live = np.ones(p.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(60):
+            r = eval_profile(profile, p, 1) - level
+            p0, p1 = np.where(r < 0.0, p, p0), np.where(r < 0.0, p1, p)
+            newton = p - r / eval_profile(profile, p, 2)
+            inside = (newton - p0) * (newton - p1) <= 0.0
+            step = np.where(live, np.where(inside, newton, 0.5 * (p0 + p1)), p)
+            live &= np.abs(step - p) > 1e-8
+            p = step
+            if not live.any():
+                break
+    return p
 
 
 def contact_set_member(
@@ -277,20 +308,16 @@ def limit_density(model: BristleModel, profile: SurfaceProfile) -> LimitWithK:
     """Dissipation density of the limit system for a bristle model.
 
     The one-period force profile is the tension-scaled slope of the
-    perceived corrugation, sampled through the contact-map inversion, and
-    the threshold interval comes from the same coefficient pipeline used
-    everywhere else.
+    perceived corrugation, and the threshold interval comes from the same
+    coefficient pipeline used everywhere else.
     """
     coeffs = coefficients(model, profile)
-    a = model.slope_factor
-    alpha = coeffs.alpha
-
-    def wprime(y):
-        p = invert_contact_map(profile, a, y)
-        wp = eval_profile(profile, p, 1)
-        return alpha * wp / (1.0 + a * wp)
-
-    return LimitWithK(wprime=wprime, interval=ElasticInterval.from_coefficients(coeffs))
+    return LimitWithK(
+        profile=profile,
+        slope_factor=model.slope_factor,
+        alpha=coeffs.alpha,
+        interval=ElasticInterval(lower=coeffs.rho_minus, upper=coeffs.rho_plus),
+    )
 
 
 @dataclass(frozen=True)
@@ -353,12 +380,7 @@ def de_giorgi_certificate(
     t_mid = t[:-1] + 0.5 * dt
     z_mid = 0.5 * (z[:-1] + z[1:])
     xi_mid = interval.clip(system.ell(t_mid) - system.phi_force(z_mid))
-    dz = np.diff(z)
-
-    dissipated = 0.0
-    for step, force in zip(dz, xi_mid):
-        if step != 0.0:
-            dissipated += abs(step) * density.k(force)
+    dissipated = float(np.sum(np.abs(np.diff(z)) * density.k(xi_mid)))
 
     # external power int dE/dt = -int ell'(t) z dt, Simpson with linearly
     # interpolated midpoints

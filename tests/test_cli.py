@@ -1,14 +1,23 @@
 """End-to-end checks of the command line: exit codes, CSV content, SVG output."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfl import cli
+from wfl.errors import ConfigError
 from wfl.limit_solver import LimitSystem, Ramp
 from wfl.models import VerticalBristle, coefficients, perceived_extrema
 from wfl.profiles import SurfaceProfile
@@ -308,6 +317,17 @@ class TestErrorReporting:
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_integer_literal_beyond_parser_limit_is_invalid_json(self, tmp_path, capsys):
+        # Python's json refuses integers over 4300 digits with a plain ValueError
+        path = tmp_path / "huge.json"
+        path.write_text('{"profile": {"sinusoid": {"slope": ' + "1" * 5000 + "}}}")
+        out = tmp_path / "out"
+        code = cli.main(["coeffs", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_top_level_key_is_named(self, tmp_path, capsys):
         payload = dict(CANONICAL)
         payload["bogus_key"] = 1
@@ -338,8 +358,22 @@ class TestErrorReporting:
             ("coeffs", "profile", {"terms": 3}, "config profile", "coeffs.csv"),
             ("converge", "simulation", {"epsilons": [0.1], "windows": [["a", 1.0]]},
              "windows[0]", "convergence.csv"),
+            ("k-table", "k_table", {"xi_min": 10**400}, "xi_min must be finite",
+             "k_table.csv"),
+            ("coeffs", "profile", {"terms": [{"amplitude": 10**400}]},
+             "amplitude must be finite", "coeffs.csv"),
+            ("simulate", "loading",
+             {"kind": "piecewise", "times": [0.0, 0.5, 1.0], "values": [0.0, math.inf, 0.0],
+              "blend": 0.1},
+             "values[1] must be finite", "viscous.csv"),
+            ("converge", "simulation", {"epsilons": [0.1], "windows": [[math.nan, 1.0]]},
+             "windows[0][0] must be finite", "convergence.csv"),
+            ("perceived", "perceived", {"samples": 10**400}, "samples must be <= 1000000",
+             "perceived.csv"),
         ],
-        ids=["model-kind-list", "profile-terms-int", "simulation-window-string"],
+        ids=["model-kind-list", "profile-terms-int", "simulation-window-string",
+             "k-table-huge-integer", "profile-amplitude-huge-integer",
+             "loading-values-infinity", "simulation-window-nan", "perceived-samples-huge"],
     )
     def test_malformed_block_is_one_line_exit_one(
         self, tmp_path, capsys, command, block, value, named, output
@@ -356,3 +390,91 @@ class TestErrorReporting:
         payload["simulation"] = {"horizon": 3.0}
         code, _ = run(tmp_path, "simulate", payload, "--epsilon", "0.1")
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract as a property: any one bad leaf exits 0, 1 or 2 with at
+# most one stderr line, and exit 1 leaves no file behind
+# ---------------------------------------------------------------------------
+
+CONTRACT_CONFIGS = {
+    "coeffs": {
+        "profile": {"terms": [{"amplitude": 0.1 / (2.0 * math.pi), "harmonic": 1, "phase": 0.0}]},
+        "model": {"kind": "slanted", "k": 1.0, "L_rest": 2.0, "h": 1.0, "theta": 0.3},
+    },
+    "k-table": dict(CANONICAL, k_table={"xi_min": -0.2, "xi_max": 0.2, "count": 5}),
+    "perceived": dict(CANONICAL, perceived={"samples": 16}),
+    "nap": {"nap": {"theta_lim": 1.0, "theta_with": 0.5, "mu_plus": 0.1, "k": 1.0, "L": 1.0}},
+}
+
+BLOCK_CASES = [
+    (cli.build_loading, {"kind": "ramp", "duration": 1.0, "q0": 0.0, "rate": 1.0}),
+    (cli.build_loading, {"kind": "sinusoid", "duration": 1.0, "q0": 0.0, "amplitude": 1.0,
+                         "frequency": 1.0, "phase": 0.0}),
+    (cli.build_loading, {"kind": "piecewise", "times": [0.0, 0.5, 1.0],
+                         "values": [0.0, 0.1, 0.0], "blend": 0.1}),
+    (cli.build_simulation, {"epsilon": 0.1, "epsilons": [0.1, 0.05], "gamma": 1.0, "z0": 0.0,
+                            "horizon": 1.0, "grid_points": 11, "windows": [[0.0, 1.0]],
+                            "tolerances": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.1}}),
+]
+
+BAD_LEAVES = [math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**63, True, "1.0",
+              None, [], [0.5], {}]
+
+
+def _leaf_paths(tree, prefix=()):
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, value in items:
+            yield from _leaf_paths(value, prefix + (key,))
+    else:
+        yield prefix
+
+
+def _replaced(tree, path, leaf):
+    tree = copy.deepcopy(tree)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = leaf
+    return tree
+
+
+CLI_LEAVES = [(c, path) for c, cfg in CONTRACT_CONFIGS.items() for path in _leaf_paths(cfg)]
+BLOCK_LEAVES = [(i, path) for i, (_, block) in enumerate(BLOCK_CASES)
+                  for path in _leaf_paths(block)]
+CONTRACT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestContractProperty:
+    @CONTRACT_SETTINGS
+    @given(case=st.sampled_from(CLI_LEAVES), leaf=st.sampled_from(BAD_LEAVES))
+    def test_one_bad_leaf_keeps_the_exit_contract(self, case, leaf):
+        command, path = case
+        payload = _replaced(CONTRACT_CONFIGS[command], path, leaf)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(payload), encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli.main([command, "--config", str(config), "--out", str(out)])
+            # a warning would reach stderr in a real run
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            assert code in (0, 1, 2)
+            assert len(lines) == (1 if code else 0), lines
+            if code == 1:
+                assert not out.exists() or not any(out.iterdir())
+
+    @CONTRACT_SETTINGS
+    @given(case=st.sampled_from(BLOCK_LEAVES), leaf=st.sampled_from(BAD_LEAVES))
+    def test_one_bad_leaf_in_a_block_is_a_config_error(self, case, leaf):
+        index, path = case
+        parse, block = BLOCK_CASES[index]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                parse(_replaced(block, path, leaf))
+            except ConfigError:
+                pass

@@ -139,7 +139,7 @@ def test_vertical_canonical_coefficients():
     assert c.mu_plus == pytest.approx(0.1, rel=1e-15)
     assert c.rho_plus == pytest.approx(0.1, rel=1e-15)
     assert c.rho_minus == pytest.approx(-0.1, rel=1e-15)
-    assert c.asymmetry == pytest.approx(0.0, abs=1e-16)
+    assert c.rho_plus + c.rho_minus == pytest.approx(0.0, abs=1e-16)
 
 
 def test_vertical_negative_tension_swaps_thresholds():
@@ -273,12 +273,17 @@ def test_perceived_extrema_match_closed_form_asymmetric():
 def test_perceived_profile_periodic_and_consistent():
     pp = perceived_profile(CANONICAL, -1.0, samples=512)
     assert pp.grid.size == 512
+
+    def height(z):
+        # W(z) = w(g^{-1}(z)), evaluated pointwise
+        return eval_profile(CANONICAL, invert_contact_map(CANONICAL, -1.0, z), 0)
+
     # height by tabulation agrees with pointwise evaluation
     for idx in (0, 100, 350):
         z = float(pp.grid[idx])
-        assert pp.height(z) == pytest.approx(pp.heights[idx], abs=1e-12)
+        assert height(z) == pytest.approx(pp.heights[idx], abs=1e-12)
         assert pp.slope(z) == pytest.approx(pp.slopes[idx], abs=1e-12)
-    assert pp.height(1.25) == pytest.approx(pp.height(0.25), abs=1e-11)
+    assert height(1.25) == pytest.approx(height(0.25), abs=1e-11)
 
 
 def test_perceived_near_admissibility_boundary():

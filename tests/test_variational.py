@@ -8,12 +8,11 @@ import pytest
 
 from wfl.errors import ConfigError
 from wfl.limit_solver import LimitSystem, Ramp, solve_limit
-from wfl.models import VerticalBristle, SlantedBristle, coefficients
-from wfl.profiles import TWO_PI, FourierTerm, SurfaceProfile
+from wfl.models import AngularBristle, VerticalBristle, SlantedBristle, coefficients
+from wfl.profiles import TWO_PI, FourierTerm, SurfaceProfile, eval_profile
 from wfl.variational import (
     CertificateReport,
     ElasticInterval,
-    LimitWithK,
     ViscousQuadratic,
     contact_set_member,
     de_giorgi_certificate,
@@ -30,6 +29,11 @@ OMEGA = ElasticInterval(lower=-RHO, upper=RHO)
 def sin_force(y):
     """Symmetric one-period force profile with range [-0.1, 0.1]."""
     return RHO * np.sin(TWO_PI * np.asarray(y, dtype=float))
+
+
+def sinusoid_density(slope=RHO):
+    """Density of W'(y) = slope * cos(2 pi y): a vertical bristle with alpha = 1, a = 0."""
+    return limit_density(VerticalBristle(k=1.0, L_rest=2.0, h=1.0), SurfaceProfile.sinusoid(slope))
 
 
 def canonical_ramp_system(rate=1.0, q0=0.0, duration=2.0):
@@ -56,7 +60,6 @@ class TestElasticInterval:
         assert OMEGA.contains(RHO)
         assert not OMEGA.contains(RHO + 1e-12)
         assert OMEGA.contains(RHO + 1e-12, tol=1e-9)
-        assert OMEGA.width == pytest.approx(0.2)
         np.testing.assert_allclose(
             OMEGA.clip(np.array([-1.0, 0.05, 1.0])), [-RHO, 0.05, RHO]
         )
@@ -91,7 +94,7 @@ class TestKOfXi:
         assert k_of_xi(-RHO, sin_force) == pytest.approx(RHO, abs=1e-12)
 
     def test_strictly_dominates_abs_inside(self):
-        delta = 0.05 * OMEGA.width
+        delta = 0.05 * (OMEGA.upper - OMEGA.lower)
         for xi in np.linspace(OMEGA.lower + delta, OMEGA.upper - delta, 20):
             assert k_of_xi(float(xi), sin_force) > abs(xi) + 1e-12
 
@@ -152,24 +155,27 @@ class TestViscousQuadratic:
 
 
 class TestLimitWithK:
+    # the thresholds of sinusoid_density() are 0.1 rounded down by one ulp
     def test_sticking_contact_is_exact(self):
-        density = LimitWithK(wprime=sin_force, interval=OMEGA)
-        for xi in (-RHO, -0.03, 0.0, 0.08, RHO):
+        density = sinusoid_density()
+        rho = density.interval.upper
+        for xi in (-rho, -0.03, 0.0, 0.08, rho):
             assert density.residual(0.0, xi) == 0.0
 
     def test_sliding_contact_is_exact(self):
-        density = LimitWithK(wprime=sin_force, interval=OMEGA)
-        assert density.residual(1.0, RHO) <= 1e-12
-        assert density.residual(-1.0, -RHO) <= 1e-12
-        assert density.residual(3.5, RHO) <= 1e-12
+        density = sinusoid_density()
+        rho = density.interval.upper
+        assert density.residual(1.0, rho) <= 1e-12
+        assert density.residual(-1.0, -rho) <= 1e-12
+        assert density.residual(3.5, rho) <= 1e-12
 
     def test_indicator_fires_outside(self):
-        density = LimitWithK(wprime=sin_force, interval=OMEGA)
+        density = sinusoid_density()
         assert density.value(1.0, RHO + 1e-9) == math.inf
         assert density.residual(-2.0, RHO + 1e-9) == math.inf
 
     def test_random_pairs_nonnegative(self):
-        density = LimitWithK(wprime=sin_force, interval=OMEGA)
+        density = sinusoid_density()
         rng = np.random.default_rng(23)
         worst = 0.0
         for v, xi in zip(
@@ -178,12 +184,69 @@ class TestLimitWithK:
             worst = min(worst, density.residual(float(v), float(xi)))
         assert worst >= -1e-12
 
-    def test_memoization_quantizes_the_argument(self):
-        density = LimitWithK(wprime=sin_force, interval=OMEGA)
-        first = density.k(0.0123)
-        second = density.k(0.0123 + 1e-16)
-        assert first == second
-        assert len(density._cache) == 1
+
+# W' = 0.1 cos(2 pi y) + 0.06 cos(6 pi y + 0.4) crosses levels near zero six times
+MULTI_CROSSING = SurfaceProfile((
+    FourierTerm(0.1 / TWO_PI, 1),
+    FourierTerm(0.06 / (3 * TWO_PI), 3, 0.4),
+))
+ORACLE_MODELS = {
+    "vertical": VerticalBristle(k=1.0, L_rest=2.0, h=1.0),
+    "slanted": SlantedBristle(k=1.0, L_rest=2.0, h=1.0, theta=0.3),
+    "angular": AngularBristle(k=1.0, L=1.0, h=0.5, theta_rest=0.1),
+    "stretched": VerticalBristle(k=2.0, L_rest=0.5, h=1.0),  # alpha = -1
+}
+
+
+class TestExactK:
+    """``LimitWithK.k`` against the quadrature oracle on the sampled W'."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("profile", [SurfaceProfile.sinusoid(0.1), MULTI_CROSSING],
+                             ids=["sinusoid", "multi-crossing"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_matches_quadrature_oracle(self, name, profile):
+        density = limit_density(ORACLE_MODELS[name], profile)
+        lo, hi = density.interval.lower, density.interval.upper
+        xis = np.concatenate((
+            np.linspace(lo, hi, 9)[1:-1],
+            [0.0, lo * (1.0 - 1e-9), hi * (1.0 - 1e-9), lo, hi, 2.0 * lo, 2.0 * hi],
+        ))
+        exact = density.k(xis)
+        oracle = np.array([k_of_xi(x, density.wprime) for x in xis])
+        np.testing.assert_allclose(exact, oracle, rtol=0.0, atol=self.TOL)
+        assert np.array_equal(exact, [density.k(float(x)) for x in xis])
+
+    def test_profile_crosses_levels_more_than_twice(self):
+        density = limit_density(ORACLE_MODELS["vertical"], MULTI_CROSSING)
+        signs = np.sign(density.wprime(np.linspace(0.0, 1.0, 4097)))
+        assert np.count_nonzero(signs[1:] != signs[:-1]) == 6
+
+    def test_sinusoid_closed_form_near_thresholds(self):
+        # K of rho cos(2 pi y + phase) is (2/pi)(sqrt(rho^2 - xi^2) + xi asin(xi/rho)) for
+        # any phase; phase 0.3 puts the extrema of w' inside grid cells, where a
+        # level just below an extremum crosses twice within one cell
+        density = limit_density(ORACLE_MODELS["vertical"], SurfaceProfile.sinusoid(RHO, phase=0.3))
+        near = RHO * (1.0 - np.logspace(-9, -3, 13))
+        xis = np.concatenate((near, -near, np.linspace(-0.09, 0.09, 19)))
+        closed = (2.0 / math.pi) * (np.sqrt(RHO**2 - xis**2) + xis * np.arcsin(xis / RHO))
+        np.testing.assert_allclose(density.k(xis), closed, rtol=0.0, atol=self.TOL)
+
+    def test_level_on_a_table_node(self):
+        # alpha = 1 and a = 0 make the level w' = xi exact, and p = 5/1024 is
+        # a node of the w' table
+        density = sinusoid_density()
+        xi = eval_profile(density.profile, 5.0 / 1024.0, 1)
+        assert density.k(xi) == pytest.approx(k_of_xi(xi, density.wprime), abs=self.TOL)
+
+    def test_array_shape_is_kept(self):
+        density = sinusoid_density()
+        xis = np.array([[0.0, 0.05], [-0.2, 0.03]])
+        table = density.k(xis)
+        assert table.shape == (2, 2)
+        assert table[1, 0] == 0.2
+        assert table[0, 0] == pytest.approx(2.0 * RHO / math.pi, abs=self.TOL)
 
 
 class TestContactSet:
@@ -249,7 +312,7 @@ class TestCertificate:
     def setup_method(self):
         self.system = canonical_ramp_system()
         self.trajectory = solve_limit(self.system, 0.0)
-        self.density = LimitWithK(wprime=sin_force, interval=OMEGA)
+        self.density = sinusoid_density()
 
     def test_ramp_solution_passes(self):
         report = de_giorgi_certificate(self.system, self.trajectory, self.density)
@@ -313,10 +376,7 @@ class TestCertificate:
         assert report.passed
 
     def test_threshold_mismatch_rejected(self):
-        wrong = LimitWithK(
-            wprime=lambda y: 0.2 * np.sin(TWO_PI * np.asarray(y)),
-            interval=ElasticInterval(lower=-0.2, upper=0.2),
-        )
+        wrong = sinusoid_density(0.2)
         with pytest.raises(ConfigError):
             de_giorgi_certificate(self.system, self.trajectory, wrong)
 
