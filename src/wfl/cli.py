@@ -93,7 +93,7 @@ def _integer(obj, key, path, default=None, minimum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"{key} must be an integer")
     if minimum is not None and value < minimum:
-        _fail(path, f"{key} must be >= {minimum}, got {value}")
+        _fail(path, f"{key} must be >= {minimum}")
     if value > 10**6:  # integers size arrays: a larger one would exhaust memory
         _fail(path, f"{key} must be <= {10**6}")
     return value

@@ -47,6 +47,10 @@ geometry is one more class.
 * ``force(y, wp)``, ``energy(y)``: microscale force and potential at tip
   height ``y`` and surface slope ``wp``, for :func:`wiggly_force` and
   :func:`wiggly_energy`.
+
+``tip_shift`` and ``force`` take arrays or Python floats; on floats they
+call ``math`` only, which is what :func:`scalar_force` (the integrator's
+right-hand side) relies on.
 """
 
 from __future__ import annotations
@@ -68,12 +72,22 @@ from .errors import (
     ZeroTensionError,
 )
 from .profiles import (
+    TWO_PI,
     DerivativeExtrema,
     SurfaceProfile,
     derivative_extrema,
     eval_profile,
     like_input,
 )
+
+
+# math for a Python float (the scalar right-hand side), NumPy for anything else
+def _sqrt(x):
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+
+
+def _acos(x):
+    return math.acos(x) if type(x) is float else np.arccos(x)
 
 
 def _require_finite(**values: float) -> None:
@@ -245,14 +259,15 @@ class AngularBristle:
         return 0.5 * min(self.h, self.L - self.h)
 
     def tip_shift(self, y):
-        L, h = self.L, self.h
-        s = np.sqrt(L * L - (h - y) ** 2)
-        return s - math.sqrt(L * L - h * h), (h - y) / s
+        L, d = self.L, self.h - y
+        s = _sqrt(L * L - d * d)
+        return s - math.sqrt(L * L - self.h * self.h), d / s
 
     def force(self, y, wp):
-        s = np.sqrt(self.L ** 2 - (self.h - y) ** 2)
-        theta = np.arccos((self.h - y) / self.L)
-        a_local = (self.h - y) / s
+        d = self.h - y
+        s = _sqrt(self.L ** 2 - d * d)
+        theta = _acos(d / self.L)
+        a_local = d / s
         return self.k * (theta - self.theta_rest) * wp / (s * (1.0 + a_local * wp))
 
     def energy(self, y):
@@ -574,6 +589,58 @@ def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z
     """
     _require_valid_epsilon(model, profile, epsilon)
     return like_input(z, model.force(*_contact(model, profile, epsilon, z)))
+
+
+def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
+    """``V_eps'`` as a function of one Python float ``z``, with no NumPy call.
+
+    The viscous integrator's right-hand side.  ``epsilon`` is checked here,
+    once.  Each call sums w and w' over the Fourier terms with ``math`` and
+    solves the root-tip relation by the Newton iteration of
+    :func:`wiggly_force` (same tolerance, clip radius and iteration cap),
+    then applies the geometry's own ``force``.  A point where Newton does
+    not converge is handed to :func:`wiggly_force`, whose bisection and
+    :class:`InversionFailureError` apply.  A non-finite ``z`` may raise
+    ``ValueError`` from ``math``.
+    """
+    _require_valid_epsilon(model, profile, epsilon)
+    terms = [
+        (TWO_PI * t.harmonic, t.amplitude, t.amplitude * (TWO_PI * t.harmonic), t.phase)
+        for t in profile.terms
+    ]
+    sin, cos = math.sin, math.cos
+    force, shift = model.force, model.tip_shift
+
+    def contact(p):
+        # tip height eps w(p / eps) and slope w'(p / eps), summed as eval_profile does
+        x = p / epsilon
+        w = wp = 0.0
+        for rate, amplitude, slope, phase in terms:
+            u = rate * x + phase
+            w += amplitude * sin(u)
+            wp += slope * cos(u)
+        return epsilon * w, wp
+
+    if shift is None:
+        return lambda z: force(*contact(z))
+
+    ymax = epsilon * profile.amplitude_bound
+    radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
+
+    def at(z: float) -> float:
+        tol = 1e-13 * max(1.0, abs(z))
+        lo, hi = z - radius, z + radius
+        p = z
+        for _ in range(100):
+            y, wp = contact(p)
+            s, ds = shift(y)
+            r = p + s - z
+            if abs(r) <= tol:
+                return force(y, wp)
+            p = min(max(p - r / (1.0 + ds * wp), lo), hi)
+        return wiggly_force(model, profile, epsilon, z)
+
+    return at
 
 
 def wiggly_energy(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):

@@ -30,7 +30,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, ScaleValidityError, StiffnessFailureError
 from .limit_solver import LimitSystem, Trajectory, default_grid, elastic_strip
-from .models import BristleModel, epsilon_limit, wiggly_energy, wiggly_force
+from .models import BristleModel, epsilon_limit, scalar_force, wiggly_energy, wiggly_force
 from .profiles import SurfaceProfile
 
 
@@ -116,11 +116,15 @@ class ViscousTrajectory(Trajectory):
     along exact solutions), ``delta`` the distance to the quasistatic
     elastic strip, and ``power_integral`` the accumulated external power
     term ``int dE/dt dt = -int ell' z dt`` over the whole run.
+    ``rhs_evals`` and ``steps`` count the integrator's right-hand-side
+    evaluations and accepted steps.
     """
 
     xi: np.ndarray = None
     delta: np.ndarray = None
     power_integral: float = 0.0
+    rhs_evals: int = 0
+    steps: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -166,12 +170,20 @@ def integrate(
         raise ConfigError(f"initial state must be finite, got {z0}")
 
     tau = system.time_scale
+    # the scalar form of rhs: built once, so no step pays for validation
+    # or NumPy; post-processing below keeps the array route
+    ell, phi_force = system.base.ell, system.base.phi_force
+    micro_force = scalar_force(system.model, system.profile, system.epsilon)
 
     def fun(t, y):
-        v = float(rhs(system, t, float(y[0])))
+        t, z = float(t), float(y[0])  # SciPy passes NumPy scalars
+        try:
+            v = float((ell(t) - phi_force(z) - micro_force(z)) / tau)
+        except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
+            v = math.nan
         if not math.isfinite(v):
             raise StiffnessFailureError(
-                f"force evaluation overflowed at t = {t:.6g}, z = {y[0]:.6g}; "
+                f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
                 f"the state has left the integrable range"
             )
         return (v,)
@@ -233,6 +245,8 @@ def integrate(
         xi=xi,
         delta=delta,
         power_integral=power_integral,
+        rhs_evals=int(sol.nfev),
+        steps=sol.t.size - 1,
     )
 
 

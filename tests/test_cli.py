@@ -370,10 +370,12 @@ class TestErrorReporting:
              "windows[0][0] must be finite", "convergence.csv"),
             ("perceived", "perceived", {"samples": 10**400}, "samples must be <= 1000000",
              "perceived.csv"),
+            ("k-table", "k_table", {"count": -(10**400)}, "count must be >= 2", "k_table.csv"),
         ],
         ids=["model-kind-list", "profile-terms-int", "simulation-window-string",
              "k-table-huge-integer", "profile-amplitude-huge-integer",
-             "loading-values-infinity", "simulation-window-nan", "perceived-samples-huge"],
+             "loading-values-infinity", "simulation-window-nan", "perceived-samples-huge",
+             "k-table-count-huge-negative"],
     )
     def test_malformed_block_is_one_line_exit_one(
         self, tmp_path, capsys, command, block, value, named, output
@@ -381,7 +383,7 @@ class TestErrorReporting:
         code, out = run(tmp_path, command, dict(CANONICAL, **{block: value}))
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
         assert named in err
         assert not (out / output).exists()
 

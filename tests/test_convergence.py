@@ -1,5 +1,7 @@
 """Tests for the scale-sweep harness and strip diagnostics."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,11 @@ class TestRunSweep:
         assert serial.dissipation_gaps == parallel.dissipation_gaps
         assert serial.limit_dissipation == parallel.limit_dissipation
         assert serial.fitted_order == parallel.fitted_order
+        # the pool submits the finest scale first; every field but the
+        # wall times must still equal the serial report's
+        for field in fields(SweepReport):
+            if field.name != "runtimes":
+                assert getattr(parallel, field.name) == getattr(serial, field.name)
 
     def test_scales_sorted_downward(self):
         report = run_sweep(

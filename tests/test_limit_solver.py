@@ -85,6 +85,28 @@ def test_smoothed_pwl_is_c1():
     np.testing.assert_allclose(pwl.qdot(ts), fd, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "loading",
+    [
+        Ramp(q0=0.3, rate=-1.7, duration=2.0),
+        SinusoidLoading(q0=0.1, amplitude=0.5, frequency=1.3, duration=2.0, phase=0.4),
+        # blend zones that touch at t = 0.75, where the later knot's zone wins
+        SmoothedPiecewiseLinear(times=(0.0, 0.5, 1.0, 2.0), values=(0.0, 1.0, -0.5, 0.2), blend=0.25),
+    ],
+    ids=["ramp", "sinusoid", "piecewise"],
+)
+def test_float_branch_of_q_matches_the_array_route_bitwise(loading):
+    rng = np.random.default_rng(5)
+    ts = np.concatenate((
+        rng.uniform(-0.5, 2.5, 500),
+        [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 0.25 - 1e-12, 2.0 + 1e-9],
+    ))
+    scalar = np.array([loading.q(float(t)) for t in ts])
+    assert all(type(loading.q(float(t))) is float for t in ts[:5])
+    np.testing.assert_array_equal(scalar, loading.q(ts))
+    np.testing.assert_array_equal(scalar, [loading.q(np.array([t]))[0] for t in ts])
+
+
 def test_smoothed_pwl_validation():
     with pytest.raises(ConfigError):
         SmoothedPiecewiseLinear(times=(0.0, 1.0), values=(0.0,), blend=0.1)

@@ -32,6 +32,9 @@ from wfl import (
     wiggly_energy,
     wiggly_force,
 )
+from wfl import models
+from wfl.limit_solver import LimitSystem, Ramp, elastic_strip
+from wfl.models import scalar_force
 from wfl.profiles import derivative_extrema
 
 TWO_PI = 2.0 * math.pi
@@ -495,6 +498,63 @@ def test_margins_and_epsilon_limit_match_the_written_out_formulas(model):
     assert [c.margin for c in report.conditions] == margins
     assert all(c.satisfied for c in report.conditions)
     assert epsilon_limit(model, TWO_MODE) == limit
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the integrator's scalar force against the array route
+# ---------------------------------------------------------------------------
+
+README_PROFILE = SurfaceProfile.sinusoid(0.1)
+TWO_HARMONIC = SurfaceProfile((
+    FourierTerm(0.1 / TWO_PI, 1, 0.4),
+    FourierTerm(0.03 / (3 * TWO_PI), 3, 1.1),
+))
+SCALAR_MODELS = [
+    VerticalBristle(1.0, 2.0, 1.0),
+    SlantedBristle(1.0, 1.0, 0.05, 0.5),
+    AngularBristle(1.0, 1.0, math.cos(0.6), 0.0),
+]
+
+
+def strip_boundaries(model, profile):
+    """Both elastic-strip boundaries of a unit ramp over this contact, at nine times."""
+    c = coefficients(model, profile)
+    system = LimitSystem(1.0, 0.0, Ramp(duration=2.0), c.rho_plus, c.rho_minus)
+    lower, upper = elastic_strip(system, np.linspace(0.0, 2.0, 9))
+    return [*lower.tolist(), *upper.tolist()]
+
+
+@pytest.mark.parametrize("limit", [False, True], ids=["eps0.05", "eps-limit"])
+@pytest.mark.parametrize("profile", [README_PROFILE, TWO_HARMONIC], ids=["sinusoid", "two-harmonic"])
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
+def test_scalar_force_matches_the_array_route(model, profile, limit):
+    # tolerance: 1e-14 relative to the sample's largest |force|
+    eps = epsilon_limit(model, profile) if limit else 0.05
+    rng = np.random.default_rng(11)
+    zs = [*rng.uniform(-2.0, 3.0, 300).tolist(), *strip_boundaries(model, profile)]
+    force = scalar_force(model, profile, eps)
+    got = np.array([force(z) for z in zs])
+    want = np.array([wiggly_force(model, profile, eps, np.array([z]))[0] for z in zs])
+    assert all(type(f) is float for f in map(force, zs[:5]))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_scalar_force_checks_epsilon_when_built():
+    m = VerticalBristle(1.0, 2.0, 1.0)
+    with pytest.raises(ScaleValidityError):
+        scalar_force(m, CANONICAL, 2.0 * epsilon_limit(m, CANONICAL))
+    with pytest.raises(ScaleValidityError):
+        scalar_force(m, CANONICAL, 0.0)
+
+
+def test_scalar_force_hands_a_stalled_newton_to_the_array_route(monkeypatch):
+    # a NaN root never meets the Newton tolerance, so it takes the fallback
+    calls = []
+    monkeypatch.setattr(models, "wiggly_force", lambda *args: calls.append(args) or 7.0)
+    force = scalar_force(SlantedBristle(1.0, 3.0, 1.0, math.pi / 6), CANONICAL, 0.05)
+    assert force(0.3) != 7.0 and not calls
+    assert force(math.nan) == 7.0
+    assert len(calls) == 1 and math.isnan(calls[0][3])
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError
-from wfl.limit_solver import LimitSystem, Ramp, elastic_strip, solve_limit
-from wfl.models import VerticalBristle
+from wfl.limit_solver import LimitSystem, Ramp, SinusoidLoading, elastic_strip, solve_limit
+from wfl.models import AngularBristle, SlantedBristle, VerticalBristle
 from wfl.profiles import SurfaceProfile
 from wfl.viscous_solver import (
     IntegratorConfig,
@@ -20,6 +21,11 @@ from wfl.viscous_solver import (
 
 CANONICAL = SurfaceProfile.sinusoid(slope=0.1)
 MODEL = VerticalBristle(k=1.0, L_rest=2.0, h=1.0)
+GEOMETRIES = {
+    "vertical": MODEL,
+    "slanted": SlantedBristle(k=1.0, L_rest=1.0, h=0.05, theta=0.5),
+    "angular": AngularBristle(k=1.0, L=1.0, h=math.cos(0.6), theta_rest=0.0),
+}
 
 
 def canonical_base(duration=2.0):
@@ -122,6 +128,33 @@ class TestIntegration:
         np.testing.assert_array_equal(traj.times, grid)
 
 
+    def test_solver_counters_grow_as_epsilon_shrinks(self, canonical_run):
+        coarse, fine = canonical_run(0.1), canonical_run(0.05)
+        assert 0 < coarse.steps < fine.steps
+        assert coarse.rhs_evals < fine.rhs_evals
+        # RK45 spends 6 evaluations per attempted step, plus 2 for the first
+        assert fine.rhs_evals >= 6 * fine.steps + 2
+
+    @pytest.mark.parametrize("name", ["vertical", "slanted"])
+    def test_matches_the_array_route_through_the_same_stepper(self, name):
+        # the old right-hand side, WigglySystem.force on the array route, in
+        # integrate's solve_ivp call; tolerance 1e-12 on the sampled states
+        base = LimitSystem(
+            k_h=1.0, L_h_rest=0.0, rho_plus=0.1, rho_minus=-0.1,
+            loading=SinusoidLoading(amplitude=0.5, frequency=1.0, duration=0.5),
+        )
+        system = WigglySystem(base=base, model=GEOMETRIES[name], profile=CANONICAL, epsilon=0.05)
+        tau = system.time_scale
+        traj = integrate(system, 0.0)
+        sol = solve_ivp(
+            lambda t, y: (float(system.force(t, float(y[0]))) / tau,),
+            (0.0, 0.5), [0.0], method="RK45", rtol=1e-9, atol=1e-11,
+            max_step=IntegratorConfig().effective_max_step(tau), dense_output=True,
+        )
+        np.testing.assert_allclose(traj.states, sol.sol(traj.times)[0], rtol=0.0, atol=1e-12)
+        assert (traj.rhs_evals, traj.steps) == (sol.nfev, sol.t.size - 1)
+
+
 class TestEnergyBalance:
     def test_residual_small_at_default_tolerances(self, canonical_run):
         traj = canonical_run(0.05)
@@ -209,10 +242,14 @@ class TestGammaExponent:
 
 class TestFailureModes:
     def test_runaway_initial_state_raises_stiffness_error(self):
-        system = canonical_system(0.1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(StiffnessFailureError):
-                integrate(system, 1e308)
+        # math raises on sin(inf) where NumPy returned nan: still a stiffness error
+        for model in GEOMETRIES.values():
+            system = WigglySystem(
+                base=canonical_base(), model=model, profile=CANONICAL, epsilon=0.1
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(StiffnessFailureError):
+                    integrate(system, 1e308)
 
     def test_epsilon_outside_validity_rejected(self):
         with pytest.raises(ScaleValidityError):
