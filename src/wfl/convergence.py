@@ -8,10 +8,9 @@ against log(epsilon); it is a measurement, not an asserted theorem
 constant.
 
 Per-scale trajectories are independent, so they run in a process pool over
-read-only inputs; the finest scale, the longest job, is submitted first,
-and every result lands in its slot by index, which keeps reports bitwise
-deterministic no matter how workers are scheduled.  The ``WFL_THREADS``
-environment variable caps the pool size.
+read-only inputs; every result lands in its slot by index, which keeps
+reports bitwise deterministic no matter how workers are scheduled.  The
+``WFL_THREADS`` environment variable caps the pool size.
 """
 
 from __future__ import annotations
@@ -167,12 +166,11 @@ def run_sweep(
 
     if pool > 1 and picklable:
         with ProcessPoolExecutor(max_workers=pool) as executor:
-            # finest scale (the longest job) first, so it never starts last
-            futures = [(task[0], executor.submit(_sweep_task, task)) for task in reversed(tasks)]
-            for i, future in futures:
+            futures = [executor.submit(_sweep_task, task) for task in tasks]
+            for i, future in enumerate(futures):
                 try:
-                    _, trajectory, runtime = future.result()
-                    results[i] = (trajectory, runtime)
+                    index, trajectory, runtime = future.result()
+                    results[index] = (trajectory, runtime)
                 except WflError as exc:
                     failures[i] = exc
     else:

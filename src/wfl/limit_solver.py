@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -176,8 +175,6 @@ class SmoothedPiecewiseLinear(LoadingProgram):
         return np.diff(vs) / np.diff(ts)
 
     def q(self, t):
-        if isinstance(t, float):
-            return self._q_at(t)
         ts = _as_array(t)
         knots = np.asarray(self.times)
         vals = np.asarray(self.values)
@@ -196,23 +193,6 @@ class SmoothedPiecewiseLinear(LoadingProgram):
             q_lo = vals[i] - s0 * self.blend
             out[mask] = q_lo + s0 * u + (s1 - s0) * u * u / (4.0 * self.blend)
         return like_input(t, out)
-
-    def _q_at(self, t: float) -> float:
-        """``q`` at one float: the array path's operations, in its order, on floats."""
-        knots, vals, blend = self.times, self.values, self.blend
-
-        def slope(i):
-            return (vals[i + 1] - vals[i]) / (knots[i + 1] - knots[i])
-
-        seg = min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
-        out = vals[seg] + slope(seg) * (t - knots[seg])
-        for i in range(1, len(knots) - 1):
-            lo = knots[i] - blend
-            if lo <= t <= knots[i] + blend:
-                s0, s1 = slope(i - 1), slope(i)
-                u = t - lo
-                out = vals[i] - s0 * blend + s0 * u + (s1 - s0) * u * u / (4.0 * blend)
-        return out
 
     def qdot(self, t):
         ts = _as_array(t)

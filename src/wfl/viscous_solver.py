@@ -116,15 +116,11 @@ class ViscousTrajectory(Trajectory):
     along exact solutions), ``delta`` the distance to the quasistatic
     elastic strip, and ``power_integral`` the accumulated external power
     term ``int dE/dt dt = -int ell' z dt`` over the whole run.
-    ``rhs_evals`` and ``steps`` count the integrator's right-hand-side
-    evaluations and accepted steps.
     """
 
     xi: np.ndarray = None
     delta: np.ndarray = None
     power_integral: float = 0.0
-    rhs_evals: int = 0
-    steps: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -178,9 +174,10 @@ def integrate(
     def fun(t, y):
         t, z = float(t), float(y[0])  # SciPy passes NumPy scalars
         try:
-            v = float((ell(t) - phi_force(z) - micro_force(z)) / tau)
+            f = micro_force(z)
         except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
-            v = math.nan
+            f = math.nan
+        v = float((ell(t) - phi_force(z) - f) / tau)
         if not math.isfinite(v):
             raise StiffnessFailureError(
                 f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
@@ -245,8 +242,6 @@ def integrate(
         xi=xi,
         delta=delta,
         power_integral=power_integral,
-        rhs_evals=int(sol.nfev),
-        steps=sol.t.size - 1,
     )
 
 

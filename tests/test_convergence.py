@@ -53,8 +53,7 @@ class TestRunSweep:
         assert serial.dissipation_gaps == parallel.dissipation_gaps
         assert serial.limit_dissipation == parallel.limit_dissipation
         assert serial.fitted_order == parallel.fitted_order
-        # the pool submits the finest scale first; every field but the
-        # wall times must still equal the serial report's
+        # every field but the wall times equals the serial report's
         for field in fields(SweepReport):
             if field.name != "runtimes":
                 assert getattr(parallel, field.name) == getattr(serial, field.name)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from wfl import viscous_solver
 from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError
 from wfl.limit_solver import LimitSystem, Ramp, SinusoidLoading, elastic_strip, solve_limit
 from wfl.models import AngularBristle, SlantedBristle, VerticalBristle
@@ -127,16 +128,8 @@ class TestIntegration:
         traj = integrate(canonical_system(0.1), 0.0, horizon=0.5, grid=grid)
         np.testing.assert_array_equal(traj.times, grid)
 
-
-    def test_solver_counters_grow_as_epsilon_shrinks(self, canonical_run):
-        coarse, fine = canonical_run(0.1), canonical_run(0.05)
-        assert 0 < coarse.steps < fine.steps
-        assert coarse.rhs_evals < fine.rhs_evals
-        # RK45 spends 6 evaluations per attempted step, plus 2 for the first
-        assert fine.rhs_evals >= 6 * fine.steps + 2
-
     @pytest.mark.parametrize("name", ["vertical", "slanted"])
-    def test_matches_the_array_route_through_the_same_stepper(self, name):
+    def test_matches_the_array_route_through_the_same_stepper(self, name, monkeypatch):
         # the old right-hand side, WigglySystem.force on the array route, in
         # integrate's solve_ivp call; tolerance 1e-12 on the sampled states
         base = LimitSystem(
@@ -145,6 +138,13 @@ class TestIntegration:
         )
         system = WigglySystem(base=base, model=GEOMETRIES[name], profile=CANONICAL, epsilon=0.05)
         tau = system.time_scale
+        results = []
+
+        def recording_solve_ivp(*args, **kwargs):
+            results.append(solve_ivp(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(viscous_solver, "solve_ivp", recording_solve_ivp)
         traj = integrate(system, 0.0)
         sol = solve_ivp(
             lambda t, y: (float(system.force(t, float(y[0]))) / tau,),
@@ -152,7 +152,9 @@ class TestIntegration:
             max_step=IntegratorConfig().effective_max_step(tau), dense_output=True,
         )
         np.testing.assert_allclose(traj.states, sol.sol(traj.times)[0], rtol=0.0, atol=1e-12)
-        assert (traj.rhs_evals, traj.steps) == (sol.nfev, sol.t.size - 1)
+        (scalar,) = results
+        assert scalar.nfev == sol.nfev
+        np.testing.assert_array_equal(scalar.t, sol.t)
 
 
 class TestEnergyBalance:
@@ -250,6 +252,20 @@ class TestFailureModes:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(StiffnessFailureError):
                     integrate(system, 1e308)
+
+    def test_error_in_a_custom_elastic_force_is_not_a_stiffness_error(self):
+        # only the microscale force's math errors mean the state ran away
+        def phi_prime(z):
+            raise ValueError("bad phi_prime")
+
+        base = LimitSystem(
+            k_h=1.0, L_h_rest=0.0, loading=Ramp(duration=2.0), rho_plus=0.1,
+            rho_minus=-0.1, phi=lambda z: 0.5 * z * z, phi_prime=phi_prime,
+            phi_prime_inv=lambda f: f, convexity=1.0,
+        )
+        system = WigglySystem(base=base, model=MODEL, profile=CANONICAL, epsilon=0.1)
+        with pytest.raises(ValueError, match="bad phi_prime"):
+            integrate(system, 0.0)
 
     def test_epsilon_outside_validity_rejected(self):
         with pytest.raises(ScaleValidityError):
