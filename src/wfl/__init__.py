@@ -73,11 +73,8 @@ from .variational import (
     ElasticInterval,
     LimitWithK,
     ViscousQuadratic,
-    contact_set_member,
     de_giorgi_certificate,
     k_of_xi,
-    legendre_conjugate_limit,
-    legendre_conjugate_numeric,
     limit_density,
 )
 from .viscous_solver import (

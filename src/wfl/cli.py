@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import reprlib
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -61,7 +62,7 @@ def _check_keys(obj, path, required=(), optional=()):
         _fail(path, f"expected an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        _fail(path, f"unknown keys {unknown}")
+        _fail(path, f"unknown keys {reprlib.repr(unknown)}")
     missing = sorted(set(required) - set(obj))
     if missing:
         _fail(path, f"missing required keys {missing}")
@@ -160,7 +161,7 @@ def build_model(block):
         _fail(path, "needs a 'kind' of vertical, slanted or angular")
     kind = block["kind"]
     if not isinstance(kind, str) or kind not in _MODELS:
-        _fail(path, f"unknown model kind {kind!r}")
+        _fail(path, f"unknown model kind {reprlib.repr(kind)}")
     names = [f.name for f in fields(_MODELS[kind])]
     _check_keys(block, path, required=("kind", *names))
     return _MODELS[kind](
@@ -201,7 +202,7 @@ def build_loading(block):
             values=tuple(_number_list(block, "values", path)),
             blend=_number(block, "blend", path, positive=True),
         )
-    _fail(path, f"unknown loading kind {kind!r}")
+    _fail(path, f"unknown loading kind {reprlib.repr(kind)}")
 
 
 def build_system(block, loading, coeffs) -> LimitSystem:
@@ -373,7 +374,7 @@ def cmd_sweep_theta(raw: dict, out: Path, svg: bool) -> None:
     )
     kind = block["model"]
     if kind not in ("slanted", "angular"):
-        _fail(path, f"model must be 'slanted' or 'angular', got {kind!r}")
+        _fail(path, f"model must be 'slanted' or 'angular', got {reprlib.repr(kind)}")
     count = _integer(block, "count", path, default=50, minimum=1)
     slope = _number(block, "slope", path, default=0.1, positive=True)
     lo, hi = _sweep_theta_bounds(kind, slope)

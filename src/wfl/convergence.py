@@ -8,7 +8,7 @@ against log(epsilon); it is a measurement, not an asserted theorem
 constant.
 
 Per-scale trajectories are independent, so they run in a process pool over
-read-only inputs; every result lands in its slot by index, which keeps
+read-only inputs; results are read back in scale order, which keeps
 reports bitwise deterministic no matter how workers are scheduled.  The
 ``WFL_THREADS`` environment variable caps the pool size.
 """
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, SweepError, WflError
-from .limit_solver import LimitSystem, Trajectory, default_grid, elastic_strip, solve_limit
+from .limit_solver import LimitSystem, default_grid, solve_limit
 from .models import BristleModel
 from .profiles import SurfaceProfile
 from .viscous_solver import (
@@ -94,10 +94,26 @@ def _pool_size(requested: Optional[int], jobs: int) -> int:
 
 
 def _sweep_task(task):
-    index, system, z0, config, grid = task
+    system, z0, config, grid = task
     start = time.perf_counter()
     trajectory = integrate(system, z0, config=config, grid=grid)
-    return index, trajectory, time.perf_counter() - start
+    return trajectory, time.perf_counter() - start
+
+
+def _collect(outcomes, runs: list) -> Optional[WflError]:
+    """Append ``(trajectory, runtime)`` outcomes, in scale order, until one fails.
+
+    Returns the failure, if any, so the serial and the pooled sweep both keep
+    exactly the rows before it.  Leaving a pool's ``map`` iterator early
+    cancels the jobs that have not started; the outcome of a job already
+    running is discarded, as the sweep is reported aborted at the first
+    failure.
+    """
+    try:
+        runs.extend(outcomes)
+    except WflError as exc:
+        return exc
+    return None
 
 
 def _fit_order(epsilons: Sequence[float], sup_errors: Sequence[float]) -> Optional[float]:
@@ -123,8 +139,8 @@ def run_sweep(
 
     All scales are validated up front, so an inadmissible epsilon aborts
     before any integration starts.  If an integration fails midway, the
-    completed rows are wrapped in a partial report attached to the raised
-    :class:`SweepError`.
+    rows of the scales before it are wrapped in a partial report attached
+    to the raised :class:`SweepError`, with or without the pool.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -154,66 +170,39 @@ def run_sweep(
     limit = solve_limit(system, z0, grid=grid)
     limit_diss = tuple(limit.dissipated(t1, t2) for t1, t2 in windows)
 
-    tasks = [(i, systems[i], float(z0), config, grid) for i in range(len(eps))]
-    results: list = [None] * len(eps)
-    failures: list = [None] * len(eps)
-
+    tasks = [(s, float(z0), config, grid) for s in systems]
     pool = _pool_size(workers, len(eps))
     try:
         picklable = pool > 1 and len(pickle.dumps((system, model, profile, config))) > 0
     except Exception:
         picklable = False
 
+    runs: list = []  # (trajectory, runtime) per scale, up to the first failure
     if pool > 1 and picklable:
         with ProcessPoolExecutor(max_workers=pool) as executor:
-            futures = [executor.submit(_sweep_task, task) for task in tasks]
-            for i, future in enumerate(futures):
-                try:
-                    index, trajectory, runtime = future.result()
-                    results[index] = (trajectory, runtime)
-                except WflError as exc:
-                    failures[i] = exc
+            failure = _collect(executor.map(_sweep_task, tasks), runs)
     else:
-        for task in tasks:
-            try:
-                index, trajectory, runtime = _sweep_task(task)
-                results[index] = (trajectory, runtime)
-            except WflError as exc:
-                failures[task[0]] = exc
-                break
+        failure = _collect(map(_sweep_task, tasks), runs)
 
-    done = [i for i, r in enumerate(results) if r is not None]
-    sup_errors = {}
-    gaps = {}
-    for i in done:
-        trajectory, _ = results[i]
-        sup_errors[i] = float(np.max(np.abs(trajectory.states - limit.states)))
-        gaps[i] = tuple(
-            abs(trajectory.dissipated(t1, t2) - limit_diss[j])
-            for j, (t1, t2) in enumerate(windows)
-        )
-
-    def build(indices):
-        kept = list(indices)
-        return SweepReport(
-            epsilons=tuple(eps[i] for i in kept),
-            sup_errors=tuple(sup_errors[i] for i in kept),
-            windows=windows,
-            dissipation_gaps=tuple(gaps[i] for i in kept),
-            limit_dissipation=limit_diss,
-            fitted_order=_fit_order(
-                [eps[i] for i in kept], [sup_errors[i] for i in kept]
-            ),
-            runtimes=tuple(results[i][1] for i in kept),
-        )
-
-    first_failure = next((f for f in failures if f is not None), None)
-    if first_failure is not None:
-        partial = build(done) if done else None
+    done = eps[:len(runs)]
+    sup_errors = [float(np.max(np.abs(tr.states - limit.states))) for tr, _ in runs]
+    report = SweepReport(
+        epsilons=tuple(done),
+        sup_errors=tuple(sup_errors),
+        windows=windows,
+        dissipation_gaps=tuple(
+            tuple(abs(tr.dissipated(t1, t2) - d) for (t1, t2), d in zip(windows, limit_diss))
+            for tr, _ in runs
+        ),
+        limit_dissipation=limit_diss,
+        fitted_order=_fit_order(done, sup_errors),
+        runtimes=tuple(runtime for _, runtime in runs),
+    )
+    if failure is not None:
         raise SweepError(
-            f"sweep aborted: {first_failure}", partial=partial
-        ) from first_failure
-    return build(range(len(eps)))
+            f"sweep aborted: {failure}", partial=report if runs else None
+        ) from failure
+    return report
 
 
 @dataclass(frozen=True)
@@ -232,12 +221,8 @@ class StripDiagnostics:
 
 
 def strip_diagnostics(system: WigglySystem, trajectory: ViscousTrajectory) -> StripDiagnostics:
-    """Recompute strip distances and fit the boundary-layer decay envelope."""
-    times = trajectory.times
-    lower, upper = elastic_strip(system.base, times)
-    delta = np.maximum(
-        np.maximum(trajectory.states - upper, lower - trajectory.states), 0.0
-    )
+    """Fit the boundary-layer decay envelope to the run's strip distances."""
+    times, delta = trajectory.times, trajectory.delta
     rate = system.base.uniform_convexity / system.time_scale
     envelope = delta[0] * np.exp(-rate * times)
     excess = np.maximum(delta - envelope, 0.0)

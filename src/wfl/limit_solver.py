@@ -339,10 +339,6 @@ class Trajectory:
         c2 = float(np.interp(t2, self.times, self.dissipation))
         return c2 - c1
 
-    @property
-    def total_dissipation(self) -> float:
-        return float(self.dissipation[-1])
-
 
 def default_grid(horizon: float, steps: int = DEFAULT_GRID_POINTS - 1) -> np.ndarray:
     return np.linspace(0.0, horizon, steps + 1)

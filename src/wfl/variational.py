@@ -38,10 +38,7 @@ __all__ = [
     "ViscousQuadratic",
     "LimitWithK",
     "CertificateReport",
-    "legendre_conjugate_limit",
-    "legendre_conjugate_numeric",
     "k_of_xi",
-    "contact_set_member",
     "limit_density",
     "de_giorgi_certificate",
 ]
@@ -62,38 +59,8 @@ class ElasticInterval:
                 f"thresholds must straddle zero, got [{self.lower}, {self.upper}]"
             )
 
-    @classmethod
-    def from_system(cls, system: LimitSystem) -> "ElasticInterval":
-        return cls(lower=system.rho_minus, upper=system.rho_plus)
-
-    def contains(self, xi: float, tol: float = 0.0) -> bool:
-        return self.lower - tol <= xi <= self.upper + tol
-
     def clip(self, xi):
         return np.clip(xi, self.lower, self.upper)
-
-
-def legendre_conjugate_limit(xi: float, interval: ElasticInterval) -> float:
-    """Conjugate of the positively homogeneous limit potential.
-
-    A rate-independent potential with slopes [lower, upper] conjugates to
-    the indicator of that interval: zero on it (boundary included), +inf
-    outside.
-    """
-    if interval.contains(float(xi)):
-        return 0.0
-    return math.inf
-
-
-def _sample(wprime: Callable, ys: np.ndarray) -> np.ndarray:
-    """Evaluate a force sampler on an array, tolerating scalar-only callables."""
-    try:
-        values = np.asarray(wprime(ys), dtype=float)
-        if values.shape == ys.shape:
-            return values
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(wprime(float(y))) for y in ys])
 
 
 def k_of_xi(xi: float, wprime: Callable) -> float:
@@ -104,14 +71,15 @@ def k_of_xi(xi: float, wprime: Callable) -> float:
     piece is integrated by ``scipy.integrate.quad``.  When there is no
     crossing at all, the zero-average property of ``W'`` collapses the
     integral to ``|xi|`` exactly.  This is the reference route for any
-    sampled ``W'``; :meth:`LimitWithK.k` is the exact one for a bristle.
+    sampled ``W'`` (a callable that takes arrays); :meth:`LimitWithK.k` is
+    the exact one for a bristle.
     """
     xi = float(xi)
     ys = np.linspace(0.0, 1.0, 1025)
-    signs = np.sign(xi - _sample(wprime, ys))
+    signs = np.sign(xi - np.asarray(wprime(ys), dtype=float))
 
     def gap(y: float) -> float:
-        return xi - float(np.asarray(wprime(y)).reshape(-1)[0])
+        return xi - float(wprime(y))
 
     cuts = {0.0, 1.0}
     cuts.update(float(y) for y in ys[1:-1][signs[1:-1] == 0.0])
@@ -241,12 +209,18 @@ class LimitWithK:
         return np.abs(np.diff(f, axis=1)).sum(axis=1)
 
     def value(self, v, xi):
-        if legendre_conjugate_limit(xi, self.interval) == math.inf:
-            return math.inf
-        return abs(v) * self.k(xi)
+        """|v| K(xi) where lower <= xi <= upper, +inf elsewhere, elementwise.
+
+        Scalars or arrays broadcast together; two scalars give a float.
+        """
+        xi = np.asarray(xi, dtype=float)
+        inside = (self.interval.lower <= xi) & (xi <= self.interval.upper)
+        out = np.where(inside, np.abs(v) * self.k(xi), math.inf)
+        return out if out.ndim else float(out)
 
     def residual(self, v, xi):
-        return self.value(v, xi) - v * xi  # inf stays inf
+        """Duality defect M(v, xi) - v xi, elementwise; +inf stays +inf."""
+        return self.value(v, xi) - v * xi
 
 
 def _polish(profile, level, p, p0, p1):
@@ -270,38 +244,6 @@ def _polish(profile, level, p, p0, p1):
             if not live.any():
                 break
     return p
-
-
-def contact_set_member(
-    v: float,
-    xi: float,
-    interval: ElasticInterval,
-    tau_xi: Optional[float] = None,
-    tau_v: float = 1e-12,
-) -> bool:
-    """Membership in the duality contact set.
-
-    Sticking states pair zero velocity with any admissible force; moving
-    states must sit exactly on the threshold matching their direction.
-    """
-    if tau_xi is None:
-        tau_xi = 1e-8 * interval.upper
-    v = float(v)
-    xi = float(xi)
-    if abs(v) <= tau_v:
-        return interval.contains(xi, tol=tau_xi)
-    branch = interval.upper if v > 0.0 else interval.lower
-    return abs(xi - branch) <= tau_xi
-
-
-def legendre_conjugate_numeric(grid: np.ndarray, values: np.ndarray, slopes) -> np.ndarray:
-    """Discrete Legendre transform sup_x (s*x - f(x)) over a sample grid."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.shape != values.shape or grid.ndim != 1:
-        raise ConfigError("conjugate needs matching 1-d sample arrays")
-    slopes = np.atleast_1d(np.asarray(slopes, dtype=float))
-    return np.max(slopes[:, None] * grid[None, :] - values[None, :], axis=1)
 
 
 def limit_density(model: BristleModel, profile: SurfaceProfile) -> LimitWithK:

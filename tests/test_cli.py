@@ -23,6 +23,8 @@ from wfl.models import VerticalBristle, coefficients, perceived_extrema
 from wfl.profiles import SurfaceProfile
 from wfl.viscous_solver import IntegratorConfig, WigglySystem, integrate
 
+LONG = "x" * 5000
+
 CANONICAL = {
     "profile": {"sinusoid": {"slope": 0.1}},
     "model": {"kind": "vertical", "k": 1.0, "L_rest": 2.0, "h": 1.0},
@@ -371,11 +373,22 @@ class TestErrorReporting:
             ("perceived", "perceived", {"samples": 10**400}, "samples must be <= 1000000",
              "perceived.csv"),
             ("k-table", "k_table", {"count": -(10**400)}, "count must be >= 2", "k_table.csv"),
+            # a rejected string is echoed in part, never at its full length
+            ("coeffs", "model", dict(CANONICAL["model"], kind=LONG), "unknown model kind",
+             "coeffs.csv"),
+            ("coeffs", "model", dict(CANONICAL["model"], **{LONG: 1.0}),
+             "config model: unknown keys", "coeffs.csv"),
+            ("coeffs", LONG, 1.0, "config top level: unknown keys", "coeffs.csv"),
+            ("simulate", "loading", {"kind": LONG, "duration": 0.5}, "unknown loading kind",
+             "viscous.csv"),
+            ("sweep-theta", "sweep_theta", {"model": LONG},
+             "model must be 'slanted' or 'angular'", "sweep_theta.csv"),
         ],
         ids=["model-kind-list", "profile-terms-int", "simulation-window-string",
              "k-table-huge-integer", "profile-amplitude-huge-integer",
              "loading-values-infinity", "simulation-window-nan", "perceived-samples-huge",
-             "k-table-count-huge-negative"],
+             "k-table-count-huge-negative", "model-kind-long", "model-key-long",
+             "top-level-key-long", "loading-kind-long", "sweep-theta-model-long"],
     )
     def test_malformed_block_is_one_line_exit_one(
         self, tmp_path, capsys, command, block, value, named, output

@@ -121,6 +121,33 @@ class TestRunSweep:
         assert partial.epsilons == (0.1,)
         assert partial.fitted_order is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partial_report_stops_at_the_first_failure(self, monkeypatch, workers):
+        # a stiffness failure in the middle of a sweep: the pool (whose forked
+        # workers see the patch) reports the same rows as the serial loop
+        monkeypatch.delenv("WFL_THREADS", raising=False)
+        real_integrate = convergence.integrate
+
+        def flaky(system, z0, config=None, grid=None):
+            if system.epsilon == 0.07:
+                raise StiffnessFailureError("synthetic failure for testing")
+            return real_integrate(system, z0, config=config, grid=grid)
+
+        monkeypatch.setattr(convergence, "integrate", flaky)
+        with pytest.raises(SweepError) as exc_info:
+            run_sweep(
+                canonical_system(0.5),
+                PROFILE,
+                MODEL,
+                epsilons=[0.1, 0.07, 0.05],
+                workers=workers,
+            )
+        assert isinstance(exc_info.value.__cause__, StiffnessFailureError)
+        partial = exc_info.value.partial
+        assert partial.epsilons == (0.1,)
+        assert len(partial.sup_errors) == len(partial.runtimes) == 1
+        assert partial.fitted_order is None
+
     def test_thread_cap_env_is_validated(self, monkeypatch):
         monkeypatch.setenv("WFL_THREADS", "not-a-number")
         with pytest.raises(ConfigError):

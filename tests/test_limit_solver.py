@@ -163,7 +163,7 @@ def test_ramp_dissipation_value():
     system = canonical_system()
     traj = solve_limit(system, 0.0)
     # slides from 0 to 1.9 at threshold 0.1
-    assert traj.total_dissipation == pytest.approx(0.19, rel=1e-12)
+    assert traj.dissipation[-1] == pytest.approx(0.19, rel=1e-12)
     assert traj.dissipated(0.0, 2.0) == pytest.approx(0.19, rel=1e-12)
     # nothing dissipates while stuck
     assert traj.dissipated(0.0, 0.05) == 0.0
@@ -265,7 +265,7 @@ def test_rate_independence_under_reparametrisation():
     direct = solve_limit(system, 0.0, grid=s_nodes)
     rescaled = solve_limit(warped, 0.0, grid=t_nodes)
     np.testing.assert_array_equal(direct.states, rescaled.states)
-    assert rescaled.total_dissipation == pytest.approx(direct.total_dissipation, rel=1e-14)
+    assert rescaled.dissipation[-1] == pytest.approx(direct.dissipation[-1], rel=1e-14)
 
 
 def test_hysteresis_loop_dissipation():
@@ -281,7 +281,7 @@ def test_hysteresis_loop_dissipation():
     up_travel = np.max(traj.states) - traj.states[0]
     down_travel = np.max(traj.states) - traj.states[-1]
     expected = 0.1 * up_travel + 0.1 * down_travel
-    assert traj.total_dissipation == pytest.approx(expected, rel=1e-12)
+    assert traj.dissipation[-1] == pytest.approx(expected, rel=1e-12)
     # travels from the play geometry: the blend caps the peak at
     # q = 1.5 - blend/2 = 1.495, and reversal consumes 2 rho / k_h
     assert up_travel == pytest.approx(1.395, abs=1e-3)

@@ -14,11 +14,8 @@ from wfl.variational import (
     CertificateReport,
     ElasticInterval,
     ViscousQuadratic,
-    contact_set_member,
     de_giorgi_certificate,
     k_of_xi,
-    legendre_conjugate_limit,
-    legendre_conjugate_numeric,
     limit_density,
 )
 
@@ -56,29 +53,33 @@ class TestElasticInterval:
             ElasticInterval(lower=-math.inf, upper=0.1)
 
     def test_membership_and_clip(self):
-        assert OMEGA.contains(0.0)
-        assert OMEGA.contains(RHO)
-        assert not OMEGA.contains(RHO + 1e-12)
-        assert OMEGA.contains(RHO + 1e-12, tol=1e-9)
+        # clip fixes the members, boundary included, and moves the rest onto it
+        members = np.array([-RHO, 0.0, RHO])
+        np.testing.assert_array_equal(OMEGA.clip(members), members)
+        assert OMEGA.clip(RHO + 1e-12) == RHO
         np.testing.assert_allclose(
             OMEGA.clip(np.array([-1.0, 0.05, 1.0])), [-RHO, 0.05, RHO]
         )
 
-    def test_from_system(self):
-        system = canonical_ramp_system()
-        interval = ElasticInterval.from_system(system)
-        assert (interval.lower, interval.upper) == (-RHO, RHO)
-
 
 class TestIndicatorConjugate:
+    """The indicator part of ``LimitWithK.value``: zero cost at rest on the
+    closed interval, +inf off it."""
+
     def test_interior_and_boundary_are_free(self):
-        assert legendre_conjugate_limit(0.0, OMEGA) == 0.0
-        assert legendre_conjugate_limit(RHO, OMEGA) == 0.0
-        assert legendre_conjugate_limit(-RHO, OMEGA) == 0.0
+        density = sinusoid_density()
+        lo, hi = density.interval.lower, density.interval.upper
+        for xi in (0.0, lo, hi):
+            assert density.value(0.0, xi) == 0.0
+        np.testing.assert_array_equal(density.value(0.0, np.array([lo, 0.0, hi])), 0.0)
 
     def test_exterior_hits_the_sentinel(self):
-        assert legendre_conjugate_limit(RHO + 1e-9, OMEGA) == math.inf
-        assert legendre_conjugate_limit(-RHO - 1e-9, OMEGA) == math.inf
+        density = sinusoid_density()
+        assert density.value(0.0, RHO + 1e-9) == math.inf
+        assert density.value(0.0, -RHO - 1e-9) == math.inf
+        np.testing.assert_array_equal(
+            density.value(0.0, np.array([-RHO - 1e-9, RHO + 1e-9])), math.inf
+        )
 
 
 class TestKOfXi:
@@ -107,14 +108,6 @@ class TestKOfXi:
         for xi in (-0.04, 0.0, 0.013, 0.06):
             brute = float(np.trapezoid(np.abs(xi - skewed(ys)), ys))
             assert k_of_xi(xi, skewed) == pytest.approx(brute, abs=1e-8)
-
-    def test_scalar_only_sampler_supported(self):
-        def scalar_force(y):
-            return RHO * math.sin(TWO_PI * float(y))
-
-        assert k_of_xi(0.0, scalar_force) == pytest.approx(
-            2.0 * RHO / math.pi, abs=1e-10
-        )
 
     def test_even_in_xi_for_odd_profile(self):
         for xi in (0.01, 0.04, 0.09):
@@ -177,12 +170,30 @@ class TestLimitWithK:
     def test_random_pairs_nonnegative(self):
         density = sinusoid_density()
         rng = np.random.default_rng(23)
-        worst = 0.0
-        for v, xi in zip(
-            rng.uniform(-2.0, 2.0, 20000), rng.uniform(-0.2, 0.2, 20000)
-        ):
-            worst = min(worst, density.residual(float(v), float(xi)))
-        assert worst >= -1e-12
+        v = rng.uniform(-2.0, 2.0, 20000)
+        xi = rng.uniform(-0.2, 0.2, 20000)
+        assert float(np.min(density.residual(v, xi))) >= -1e-12
+
+    def test_array_calls_equal_scalar_calls_bitwise(self):
+        density = sinusoid_density()
+        lo, hi = density.interval.lower, density.interval.upper
+        xi = np.array([
+            [lo, 0.5 * lo, -0.03, 0.0, 0.02, 0.07, hi],
+            [np.nextafter(lo, -1.0), np.nextafter(hi, 1.0), 2.0 * lo, 2.0 * hi, hi, lo, 0.01],
+        ])
+        v = np.array([[0.0, 1.3, -0.4, 0.0, 2.0, -1.7, 1.0],
+                      [0.0, 0.0, 1.0, -1.0, -2.5, 0.0, 0.3]])
+        for method in (density.value, density.residual):
+            table = method(v, xi)
+            assert table.shape == xi.shape
+            scalars = [method(float(a), float(b)) for a, b in zip(v.ravel(), xi.ravel())]
+            assert all(type(s) is float for s in scalars)
+            assert np.array_equal(table.ravel(), scalars)
+        # just outside either threshold the indicator fires, even at rest
+        assert np.all(np.isinf(density.value(v, xi)[1, :4]))
+        # broadcasting: one velocity against a row of forces, and the reverse
+        assert np.array_equal(density.residual(1.3, xi[0]), density.residual(np.full(7, 1.3), xi[0]))
+        assert np.array_equal(density.value(v[0], 0.02), density.value(v[0], np.full(7, 0.02)))
 
 
 # W' = 0.1 cos(2 pi y) + 0.06 cos(6 pi y + 0.4) crosses levels near zero six times
@@ -247,37 +258,6 @@ class TestExactK:
         assert table.shape == (2, 2)
         assert table[1, 0] == 0.2
         assert table[0, 0] == pytest.approx(2.0 * RHO / math.pi, abs=self.TOL)
-
-
-class TestContactSet:
-    def test_sticking_branch(self):
-        assert contact_set_member(0.0, 0.0, OMEGA)
-        assert contact_set_member(0.0, RHO, OMEGA)
-        assert contact_set_member(1e-13, 0.05, OMEGA)
-        assert not contact_set_member(0.0, RHO + 1e-6, OMEGA)
-
-    def test_sliding_branches(self):
-        assert contact_set_member(1.0, RHO, OMEGA)
-        assert not contact_set_member(1.0, -RHO, OMEGA)
-        assert contact_set_member(-1.0, -RHO, OMEGA)
-        tau_xi = 1e-8 * OMEGA.upper
-        assert not contact_set_member(-1.0, -RHO + 2.0 * tau_xi, OMEGA)
-        assert contact_set_member(-1.0, -RHO + 0.5 * tau_xi, OMEGA)
-
-
-class TestNumericConjugate:
-    def test_involution_recovers_the_quadratic(self):
-        # conjugating xi^2/(2 tau) on a grid gives tau v^2 / 2
-        tau = 0.04
-        grid = np.linspace(-1.0, 1.0, 20001)
-        values = np.square(grid) / (2.0 * tau)
-        slopes = np.linspace(-1.0, 1.0, 41)
-        conj = legendre_conjugate_numeric(grid, values, slopes)
-        np.testing.assert_allclose(conj, 0.5 * tau * np.square(slopes), atol=1e-6)
-
-    def test_shape_validation(self):
-        with pytest.raises(ConfigError):
-            legendre_conjugate_numeric(np.zeros(3), np.zeros(4), 0.0)
 
 
 class TestLimitDensityFactory:

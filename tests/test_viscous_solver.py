@@ -100,7 +100,7 @@ class TestIntegration:
         # the quasistatic ramp dissipates 0.1 * 1.9 = 0.19; the viscous run
         # adds an O(eps) excess
         traj = canonical_run(0.05)
-        assert 0.19 < traj.total_dissipation < 0.25
+        assert 0.19 < traj.dissipation[-1] < 0.25
 
     def test_dissipation_window_additivity(self, canonical_run):
         traj = canonical_run(0.05)
