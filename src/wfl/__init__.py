@@ -6,12 +6,7 @@ associated quasistatic (rate-independent) and viscous evolutions, and for
 checking trajectories against energy-dissipation certificates.
 """
 
-from .convergence import (
-    StripDiagnostics,
-    SweepReport,
-    run_sweep,
-    strip_diagnostics,
-)
+from .convergence import SweepReport, run_sweep
 from .errors import (
     ConfigError,
     DegenerateProfileError,

@@ -7,19 +7,15 @@ empirical convergence order is a least-squares slope of log(sup error)
 against log(epsilon); it is a measurement, not an asserted theorem
 constant.
 
-Per-scale trajectories are independent, so they run in a process pool over
-read-only inputs; results are read back in scale order, which keeps
-reports bitwise deterministic no matter how workers are scheduled.  The
-``WFL_THREADS`` environment variable caps the pool size.
+Scales run one after another, coarsest first, in this process: on two
+cores a process pool measured no faster than this loop and used more than
+twice its peak memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,14 +25,9 @@ from .errors import ConfigError, SweepError, WflError
 from .limit_solver import LimitSystem, default_grid, solve_limit
 from .models import BristleModel
 from .profiles import SurfaceProfile
-from .viscous_solver import (
-    IntegratorConfig,
-    ViscousTrajectory,
-    WigglySystem,
-    integrate,
-)
+from .viscous_solver import IntegratorConfig, WigglySystem, integrate
 
-__all__ = ["SweepReport", "StripDiagnostics", "run_sweep", "strip_diagnostics"]
+__all__ = ["SweepReport", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -79,43 +70,6 @@ class SweepReport:
         ]
 
 
-def _pool_size(requested: Optional[int], jobs: int) -> int:
-    if requested is None:
-        requested = os.cpu_count() or 1
-    cap = os.environ.get("WFL_THREADS")
-    if cap:
-        try:
-            cap_value = int(cap)
-        except ValueError as exc:
-            raise ConfigError(f"WFL_THREADS must be an integer, got {cap!r}") from exc
-        if cap_value >= 1:
-            requested = min(requested, cap_value)
-    return max(1, min(requested, jobs))
-
-
-def _sweep_task(task):
-    system, z0, config, grid = task
-    start = time.perf_counter()
-    trajectory = integrate(system, z0, config=config, grid=grid)
-    return trajectory, time.perf_counter() - start
-
-
-def _collect(outcomes, runs: list) -> Optional[WflError]:
-    """Append ``(trajectory, runtime)`` outcomes, in scale order, until one fails.
-
-    Returns the failure, if any, so the serial and the pooled sweep both keep
-    exactly the rows before it.  Leaving a pool's ``map`` iterator early
-    cancels the jobs that have not started; the outcome of a job already
-    running is discarded, as the sweep is reported aborted at the first
-    failure.
-    """
-    try:
-        runs.extend(outcomes)
-    except WflError as exc:
-        return exc
-    return None
-
-
 def _fit_order(epsilons: Sequence[float], sup_errors: Sequence[float]) -> Optional[float]:
     if len(epsilons) < 2 or any(s <= 0.0 for s in sup_errors):
         return None
@@ -133,14 +87,13 @@ def run_sweep(
     gamma: float = 1.0,
     config: Optional[IntegratorConfig] = None,
     grid=None,
-    workers: Optional[int] = None,
 ) -> SweepReport:
     """Measure viscous-to-limit convergence over a decreasing scale list.
 
     All scales are validated up front, so an inadmissible epsilon aborts
     before any integration starts.  If an integration fails midway, the
     rows of the scales before it are wrapped in a partial report attached
-    to the raised :class:`SweepError`, with or without the pool.
+    to the raised :class:`SweepError`.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -170,19 +123,16 @@ def run_sweep(
     limit = solve_limit(system, z0, grid=grid)
     limit_diss = tuple(limit.dissipated(t1, t2) for t1, t2 in windows)
 
-    tasks = [(s, float(z0), config, grid) for s in systems]
-    pool = _pool_size(workers, len(eps))
-    try:
-        picklable = pool > 1 and len(pickle.dumps((system, model, profile, config))) > 0
-    except Exception:
-        picklable = False
-
     runs: list = []  # (trajectory, runtime) per scale, up to the first failure
-    if pool > 1 and picklable:
-        with ProcessPoolExecutor(max_workers=pool) as executor:
-            failure = _collect(executor.map(_sweep_task, tasks), runs)
-    else:
-        failure = _collect(map(_sweep_task, tasks), runs)
+    failure: Optional[WflError] = None
+    for wiggly in systems:
+        start = time.perf_counter()
+        try:
+            trajectory = integrate(wiggly, float(z0), config=config, grid=grid)
+        except WflError as exc:
+            failure = exc
+            break
+        runs.append((trajectory, time.perf_counter() - start))
 
     done = eps[:len(runs)]
     sup_errors = [float(np.max(np.abs(tr.states - limit.states))) for tr, _ in runs]
@@ -203,30 +153,3 @@ def run_sweep(
             f"sweep aborted: {failure}", partial=report if runs else None
         ) from failure
     return report
-
-
-@dataclass(frozen=True)
-class StripDiagnostics:
-    """Distance to the elastic strip along a viscous run.
-
-    ``fitted_constant`` is the smallest C with
-    delta(t) <= delta(0) exp(-rate t) + C eps^beta pointwise; it is a
-    reported measurement, with no claimed relation to any proof constant.
-    """
-
-    times: np.ndarray
-    delta: np.ndarray
-    decay_rate: float
-    fitted_constant: float
-
-
-def strip_diagnostics(system: WigglySystem, trajectory: ViscousTrajectory) -> StripDiagnostics:
-    """Fit the boundary-layer decay envelope to the run's strip distances."""
-    times, delta = trajectory.times, trajectory.delta
-    rate = system.base.uniform_convexity / system.time_scale
-    envelope = delta[0] * np.exp(-rate * times)
-    excess = np.maximum(delta - envelope, 0.0)
-    fitted = float(np.max(excess) / system.epsilon**system.beta)
-    return StripDiagnostics(
-        times=times, delta=delta, decay_rate=float(rate), fitted_constant=fitted
-    )

@@ -9,7 +9,14 @@ where ``V_eps`` is the exact microscale bristle potential.  The right side
 fluctuates on the spatial scale ``eps``, so slips traverse one corrugation
 period in a time of order ``eps^(gamma)``; the integrator therefore caps
 its step at ``eps^gamma / 2`` and relies on an adaptive embedded
-Runge-Kutta 4(5) pair for everything else.
+Runge-Kutta 5(4) pair for everything else.
+
+The pair is Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.4-6), stepped in plain Python floats by
+:func:`solve_ivp` with SciPy's RK45 initial step, error norm and step-size
+controller, so it takes SciPy's steps to rounding.  Each accepted step keeps
+its quartic dense-output coefficients, and the whole post-processing mesh is
+evaluated from them in one vectorised pass.
 
 Dissipation is accumulated as ``int eps^gamma zdot^2 dt`` with a composite
 Simpson rule over the union of accepted integrator steps and requested
@@ -26,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, ScaleValidityError, StiffnessFailureError
 from .limit_solver import LimitSystem, Trajectory, default_grid, elastic_strip
@@ -108,6 +114,140 @@ def rhs(system: WigglySystem, t, z):
     return system.force(t, z) / system.time_scale
 
 
+# Dormand-Prince 5(4) tableau: nodes C, stages A, 5th-order weights B and
+# the error weights E over the six stages plus the FSAL stage, as in SciPy's
+# RK45 (zero entries dropped).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+# Quartic dense output: the step's seven stages times P give the
+# coefficients of x, x^2, x^3, x^4 (x = (t - t_old) / h), SciPy's choice of
+# the free parameter c_6 (Shampine 1986).
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+@dataclass(frozen=True)
+class StepperResult:
+    """Accepted steps of :func:`solve_ivp` and their dense output.
+
+    ``t`` holds the accepted times (the start included) and ``y`` the
+    states there; row ``i`` of ``q`` holds the quartic coefficients of step
+    ``t[i] -> t[i + 1]``.  ``nfev`` counts right-hand-side evaluations:
+    2 for the initial step and 6 per attempted step.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    q: np.ndarray
+    nfev: int
+
+    def sample(self, times) -> np.ndarray:
+        """Dense output at ``times`` within ``[t[0], t[-1]]``.
+
+        A time on a step boundary takes the earlier step, as SciPy's
+        ``OdeSolution`` does.
+        """
+        times = np.asarray(times, dtype=float)
+        step = np.clip(np.searchsorted(self.t, times, side="left") - 1, 0, self.q.shape[0] - 1)
+        start = self.t[step]
+        h = self.t[step + 1] - start
+        x = (times - start) / h
+        q = self.q[step]
+        return self.y[step] + h * x * (q[:, 0] + x * (q[:, 1] + x * (q[:, 2] + x * q[:, 3])))
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
+    """Integrate the scalar ODE ``y' = fun(t, y)`` over ``t_span`` by DOPRI5.
+
+    ``fun`` takes and returns Python floats.  The first step, the error
+    norm and the controller (safety 0.9, step factor in [0.2, 10], no growth
+    right after a rejection) are those of SciPy's RK45, and so is the
+    minimum step of 10 ulp(t): a step forced below it raises
+    :class:`StiffnessFailureError`.
+    """
+    t, t_end = float(t_span[0]), float(t_span[1])
+    y = float(y0)
+    k1 = fun(t, y)
+    # SciPy's select_initial_step for one component
+    span = t_end - t
+    scale = atol + abs(y) * rtol
+    d0, d1 = abs(y) / scale, abs(k1) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = abs(fun(t + h0, y + h0 * k1) - k1) / scale / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span, max_step)
+    nfev = 2
+
+    times, states, stages = [t], [y], []
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        h = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h < min_step:
+                raise StiffnessFailureError(
+                    f"viscous integration stalled at t = {t:.6g}: the step size "
+                    f"fell below the floating-point spacing"
+                )
+            t_new = min(t + h, t_end)
+            h = t_new - t
+            t_h = t + h  # SciPy's time for the last two stages, maybe 1 ulp off t_new
+            k2 = fun(t + _C2 * h, y + h * (_A21 * k1))
+            k3 = fun(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+            k4 = fun(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = fun(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+            k6 = fun(t_h, y + h * (
+                _A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5
+            ))
+            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = fun(t_h, y_new)
+            nfev += 6
+            error = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            error_norm = abs(error) / (atol + max(abs(y), abs(y_new)) * rtol)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs = h * factor
+                break
+            h *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
+            rejected = True
+        stages.append((k1, k2, k3, k4, k5, k6, k7))
+        t, y, k1 = t_new, y_new, k7
+        times.append(t)
+        states.append(y)
+
+    return StepperResult(
+        t=np.array(times), y=np.array(states), q=np.array(stages).reshape(-1, 7) @ _P,
+        nfev=nfev,
+    )
+
+
 @dataclass(frozen=True)
 class ViscousTrajectory(Trajectory):
     """Viscous run sampled on a grid, with force and strip diagnostics.
@@ -171,8 +311,7 @@ def integrate(
     ell, phi_force = system.base.ell, system.base.phi_force
     micro_force = scalar_force(system.model, system.profile, system.epsilon)
 
-    def fun(t, y):
-        t, z = float(t), float(y[0])  # SciPy passes NumPy scalars
+    def fun(t, z):
         try:
             f = micro_force(z)
         except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
@@ -183,28 +322,24 @@ def integrate(
                 f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
                 f"the state has left the integrable range"
             )
-        return (v,)
+        return v
 
     sol = solve_ivp(
         fun,
         (0.0, float(grid[-1])),
-        [float(z0)],
-        method="RK45",
+        float(z0),
         rtol=config.rtol,
         atol=config.atol,
         max_step=config.effective_max_step(tau),
-        dense_output=True,
     )
-    if sol.status != 0:
-        raise StiffnessFailureError(
-            f"viscous integration stalled at t = {sol.t[-1]:.6g}: {sol.message}"
-        )
 
     # quadrature mesh: accepted steps refined by the output grid, plus
-    # segment midpoints for Simpson weights
+    # segment midpoints for Simpson weights; the dense output fills in
+    # everything but the accepted steps, whose states are known
     nodes, mids = _union_with_midpoints(sol.t, grid)
-    z_nodes = sol.sol(nodes)[0]
-    z_mids = sol.sol(mids)[0]
+    z_nodes = sol.sample(nodes)
+    z_nodes[np.searchsorted(nodes, sol.t)] = sol.y
+    z_mids = sol.sample(mids)
     zdot_nodes = rhs(system, nodes, z_nodes)
     zdot_mids = rhs(system, mids, z_mids)
 

@@ -202,8 +202,7 @@ class TestConverge:
         payload["simulation"] = {"grid_points": 201, "epsilons": epsilons}
         return payload
 
-    def test_two_epsilons_fill_order_column(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WFL_THREADS", "1")
+    def test_two_epsilons_fill_order_column(self, tmp_path):
         code, out = run(tmp_path, "converge", self.payload([0.1, 0.05]))
         assert code == 0
         header, rows = read_csv(out / "convergence.csv")
@@ -216,22 +215,19 @@ class TestConverge:
         assert len(orders) == 1
         assert float(orders.pop()) > 0.0
 
-    def test_single_epsilon_leaves_order_empty(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WFL_THREADS", "1")
+    def test_single_epsilon_leaves_order_empty(self, tmp_path):
         code, out = run(tmp_path, "converge", self.payload([0.1]))
         assert code == 0
         _, rows = read_csv(out / "convergence.csv")
         assert len(rows) == 1
         assert rows[0][4] == ""
 
-    def test_inadmissible_epsilon_aborts_without_output(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WFL_THREADS", "1")
+    def test_inadmissible_epsilon_aborts_without_output(self, tmp_path):
         code, out = run(tmp_path, "converge", self.payload([0.1, 1e9]))
         assert code == 1
         assert not (out / "convergence.csv").exists()
 
-    def test_svg_log_log_plot(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WFL_THREADS", "1")
+    def test_svg_log_log_plot(self, tmp_path):
         code, out = run(tmp_path, "converge", self.payload([0.1, 0.05]), "--svg")
         assert code == 0
         root = ET.parse(out / "convergence.svg").getroot()

@@ -9,8 +9,16 @@ from scipy.integrate import solve_ivp
 from wfl import viscous_solver
 from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError
 from wfl.limit_solver import LimitSystem, Ramp, SinusoidLoading, elastic_strip, solve_limit
-from wfl.models import AngularBristle, SlantedBristle, VerticalBristle
+from wfl.models import (
+    AngularBristle,
+    SlantedBristle,
+    VerticalBristle,
+    coefficients,
+    epsilon_limit,
+    scalar_force,
+)
 from wfl.profiles import SurfaceProfile
+from wfl.variational import de_giorgi_certificate, limit_density
 from wfl.viscous_solver import (
     IntegratorConfig,
     ViscousTrajectory,
@@ -62,6 +70,26 @@ def canonical_run():
         return cache[key]
 
     return run
+
+
+@pytest.fixture
+def recorded_steps(monkeypatch):
+    """(result, call times) of each ``viscous_solver.solve_ivp`` run, integrate's included."""
+    runs = []
+    stepper = viscous_solver.solve_ivp
+
+    def recording_solve_ivp(fun, *args, **kwargs):
+        times = []
+
+        def counted(t, z):
+            times.append(t)
+            return fun(t, z)
+
+        runs.append((stepper(counted, *args, **kwargs), times))
+        return runs[-1][0]
+
+    monkeypatch.setattr(viscous_solver, "solve_ivp", recording_solve_ivp)
+    return runs
 
 
 class TestRightHandSide:
@@ -129,32 +157,100 @@ class TestIntegration:
         np.testing.assert_array_equal(traj.times, grid)
 
     @pytest.mark.parametrize("name", ["vertical", "slanted"])
-    def test_matches_the_array_route_through_the_same_stepper(self, name, monkeypatch):
+    def test_matches_the_array_route_through_the_same_stepper(self, name, recorded_steps):
         # the old right-hand side, WigglySystem.force on the array route, in
-        # integrate's solve_ivp call; tolerance 1e-12 on the sampled states
+        # the stepper integrate uses; tolerance 1e-12 on the sampled states
         base = LimitSystem(
             k_h=1.0, L_h_rest=0.0, rho_plus=0.1, rho_minus=-0.1,
             loading=SinusoidLoading(amplitude=0.5, frequency=1.0, duration=0.5),
         )
         system = WigglySystem(base=base, model=GEOMETRIES[name], profile=CANONICAL, epsilon=0.05)
         tau = system.time_scale
-        results = []
-
-        def recording_solve_ivp(*args, **kwargs):
-            results.append(solve_ivp(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(viscous_solver, "solve_ivp", recording_solve_ivp)
         traj = integrate(system, 0.0)
-        sol = solve_ivp(
-            lambda t, y: (float(system.force(t, float(y[0]))) / tau,),
-            (0.0, 0.5), [0.0], method="RK45", rtol=1e-9, atol=1e-11,
-            max_step=IntegratorConfig().effective_max_step(tau), dense_output=True,
+        ((scalar, _),) = recorded_steps
+        sol = viscous_solver.solve_ivp(
+            lambda t, z: float(system.force(t, z)) / tau,
+            (0.0, 0.5), 0.0, rtol=1e-9, atol=1e-11,
+            max_step=IntegratorConfig().effective_max_step(tau),
         )
-        np.testing.assert_allclose(traj.states, sol.sol(traj.times)[0], rtol=0.0, atol=1e-12)
-        (scalar,) = results
+        np.testing.assert_allclose(traj.states, sol.sample(traj.times), rtol=0.0, atol=1e-12)
         assert scalar.nfev == sol.nfev
         np.testing.assert_array_equal(scalar.t, sol.t)
+
+
+class TestStepper:
+    """The DOPRI5 stepper against SciPy's RK45, its counts and its stall exit."""
+
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_matches_scipy_rk45(self, name, recorded_steps):
+        # differential oracle: SciPy's RK45 on the same scalar right-hand
+        # side.  The controllers are the same, so the step sequences agree
+        # up to rounding in the stage sums: sampled states within 1e-7
+        # (measured <= 3e-8 here, and 8e-8 at eps = 0.01), accepted step
+        # counts within 0.1 % (measured: equal, or one apart)
+        system = WigglySystem(
+            base=canonical_base(), model=GEOMETRIES[name], profile=CANONICAL, epsilon=0.05
+        )
+        tau = system.time_scale
+        traj = integrate(system, 0.0)
+        ((ours, _),) = recorded_steps
+        ell, phi_force = system.base.ell, system.base.phi_force
+        micro = scalar_force(system.model, system.profile, system.epsilon)
+
+        def fun(t, y):
+            z = float(y[0])
+            return ((ell(float(t)) - phi_force(z) - micro(z)) / tau,)
+
+        sol = solve_ivp(
+            fun,
+            (0.0, 2.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11,
+            max_step=IntegratorConfig().effective_max_step(tau), dense_output=True,
+        )
+        assert sol.status == 0
+        np.testing.assert_allclose(traj.states, sol.sol(traj.times)[0], rtol=0.0, atol=1e-7)
+        assert abs(ours.t.size - sol.t.size) <= max(1, 1e-3 * sol.t.size)
+        assert ours.t[-1] == sol.t[-1] == 2.0
+
+    def test_counts_two_start_evaluations_and_six_per_attempt(self, recorded_steps):
+        # the counting contract the benchmark relies on: t starts at 0 and
+        # nfev = 2 + 6 * (accepted + rejected).  Rejections are counted
+        # independently: an attempt's stage times never decrease, a retry
+        # restarts below the rejected attempt's end, and an accepted step's
+        # successor starts beyond it
+        traj = integrate(canonical_system(0.05), 0.0)
+        ((result, times),) = recorded_steps
+        accepted = result.t.size - 1
+        rejected = int(np.sum(np.diff(times[2:]) < 0.0))
+        assert result.t[0] == 0.0
+        assert result.nfev == len(times) == 2 + 6 * (accepted + rejected)
+        assert rejected > 0
+        # both ends are accepted steps: the trajectory takes their stored states
+        np.testing.assert_array_equal(traj.states[[0, -1]], result.y[[0, -1]])
+
+    def test_dense_output_interpolates_between_stored_states(self):
+        # y' = cos t: the quartic dense output reproduces every stored state
+        # at both ends of its step and stays within 1e-9 of sin t inside
+        sol = viscous_solver.solve_ivp(
+            lambda t, y: math.cos(t), (0.0, 3.0), 0.0, rtol=1e-10, atol=1e-12, max_step=0.5
+        )
+        assert sol.q.shape == (sol.t.size - 1, 4)
+        np.testing.assert_allclose(sol.sample(sol.t), sol.y, rtol=0.0, atol=1e-15)
+        fine = np.linspace(0.0, 3.0, 1001)
+        np.testing.assert_allclose(sol.sample(fine), np.sin(fine), rtol=0.0, atol=1e-9)
+
+    def test_step_below_ten_ulp_raises_stiffness_error(self):
+        # y' = 1/(1 - t) blows up at t = 1; SciPy's RK45 stops there with
+        # status -1 ("required step size is less than spacing between
+        # numbers"), and the stepper raises at the same place
+        def blow_up(t, y):
+            return 1.0 / (1.0 - t)
+
+        kwargs = {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.1}
+        scipy_run = solve_ivp(blow_up, (0.0, 2.0), [0.0], **kwargs)
+        assert scipy_run.status == -1
+        assert scipy_run.t[-1] == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(StiffnessFailureError, match=r"stalled at t = 1\b"):
+            viscous_solver.solve_ivp(blow_up, (0.0, 2.0), 0.0, **kwargs)
 
 
 class TestEnergyBalance:
@@ -227,6 +323,48 @@ class TestStripAttraction:
         slack = 10.0 * system.epsilon**system.beta
         assert np.all(traj.states <= upper + slack)
         assert np.all(traj.states >= lower - slack)
+
+
+def readme_base(model):
+    """The README system: unit spring, unit ramp over 2, thresholds of ``model``."""
+    coeffs = coefficients(model, CANONICAL)
+    return LimitSystem(
+        k_h=1.0, L_h_rest=0.0, loading=Ramp(duration=2.0),
+        rho_plus=coeffs.rho_plus, rho_minus=coeffs.rho_minus,
+    )
+
+
+class TestEdgeCases:
+    """A start exactly on the elastic strip and eps exactly at its limit,
+    for each geometry on the README sinusoid and ramp."""
+
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    @pytest.mark.parametrize("case", ["lower", "upper", "eps-limit"])
+    def test_integrate(self, name, case):
+        model = GEOMETRIES[name]
+        base = readme_base(model)
+        lower, upper = elastic_strip(base, 0.0)
+        z0 = {"lower": lower, "upper": upper, "eps-limit": 0.0}[case]
+        epsilon = epsilon_limit(model, CANONICAL) if case == "eps-limit" else 0.05
+        system = WigglySystem(base=base, model=model, profile=CANONICAL, epsilon=epsilon)
+        traj = integrate(system, z0)
+        assert np.all(np.isfinite(traj.states))
+        assert traj.states[0] == z0
+        # the acceptance guarantee's bound
+        scale = max(1.0, float(np.max(np.abs(traj.energies))))
+        assert energy_balance_residual(system, traj) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_solve_limit_from_either_strip_boundary(self, name):
+        # the limit's energy balance is the de Giorgi certificate
+        model = GEOMETRIES[name]
+        base = readme_base(model)
+        density = limit_density(model, CANONICAL)
+        for z0 in elastic_strip(base, 0.0):
+            limit = solve_limit(base, z0)
+            assert np.all(np.isfinite(limit.states))
+            assert limit.states[0] == z0
+            assert de_giorgi_certificate(base, limit, density).passed
 
 
 class TestGammaExponent:
