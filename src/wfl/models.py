@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     GeometryError,
@@ -489,10 +488,15 @@ def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[flo
     """Extreme slopes of the perceived profile, by direct numerical search.
 
     This is the oracle counterpart of :func:`mu_from_omega`: it never uses
-    the closed form, only tabulation of ``W'`` and bounded refinement, so
-    the two routes cross-check each other.
+    the closed form, only tabulation of ``W'`` and bounded refinement of
+    every local maximum and minimum of the table, so the two routes
+    cross-check each other even where two extrema of ``W'`` nearly tie.
+    SciPy is imported here, so only this oracle needs it.
     """
+    from scipy.optimize import minimize_scalar
+
     perceived = perceived_profile(profile, slope_factor)
+    slopes = perceived.slopes
     step = 1.0 / perceived.grid.size
 
     def refine(idx: int, sign: float) -> float:
@@ -503,13 +507,15 @@ def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[flo
             method="bounded",
             options={"xatol": 1e-12},
         )
-        candidate = -sign * res.fun
-        grid_value = perceived.slopes[idx]
         # never return something worse than the raw grid sample
-        return sign * max(sign * candidate, sign * grid_value)
+        return max(-res.fun, sign * slopes[idx])
 
-    mu_plus = refine(int(np.argmax(perceived.slopes)), +1.0)
-    mu_minus = refine(int(np.argmin(perceived.slopes)), -1.0)
+    # local extrema of the periodic table, ties included
+    before, after = np.roll(slopes, 1), np.roll(slopes, -1)
+    peaks = np.flatnonzero((slopes >= before) & (slopes >= after))
+    troughs = np.flatnonzero((slopes <= before) & (slopes <= after))
+    mu_plus = max(refine(i, +1.0) for i in peaks)
+    mu_minus = -max(refine(i, -1.0) for i in troughs)
     return float(mu_plus), float(mu_minus)
 
 

@@ -9,8 +9,8 @@ The two numbers that control the induced friction are the extreme slopes
 
     omega_plus  = max w'(x) > 0,      omega_minus = min w'(x) < 0,
 
-so this module exposes closed-form evaluation of w, w', w'' together with a
-scan-and-refine routine that locates those extrema to high accuracy.
+so this module exposes closed-form evaluation of w, w', w'' and every root
+of w'', over which those extrema are exact maxima and minima.
 """
 
 from __future__ import annotations
@@ -20,18 +20,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DegenerateProfileError, InvalidScaleError
 
 TWO_PI = 2.0 * math.pi
 
-#: Largest harmonic index accepted in a profile.  A 4096-point scan leaves
-#: 64 samples per period of the fastest mode, enough to bracket every
-#: slope extremum before refinement.
+#: Largest harmonic index accepted in a profile.  It bounds the degree 2H of
+#: the polynomial whose roots :func:`curvature_roots` takes, so the companion
+#: eigenvalue problem is at most 128 x 128.
 MAX_HARMONIC = 64
-
-_SCAN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -133,52 +130,75 @@ def like_input(x, values: np.ndarray):
     return values.item() if type(x) is float or np.isscalar(x) else values
 
 
-def _refine_slope_extremum(profile: SurfaceProfile, lo: float, hi: float, sign: float) -> float:
-    """Location in (lo, hi) of an extremum of w'.
+@lru_cache(maxsize=256)
+def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
+    """Every root of w'' in [0, 1), ascending, as a read-only array.
 
-    ``sign=+1`` targets a maximum of w', ``sign=-1`` a minimum.  Tries a
-    bracketed root of w'' first, falling back to direct bounded
-    minimisation when the curvature does not change sign across the
-    bracket (flat or degenerate extrema).
+    With ``z = exp(2 pi i x)``, ``z^H w''(x)`` is a polynomial of degree 2H in
+    ``z`` (H the highest harmonic left once cancelling terms are summed), so
+    the roots of w'' are the angles of its unit-circle roots, which
+    ``np.roots`` takes from the companion matrix (Boyd, J. Eng. Math. 56,
+    2006).  Three Newton steps on w'' with w''' polish each one.  A root
+    within 1e-4 of the unit circle counts: a triple root of w'' (a flat
+    extremum of w') leaves the eigenvalue solver some 1e-5 off the circle,
+    and a complex pair that close only adds a point where w'' nearly
+    vanishes.  Both callers take the roots as candidates (for the extrema of
+    w') or as breaks (between monotone pieces of w'), where an extra point is
+    harmless and a missing one is not.  Empty when the terms cancel to w = 0.
     """
-    c_lo = eval_profile(profile, lo, 2)
-    c_hi = eval_profile(profile, hi, 2)
-    if sign * c_lo > 0.0 > sign * c_hi:
-        return brentq(lambda t: eval_profile(profile, t, 2), lo, hi, xtol=1e-15)
-    res = minimize_scalar(
-        lambda t: -sign * eval_profile(profile, t, 1),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(res.x)
+    # coefficient of exp(2 pi i n x) in w'', up to a common factor 1/(2i)
+    spectrum = np.zeros(MAX_HARMONIC + 1, dtype=complex)
+    for term in profile.terms:
+        rate = TWO_PI * term.harmonic
+        spectrum[term.harmonic] -= term.amplitude * rate * rate * np.exp(1j * term.phase)
+    size = np.abs(spectrum)
+    # a mode that cancels to rounding noise must not lead the polynomial
+    present = np.flatnonzero(size > 1e-14 * size.max())
+    if present.size == 0:
+        roots = np.empty(0)
+    else:
+        top = int(present[-1])
+        # z^top w'' has coefficient c_n at z^(top + n) and -conj(c_n) at z^(top - n)
+        coefficients = np.concatenate(
+            (spectrum[top:0:-1], [0.0], -np.conj(spectrum[1:top + 1]))
+        )
+        z = np.roots(coefficients)
+        x = np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-4]) / TWO_PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(3):
+                step = eval_profile(profile, x, 2) / _third_derivative(profile, x)
+                x = np.where(np.isfinite(step), x - step, x)
+        x %= 1.0
+        # a tiny negative x wraps to exactly 1.0
+        roots = np.unique(np.where(x < 1.0, x, 0.0))
+    roots.flags.writeable = False
+    return roots
+
+
+def _third_derivative(profile: SurfaceProfile, x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    for term in profile.terms:
+        rate = TWO_PI * term.harmonic
+        out -= term.amplitude * rate * rate * rate * np.cos(rate * x + term.phase)
+    return out
 
 
 @lru_cache(maxsize=256)
 def derivative_extrema(profile: SurfaceProfile) -> DerivativeExtrema:
-    """Locate max and min of w' over one period.
+    """Max and min of w' over one period, and where they occur in [0, 1).
 
-    Scans ``w'`` on a 4096-point grid, then refines each candidate inside
-    its bracketing grid cell to about 1e-12 in location.  Raises
-    :class:`DegenerateProfileError` when the refined slopes do not satisfy
-    ``omega_minus < 0 < omega_plus``.  Results are cached per profile since
-    parameter sweeps ask for the same extrema many times.
+    Every extremum of w' is a root of w'', so these are the largest and the
+    smallest w' over :func:`curvature_roots`.  Raises
+    :class:`DegenerateProfileError` unless ``omega_minus < 0 < omega_plus``,
+    also when the terms cancel to a flat profile.  Results are cached per
+    profile since parameter sweeps ask for the same extrema many times.
     """
-    xs = np.arange(_SCAN_POINTS, dtype=float) / _SCAN_POINTS
-    slopes = eval_profile(profile, xs, 1)
-    step = 1.0 / _SCAN_POINTS
-
-    def refine(idx: int, sign: float) -> tuple[float, float]:
-        x0 = xs[idx]
-        loc = _refine_slope_extremum(profile, x0 - step, x0 + step, sign)
-        grid_val = slopes[idx]
-        val = eval_profile(profile, loc, 1)
-        if sign * val < sign * grid_val:
-            loc, val = x0, grid_val
-        return loc % 1.0, float(val)
-
-    loc_plus, omega_plus = refine(int(np.argmax(slopes)), +1.0)
-    loc_minus, omega_minus = refine(int(np.argmin(slopes)), -1.0)
+    roots = curvature_roots(profile)
+    if roots.size == 0:
+        raise DegenerateProfileError("profile terms cancel: the slope vanishes everywhere")
+    slopes = eval_profile(profile, roots, 1)
+    top, bottom = int(np.argmax(slopes)), int(np.argmin(slopes))
+    omega_plus, omega_minus = float(slopes[top]), float(slopes[bottom])
     if not (omega_minus < 0.0 < omega_plus):
         raise DegenerateProfileError(
             f"slope extrema do not straddle zero: min {omega_minus}, max {omega_plus}"
@@ -186,6 +206,6 @@ def derivative_extrema(profile: SurfaceProfile) -> DerivativeExtrema:
     return DerivativeExtrema(
         omega_plus=omega_plus,
         omega_minus=omega_minus,
-        location_plus=loc_plus,
-        location_minus=loc_minus,
+        location_plus=float(roots[top]),
+        location_minus=float(roots[bottom]),
     )

@@ -25,13 +25,11 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 from .limit_solver import LimitSystem, Trajectory
 from .models import BristleModel, coefficients, invert_contact_map
-from .profiles import SurfaceProfile, eval_profile, like_input
+from .profiles import SurfaceProfile, curvature_roots, eval_profile, like_input
 
 __all__ = [
     "ElasticInterval",
@@ -68,23 +66,46 @@ def k_of_xi(xi: float, wprime: Callable) -> float:
 
     The integrand has kinks where ``xi`` crosses the force profile, so the
     period is split at bracketed roots of ``xi - W'`` and each constant-sign
-    piece is integrated by ``scipy.integrate.quad``.  When there is no
-    crossing at all, the zero-average property of ``W'`` collapses the
-    integral to ``|xi|`` exactly.  This is the reference route for any
-    sampled ``W'`` (a callable that takes arrays); :meth:`LimitWithK.k` is
-    the exact one for a bristle.
+    piece is integrated by ``scipy.integrate.quad``.  A level just inside an
+    extremum of ``W'`` crosses it twice within one scan cell, with no sign
+    change at the nodes: where ``|xi - W'|`` has a sampled minimum between
+    nodes of one sign, the extremum is located and both crossings bracketed
+    around it.  When there is no crossing at all, the zero-average property
+    of ``W'`` collapses the integral to ``|xi|`` exactly.  This is the
+    reference route for any sampled ``W'`` (a 1-periodic callable that takes
+    arrays); :meth:`LimitWithK.k` is the exact one for a bristle.  SciPy is
+    imported here, so only this oracle needs it.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq, minimize_scalar
+
     xi = float(xi)
     ys = np.linspace(0.0, 1.0, 1025)
-    signs = np.sign(xi - np.asarray(wprime(ys), dtype=float))
+    gaps = xi - np.asarray(wprime(ys), dtype=float)
+    signs = np.sign(gaps)
 
     def gap(y: float) -> float:
         return xi - float(wprime(y))
 
+    def root(lo: float, hi: float) -> float:
+        return float(brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16))
+
     cuts = {0.0, 1.0}
     cuts.update(float(y) for y in ys[1:-1][signs[1:-1] == 0.0])
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
-        cuts.add(float(brentq(gap, float(ys[i]), float(ys[i + 1]), xtol=1e-15, rtol=8.9e-16)))
+    cuts.update(root(ys[i], ys[i + 1]) for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0))
+
+    # sampled minima of |xi - W'| between neighbours of the same sign, over
+    # the 1024 nodes of one period (node 0's left neighbour is node 1023)
+    size, side = np.abs(gaps[:-1]), signs[:-1]
+    dips = (side != 0.0) & (np.roll(side, 1) == side) & (np.roll(side, -1) == side)
+    dips &= (size <= np.roll(size, 1)) & (size <= np.roll(size, -1))
+    step = float(ys[1])
+    for j in np.flatnonzero(dips):
+        lo, hi, sign = float(ys[j]) - step, float(ys[j]) + step, float(side[j])
+        turn = minimize_scalar(lambda y: sign * gap(y), bounds=(lo, hi), method="bounded",
+                               options={"xatol": 1e-14})
+        if turn.fun < 0.0:
+            cuts.update((root(lo, turn.x) % 1.0, root(turn.x, hi) % 1.0))
 
     pieces = sorted(cuts)
     if len(pieces) == 2:
@@ -142,20 +163,16 @@ class LimitWithK:
         """Nodes ``p``, slopes ``s = w'(p)`` and first and last index of the pieces
         of [0, 1] where w' is monotone, each stored with ``s`` increasing: a level
         crosses a piece at most once, in the cell that ``searchsorted`` names.
-        Pieces break at the refined roots of w'' (a grid cell is 1/16 period of
-        harmonic 64), so no cell hides two crossings near an extremum of w'.
+        Pieces break at every root of w'' (:func:`curvature_roots`), so no piece
+        holds an extremum of w'; the 1025-node grid inside them only seeds the
+        Newton polish of each crossing.
         """
-        profile = self.profile
+        turns = curvature_roots(self.profile)
         grid = np.linspace(0.0, 1.0, 1025)
-        curv = eval_profile(profile, grid, 2)
-        flips = np.flatnonzero(curv[:-1] * curv[1:] < 0.0)
-        turns = [brentq(lambda p: eval_profile(profile, p, 2), grid[i], grid[i + 1], xtol=1e-15)
-                 for i in flips]
-        nodes = np.insert(grid, flips + 1, turns)
-        breaks = np.insert(curv == 0.0, flips + 1, True)
-        breaks[[0, -1]] = True
-        bounds = np.flatnonzero(breaks)
-        slopes = eval_profile(profile, nodes, 1)
+        at = np.searchsorted(grid, turns)
+        nodes = np.insert(grid, at, turns)
+        bounds = np.unique(np.r_[0, at + np.arange(turns.size), nodes.size - 1])
+        slopes = eval_profile(self.profile, nodes, 1)
         pieces = [np.arange(lo, hi + 1) for lo, hi in zip(bounds[:-1], bounds[1:])]
         order = np.concatenate([i if slopes[i[-1]] >= slopes[i[0]] else i[::-1] for i in pieces])
         last = np.cumsum([i.size for i in pieces]) - 1

@@ -6,6 +6,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -379,12 +382,18 @@ class TestErrorReporting:
              "viscous.csv"),
             ("sweep-theta", "sweep_theta", {"model": LONG},
              "model must be 'slanted' or 'angular'", "sweep_theta.csv"),
+            # w = 0 once the terms are summed
+            ("coeffs", "profile",
+             {"terms": [{"amplitude": 1e-3, "harmonic": 3, "phase": 0.2},
+                        {"amplitude": -1e-3, "harmonic": 3, "phase": 0.2}]},
+             "profile terms cancel", "coeffs.csv"),
         ],
         ids=["model-kind-list", "profile-terms-int", "simulation-window-string",
              "k-table-huge-integer", "profile-amplitude-huge-integer",
              "loading-values-infinity", "simulation-window-nan", "perceived-samples-huge",
              "k-table-count-huge-negative", "model-kind-long", "model-key-long",
-             "top-level-key-long", "loading-kind-long", "sweep-theta-model-long"],
+             "top-level-key-long", "loading-kind-long", "sweep-theta-model-long",
+             "profile-terms-cancel"],
     )
     def test_malformed_block_is_one_line_exit_one(
         self, tmp_path, capsys, command, block, value, named, output
@@ -401,6 +410,27 @@ class TestErrorReporting:
         payload["simulation"] = {"horizon": 3.0}
         code, _ = run(tmp_path, "simulate", payload, "--epsilon", "0.1")
         assert code == 1
+
+
+def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
+    # only the oracles (perceived_extrema, k_of_xi) import SciPy, inside the function
+    config = write_config(tmp_path, dict(CANONICAL, simulation={"grid_points": 21}))
+    argv = ["simulate", "--config", config, "--out", str(tmp_path / "out"),
+            "--epsilon", "0.1", "--limit", "--svg"]
+    script = (
+        "import sys\n"
+        "import wfl\n"
+        "after_import = 'scipy' in sys.modules\n"
+        "from wfl import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, after_import, 'scipy' in sys.modules)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert done.stdout.split() == ["0", "False", "False"], done.stderr
+    assert (tmp_path / "out" / "overlay.svg").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,24 @@ def test_perceived_near_admissibility_boundary():
     assert mu_oracle[0] == pytest.approx(mu_closed[0], rel=1e-7)
 
 
+# two minima of w' 3e-5 apart: the oracle must refine every local extremum of
+# its table, not only its sampled argmin, which sits at the other one
+NEAR_TIE = SurfaceProfile((
+    FourierTerm(-1.088e-4, 55, 5.0108),
+    FourierTerm(5.694e-4, 42, 1.5478),
+))
+
+
+def test_perceived_extrema_match_closed_form_on_nearly_tied_extrema():
+    model = VerticalBristle(1.0, 2.0, 1.0)
+    coeffs = coefficients(model, NEAR_TIE)
+    mu_oracle = perceived_extrema(NEAR_TIE, model.slope_factor)
+    assert mu_oracle[0] == pytest.approx(coeffs.mu_plus, abs=1e-8)
+    assert mu_oracle[1] == pytest.approx(coeffs.mu_minus, abs=1e-8)
+    # the minimum of a 2^22-point scan, not the local one at -0.1877693721
+    assert mu_oracle[1] == pytest.approx(-0.1878011394, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # microscale forces
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Tests for periodic profiles: evaluation, scaling, slope extrema.
 
 Expected values come from independent routes: central finite differences
-for derivatives and a brute-force million-point scan for extrema.
+for derivatives, and for extrema a brute-force million-point scan and the
+slow route below (a dense scan refined with SciPy).
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from wfl import (
     DegenerateProfileError,
@@ -17,6 +19,7 @@ from wfl import (
     derivative_extrema,
     eval_profile,
 )
+from wfl.profiles import MAX_HARMONIC, curvature_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,3 +209,150 @@ def test_phase_shift_moves_locations_not_values():
     assert ex_s.omega_minus == pytest.approx(ex_b.omega_minus, rel=1e-12)
     expected_loc = (-1.0 / TWO_PI) % 1.0
     assert ex_s.location_plus == pytest.approx(expected_loc, abs=1e-9)
+
+
+def test_extrema_of_a_flat_extremum():
+    # w' = cos u + cos(2u)/4 with u = 2 pi x: w'' = -2 pi sin u (1 + cos u) has a
+    # triple root at u = pi, where w' bottoms out at -3/4 like (u - pi)^4
+    p = SurfaceProfile((FourierTerm(1.0 / TWO_PI, 1), FourierTerm(0.25 / (2 * TWO_PI), 2)))
+    ex = derivative_extrema(p)
+    assert ex.omega_plus == pytest.approx(1.25, rel=1e-15)
+    assert ex.omega_minus == pytest.approx(-0.75, rel=1e-15)
+    assert ex.location_minus == pytest.approx(0.5, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# roots of w''
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("harmonic", [1, 7, MAX_HARMONIC])
+def test_curvature_roots_of_a_single_mode(harmonic):
+    # w'' of sin(2 pi n x + 0.3) vanishes at x = (k pi - 0.3) / (2 pi n), k = 1..2n
+    roots = curvature_roots(SurfaceProfile.sinusoid(0.1, harmonic, phase=0.3))
+    k = np.arange(1, 2 * harmonic + 1)
+    expected = np.sort((k * math.pi - 0.3) / (TWO_PI * harmonic) % 1.0)
+    np.testing.assert_allclose(roots, expected, rtol=0.0, atol=1e-15)
+    assert not roots.flags.writeable
+
+
+def test_curvature_roots_are_every_root():
+    rng = np.random.default_rng(31)
+    xs = np.linspace(0.0, 1.0, 2**16 + 1)
+    for _ in range(20):
+        p = wide_random_profile(rng)
+        roots = curvature_roots(p)
+        scale = sum(abs(t.amplitude) * (TWO_PI * t.harmonic) ** 2 for t in p.terms)
+        assert np.all((0.0 <= roots) & (roots < 1.0))
+        assert np.max(np.abs(eval_profile(p, roots, 2))) <= 1e-13 * scale
+        # every sign change of w'' on a fine grid has a root in its cell
+        curv = eval_profile(p, xs, 2)
+        flips = np.flatnonzero(curv[:-1] * curv[1:] < 0.0)
+        cells = np.searchsorted(xs, roots, side="right") - 1
+        assert set(flips) <= set(cells)
+
+
+# ---------------------------------------------------------------------------
+# terms that cancel
+# ---------------------------------------------------------------------------
+
+CANCELLING = (FourierTerm(1e-3, 3, 0.2), FourierTerm(-1e-3, 3, 0.2))
+
+
+def test_cancelling_terms_are_degenerate():
+    p = SurfaceProfile(CANCELLING)
+    assert curvature_roots(p).size == 0
+    with pytest.raises(DegenerateProfileError):
+        derivative_extrema(p)
+
+
+def test_cancelling_highest_harmonic_leaves_the_lower_one():
+    ex = derivative_extrema(SurfaceProfile((*CANCELLING, FourierTerm(0.1 / TWO_PI, 1))))
+    assert ex == derivative_extrema(SurfaceProfile.sinusoid(0.1))
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the slow route, a dense scan refined with SciPy
+# ---------------------------------------------------------------------------
+
+def wide_random_profile(rng):
+    """Like :func:`random_profile`, with one to five modes and harmonics up to
+    MAX_HARMONIC, so that high modes with nearly tied extrema often dominate w'."""
+    terms = []
+    for _ in range(rng.integers(1, 6)):
+        amp = rng.uniform(0.001, 0.02) * rng.choice([-1.0, 1.0])
+        harmonic = int(rng.integers(1, MAX_HARMONIC + 1))
+        terms.append(FourierTerm(amp, harmonic, rng.uniform(0.0, TWO_PI)))
+    return SurfaceProfile(tuple(terms))
+
+
+def dense_slopes(profile, points):
+    """w' on ``points`` equispaced nodes of [0, 1); ``points`` is a square.
+
+    With node ``(j s + k) / points``, each mode is the real part of a product
+    of a coarse and a fine table, so the scan is one small matrix product
+    instead of one cosine per node and mode.
+    """
+    side = math.isqrt(points)
+    n = np.array([t.harmonic for t in profile.terms])
+    c = np.array([t.amplitude * TWO_PI * t.harmonic * np.exp(1j * t.phase) for t in profile.terms])
+    coarse = c * np.exp(1j * TWO_PI * np.outer(np.arange(side) * side / points, n))
+    fine = np.exp(1j * TWO_PI * np.outer(n, np.arange(side) / points))
+    # Re(a b) = Re a Re b - Im a Im b
+    return (np.hstack((coarse.real, -coarse.imag)) @ np.vstack((fine.real, fine.imag))).ravel()
+
+
+def slow_extrema(profile, points=2**20):
+    """Extreme slopes from a dense scan, each local extremum of the scan that
+    could still be the global one refined with SciPy.
+
+    Some node lies within h/2 of every extremum, and w' there is off by at most
+    max|w'''| h^2 / 8, so a sampled local extremum further than twice that from
+    the sampled global one cannot beat it.  Returns the refined max, the scan
+    max, the refined min and the scan min, all evaluated by ``eval_profile``.
+    """
+    h = 1.0 / points
+    slopes = dense_slopes(profile, points)
+    bound = sum(abs(t.amplitude) * (TWO_PI * t.harmonic) ** 3 for t in profile.terms) * h * h / 8
+    out = []
+    for sign in (1.0, -1.0):
+        s = sign * slopes
+        near = np.flatnonzero(s >= s.max() - 2.0 * bound)
+        near = near[(s[near] >= s[near - 1]) & (s[near] >= s[(near + 1) % points])]
+        best = scan = -math.inf
+        for x in near * h:
+            lo, hi = x - h, x + h
+            if eval_profile(profile, lo, 2) * eval_profile(profile, hi, 2) < 0.0:
+                loc = brentq(lambda t: eval_profile(profile, t, 2), lo, hi, xtol=1e-15)
+            else:
+                loc = minimize_scalar(lambda t: -sign * eval_profile(profile, t, 1),
+                                      bounds=(lo, hi), method="bounded",
+                                      options={"xatol": 1e-14}).x
+            best = max(best, sign * eval_profile(profile, loc, 1))
+            scan = max(scan, sign * eval_profile(profile, x, 1))
+        out += [sign * best, sign * scan]
+    return out
+
+
+def test_extrema_match_the_slow_route_on_random_profiles():
+    rng = np.random.default_rng(2006)
+    for _ in range(200):
+        p = wide_random_profile(rng)
+        ex = derivative_extrema(p)
+        slow_plus, scan_plus, slow_minus, scan_minus = slow_extrema(p)
+        assert ex.omega_plus == pytest.approx(slow_plus, rel=1e-12, abs=0.0)
+        assert ex.omega_minus == pytest.approx(slow_minus, rel=1e-12, abs=0.0)
+        # never worse than the dense scan, up to rounding in w'
+        assert ex.omega_plus >= scan_plus - 4.0 * np.spacing(scan_plus)
+        assert ex.omega_minus <= scan_minus + 4.0 * np.spacing(-scan_minus)
+
+
+# two nearly tied minima of w', 3e-5 apart: a 4096-point scan refines the wrong one
+NEAR_TIE = SurfaceProfile((FourierTerm(-1.088e-4, 55, 5.0108), FourierTerm(5.694e-4, 42, 1.5478)))
+
+
+def test_nearly_tied_extrema_pick_the_global_one():
+    dense_min = float(dense_slopes(NEAR_TIE, 2**22).min())
+    assert dense_min == pytest.approx(-0.1878011394, abs=1e-10)
+    # at least as low as the scan, and lower by no more than its error bound
+    omega_minus = derivative_extrema(NEAR_TIE).omega_minus
+    assert dense_min - 1e-9 <= omega_minus <= dense_min

@@ -115,6 +115,17 @@ class TestKOfXi:
                 k_of_xi(-xi, sin_force), abs=1e-12
             )
 
+    def test_two_crossings_in_one_scan_cell(self):
+        # phase 0.3 puts the extrema of W' inside scan cells; a level within
+        # ~1e-5 relative of a threshold crosses W' twice inside one cell
+        model = VerticalBristle(k=1.0, L_rest=2.0, h=1.0)
+        density = limit_density(model, SurfaceProfile.sinusoid(RHO, phase=0.3))
+        for k in range(3, 10):
+            for xi in (RHO * (1.0 - 10.0**-k), -RHO * (1.0 - 10.0**-k)):
+                closed = (2.0 / math.pi) * (math.sqrt(RHO**2 - xi**2) + xi * math.asin(xi / RHO))
+                assert k_of_xi(xi, density.wprime) == pytest.approx(closed, rel=0.0, abs=2e-13)
+                assert density.k(xi) == pytest.approx(closed, rel=0.0, abs=2e-13)
+
 
 class TestViscousQuadratic:
     def test_scale_validation(self):
