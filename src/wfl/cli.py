@@ -303,6 +303,8 @@ def _need(raw: dict, *blocks):
 
 
 def _write_csv(path: Path, header, rows):
+    # the output directory appears with the first file, so a failed run leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -643,7 +645,8 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON experiment file")
-    common.add_argument("--out", default=".", help="output directory (created if missing)")
+    common.add_argument("--out", default=".",
+                        help="output directory (created when the first file is written)")
     common.add_argument("--svg", action="store_true", help="also write SVG plots")
 
     parser = argparse.ArgumentParser(
@@ -671,7 +674,6 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             cmd_simulate(
                 raw, out, args.svg, epsilon=args.epsilon, with_limit=args.limit

@@ -138,7 +138,9 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
     ``z`` (H the highest harmonic left once cancelling terms are summed), so
     the roots of w'' are the angles of its unit-circle roots, which
     ``np.roots`` takes from the companion matrix (Boyd, J. Eng. Math. 56,
-    2006).  Three Newton steps on w'' with w''' polish each one.  A root
+    2006).  When every harmonic left is a multiple of some g > 1, that is a
+    polynomial of degree 2H/g in ``z^g``, and each of its unit-circle roots
+    gives g angles.  Three Newton steps on w'' with w''' polish each one.  A root
     within 1e-4 of the unit circle counts: a triple root of w'' (a flat
     extremum of w') leaves the eigenvalue solver some 1e-5 off the circle,
     and a complex pair that close only adds a point where w'' nearly
@@ -157,13 +159,18 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
     if present.size == 0:
         roots = np.empty(0)
     else:
-        top = int(present[-1])
-        # z^top w'' has coefficient c_n at z^(top + n) and -conj(c_n) at z^(top - n)
+        # every harmonic left a multiple of g: w'' is a polynomial in zeta = z^g
+        g = math.gcd(*present.tolist())
+        reduced = spectrum[::g]
+        top = int(present[-1]) // g
+        # zeta^top w'' has coefficient c_n at zeta^(top + n) and -conj(c_n) at zeta^(top - n)
         coefficients = np.concatenate(
-            (spectrum[top:0:-1], [0.0], -np.conj(spectrum[1:top + 1]))
+            (reduced[top:0:-1], [0.0], -np.conj(reduced[1:top + 1]))
         )
-        z = np.roots(coefficients)
-        x = np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-4]) / TWO_PI
+        zeta = np.roots(coefficients)
+        turn = np.angle(zeta[np.abs(np.abs(zeta) - 1.0) <= 1e-4]) / TWO_PI
+        # z^g = zeta at the g angles (turn + k) / g, k = 0 .. g - 1
+        x = ((turn[:, None] + np.arange(g)) / g).ravel()
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(3):
                 step = eval_profile(profile, x, 2) / _third_derivative(profile, x)

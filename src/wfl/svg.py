@@ -7,6 +7,7 @@ linear or log-log axes with a handful of ticks.  No plotting dependency.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
@@ -74,7 +75,7 @@ def line_plot(
     loglog: bool = False,
     bands: Optional[Sequence] = None,
 ) -> None:
-    """Write a line plot to ``path``.
+    """Write a line plot to ``path``, creating its directory if missing.
 
     ``series`` is a sequence of ``(x, y, label)`` triples; ``bands`` an
     optional sequence of ``(x, y_low, y_high, label)`` shaded regions drawn
@@ -182,5 +183,6 @@ def line_plot(
         )
 
     parts.append("</svg>")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(parts) + "\n")

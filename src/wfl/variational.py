@@ -20,6 +20,7 @@ the certificate exists to catch.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ConfigError
 from .limit_solver import LimitSystem, Trajectory
 from .models import BristleModel, coefficients, invert_contact_map
-from .profiles import SurfaceProfile, curvature_roots, eval_profile, like_input
+from .profiles import TWO_PI, SurfaceProfile, curvature_roots, eval_profile, like_input
 
 __all__ = [
     "ElasticInterval",
@@ -184,6 +185,20 @@ class LimitWithK:
         wp = eval_profile(self.profile, p, 1)
         return self.alpha * wp / (1.0 + self.slope_factor * wp)
 
+    @cached_property
+    def _scalar_table(self) -> tuple:
+        """``_table`` as Python lists, its pieces as (first, last) pairs, and per
+        Fourier term ``(rate, phase, A, A rate, A rate rate)`` formed as
+        :func:`eval_profile` forms them: all that :meth:`_scalar_k` reads."""
+        nodes, slopes, first, last = self._table
+        terms = []
+        for term in self.profile.terms:
+            rate, amplitude = float(TWO_PI * term.harmonic), float(term.amplitude)
+            slope = amplitude * rate
+            terms.append((rate, float(term.phase), amplitude, slope, slope * rate))
+        pieces = list(zip(first.tolist(), last.tolist()))
+        return nodes.tolist(), slopes.tolist(), pieces, tuple(terms)
+
     def k(self, xi):
         """K(xi) = int_0^1 |xi - W'(y)| dy for a scalar or an array ``xi``.
 
@@ -193,7 +208,11 @@ class LimitWithK:
         crosses the level ``xi / (alpha - a xi)``.  Between crossings the
         integral is the increment of ``F(p) = xi g(p) - alpha w(p)``, and K
         sums their absolute values.  Outside the thresholds K = |xi| exactly.
+        A Python float takes the ``math``-only :meth:`_scalar_k`, which
+        equals this array route bit for bit.
         """
+        if type(xi) is float:
+            return self._scalar_k(xi)
         flat = np.asarray(xi, dtype=float).ravel()
         out = np.abs(flat)
         inner = np.flatnonzero((flat > self.interval.lower) & (flat < self.interval.upper))
@@ -223,13 +242,55 @@ class LimitWithK:
         cuts[rows, cols] = _polish(profile, level[rows], guess, p0, p1)
         cuts = np.maximum.accumulate(cuts, axis=1)
         f = xi[:, None] * cuts + (a * xi - alpha)[:, None] * eval_profile(profile, cuts, 0)
-        return np.abs(np.diff(f, axis=1)).sum(axis=1)
+        # left to right, as _scalar_k adds them: .sum(axis=1) adds eight or
+        # more columns pairwise, in another order
+        total = np.zeros(xi.size)
+        for gap in np.abs(np.diff(f, axis=1)).T:
+            total += gap
+        return total
+
+    def _scalar_k(self, xi: float) -> float:
+        """:meth:`k` of one Python float, with ``math`` only.
+
+        The operations of :meth:`_crossing_sum` in the same order:
+        ``bisect_left`` for ``searchsorted``, :func:`_polish_scalar` for
+        :func:`_polish`, a running max over the cuts and the |increments| of F
+        added left to right.  A zero-width piece adds exactly 0.0 there and
+        is skipped here.
+        """
+        if not self.interval.lower < xi < self.interval.upper:
+            return abs(xi)
+        nodes, slopes, pieces, terms = self._scalar_table
+        a, alpha = self.slope_factor, self.alpha
+        level = xi / (alpha - a * xi)
+        scale = a * xi - alpha
+        cut = total = 0.0
+        f = xi * cut + scale * _w(terms, cut)
+        for i, k in pieces:
+            if not slopes[i] < level <= slopes[k]:
+                continue
+            cell = bisect_left(slopes, level, i, k + 1)
+            p0, p1, s0 = nodes[cell - 1], nodes[cell], slopes[cell - 1]
+            guess = p0 + (level - s0) / (slopes[cell] - s0) * (p1 - p0)
+            root = _polish_scalar(terms, level, guess, p0, p1)
+            if root > cut:
+                cut, previous = root, f
+                f = xi * cut + scale * _w(terms, cut)
+                total += abs(f - previous)
+        if cut < 1.0:
+            total += abs(xi + scale * _w(terms, 1.0) - f)
+        return total
 
     def value(self, v, xi):
         """|v| K(xi) where lower <= xi <= upper, +inf elsewhere, elementwise.
 
-        Scalars or arrays broadcast together; two scalars give a float.
+        Scalars or arrays broadcast together; two scalars give a float, and
+        two Python floats take the ``math``-only route of :meth:`k`.
         """
+        if type(v) is float and type(xi) is float:
+            if self.interval.lower <= xi <= self.interval.upper:
+                return abs(v) * self.k(xi)
+            return math.inf
         xi = np.asarray(xi, dtype=float)
         inside = (self.interval.lower <= xi) & (xi <= self.interval.upper)
         out = np.where(inside, np.abs(v) * self.k(xi), math.inf)
@@ -246,7 +307,9 @@ def _polish(profile, level, p, p0, p1):
     Newton on w' (w'' from :func:`eval_profile`), bisecting when a step leaves
     the shrinking bracket.  K is stationary in each cut, so a root off by d
     moves K by O(d^2): each root stops on its own once its step is below
-    1e-8, and a scalar and an array call agree exactly.
+    1e-8.  A root's iterates do not depend on the other elements, and
+    :func:`_polish_scalar` repeats their operations in the same order, so a
+    scalar and an array call agree exactly.
     """
     live = np.ones(p.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -260,6 +323,41 @@ def _polish(profile, level, p, p0, p1):
             p = step
             if not live.any():
                 break
+    return p
+
+
+def _w(terms, p: float) -> float:
+    """w(p) over ``LimitWithK._scalar_table`` terms, summed as :func:`eval_profile` sums it."""
+    w = 0.0
+    for rate, phase, amplitude, _, _ in terms:
+        w += amplitude * math.sin(rate * p + phase)
+    return w
+
+
+def _polish_scalar(terms, level: float, p: float, p0: float, p1: float) -> float:
+    """:func:`_polish` for one root, with ``math`` only and the same steps."""
+    cos, sin = math.cos, math.sin
+    for _ in range(60):
+        d1 = d2 = 0.0
+        for rate, phase, _, slope, curvature in terms:
+            u = rate * p + phase
+            d1 += slope * cos(u)
+            d2 -= curvature * sin(u)
+        r = d1 - level
+        if r < 0.0:
+            p0 = p
+        else:
+            p1 = p
+        step = 0.5 * (p0 + p1)
+        # where w'' = 0 _polish's Newton point is infinite or NaN and fails the bracket test
+        if d2 != 0.0:
+            newton = p - r / d2
+            if (newton - p0) * (newton - p1) <= 0.0:
+                step = newton
+        done = not abs(step - p) > 1e-8
+        p = step
+        if done:
+            break
     return p
 
 

@@ -352,41 +352,37 @@ class TestErrorReporting:
         assert "model" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, block, value, named, output",
+        "command, block, value, named",
         [
             ("coeffs", "model", {"kind": ["a"], "k": 1.0, "L_rest": 2.0, "h": 1.0},
-             "config model", "coeffs.csv"),
-            ("coeffs", "profile", {"terms": 3}, "config profile", "coeffs.csv"),
+             "config model"),
+            ("coeffs", "profile", {"terms": 3}, "config profile"),
             ("converge", "simulation", {"epsilons": [0.1], "windows": [["a", 1.0]]},
-             "windows[0]", "convergence.csv"),
-            ("k-table", "k_table", {"xi_min": 10**400}, "xi_min must be finite",
-             "k_table.csv"),
+             "windows[0]"),
+            ("k-table", "k_table", {"xi_min": 10**400}, "xi_min must be finite"),
             ("coeffs", "profile", {"terms": [{"amplitude": 10**400}]},
-             "amplitude must be finite", "coeffs.csv"),
+             "amplitude must be finite"),
             ("simulate", "loading",
              {"kind": "piecewise", "times": [0.0, 0.5, 1.0], "values": [0.0, math.inf, 0.0],
               "blend": 0.1},
-             "values[1] must be finite", "viscous.csv"),
+             "values[1] must be finite"),
             ("converge", "simulation", {"epsilons": [0.1], "windows": [[math.nan, 1.0]]},
-             "windows[0][0] must be finite", "convergence.csv"),
-            ("perceived", "perceived", {"samples": 10**400}, "samples must be <= 1000000",
-             "perceived.csv"),
-            ("k-table", "k_table", {"count": -(10**400)}, "count must be >= 2", "k_table.csv"),
+             "windows[0][0] must be finite"),
+            ("perceived", "perceived", {"samples": 10**400}, "samples must be <= 1000000"),
+            ("k-table", "k_table", {"count": -(10**400)}, "count must be >= 2"),
             # a rejected string is echoed in part, never at its full length
-            ("coeffs", "model", dict(CANONICAL["model"], kind=LONG), "unknown model kind",
-             "coeffs.csv"),
+            ("coeffs", "model", dict(CANONICAL["model"], kind=LONG), "unknown model kind"),
             ("coeffs", "model", dict(CANONICAL["model"], **{LONG: 1.0}),
-             "config model: unknown keys", "coeffs.csv"),
-            ("coeffs", LONG, 1.0, "config top level: unknown keys", "coeffs.csv"),
-            ("simulate", "loading", {"kind": LONG, "duration": 0.5}, "unknown loading kind",
-             "viscous.csv"),
+             "config model: unknown keys"),
+            ("coeffs", LONG, 1.0, "config top level: unknown keys"),
+            ("simulate", "loading", {"kind": LONG, "duration": 0.5}, "unknown loading kind"),
             ("sweep-theta", "sweep_theta", {"model": LONG},
-             "model must be 'slanted' or 'angular'", "sweep_theta.csv"),
+             "model must be 'slanted' or 'angular'"),
             # w = 0 once the terms are summed
             ("coeffs", "profile",
              {"terms": [{"amplitude": 1e-3, "harmonic": 3, "phase": 0.2},
                         {"amplitude": -1e-3, "harmonic": 3, "phase": 0.2}]},
-             "profile terms cancel", "coeffs.csv"),
+             "profile terms cancel"),
         ],
         ids=["model-kind-list", "profile-terms-int", "simulation-window-string",
              "k-table-huge-integer", "profile-amplitude-huge-integer",
@@ -396,14 +392,25 @@ class TestErrorReporting:
              "profile-terms-cancel"],
     )
     def test_malformed_block_is_one_line_exit_one(
-        self, tmp_path, capsys, command, block, value, named, output
+        self, tmp_path, capsys, command, block, value, named
     ):
         code, out = run(tmp_path, command, dict(CANONICAL, **{block: value}))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
         assert named in err
-        assert not (out / output).exists()
+        # nothing is written, not even the --out directory
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_one_line_exit_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, CANONICAL)
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        code = cli.main(["coeffs", "--config", config, "--out", str(taken)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert taken.read_text(encoding="utf-8") == "keep"
 
     def test_horizon_beyond_loading_rejected(self, tmp_path):
         payload = dict(CANONICAL)
@@ -506,7 +513,7 @@ class TestContractProperty:
             assert code in (0, 1, 2)
             assert len(lines) == (1 if code else 0), lines
             if code == 1:
-                assert not out.exists() or not any(out.iterdir())
+                assert not out.exists()
 
     @CONTRACT_SETTINGS
     @given(case=st.sampled_from(BLOCK_LEAVES), leaf=st.sampled_from(BAD_LEAVES))

@@ -251,6 +251,44 @@ def test_curvature_roots_are_every_root():
         assert set(flips) <= set(cells)
 
 
+def unreduced_curvature_roots(profile):
+    """The full degree-2H companion route, with no reduction by the harmonics'
+    common divisor: the oracle for :func:`curvature_roots`."""
+    spectrum = np.zeros(MAX_HARMONIC + 1, dtype=complex)
+    for term in profile.terms:
+        rate = TWO_PI * term.harmonic
+        spectrum[term.harmonic] -= term.amplitude * rate * rate * np.exp(1j * term.phase)
+    size = np.abs(spectrum)
+    top = int(np.flatnonzero(size > 1e-14 * size.max())[-1])
+    z = np.roots(np.concatenate((spectrum[top:0:-1], [0.0], -np.conj(spectrum[1:top + 1]))))
+    x = np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-4]) / TWO_PI
+    for _ in range(3):
+        third = sum(-t.amplitude * (TWO_PI * t.harmonic) ** 3
+                    * np.cos(TWO_PI * t.harmonic * x + t.phase) for t in profile.terms)
+        x = x - eval_profile(profile, x, 2) / third
+    x %= 1.0
+    return np.unique(np.where(x < 1.0, x, 0.0))
+
+
+@pytest.mark.parametrize("profile", [
+    SurfaceProfile((FourierTerm(0.01, 2, 0.3), FourierTerm(-0.004, 6, 1.1))),
+    SurfaceProfile((FourierTerm(0.01, 3, 0.2), FourierTerm(0.002, 9, -0.5),
+                    FourierTerm(0.001, 12, 2.0))),
+    SurfaceProfile.sinusoid(0.1, 64),
+], ids=["g2", "g3", "g64"])
+def test_common_divisor_reduction_matches_the_full_polynomial(profile):
+    roots = curvature_roots(profile)
+    expected = unreduced_curvature_roots(profile)
+    assert roots.shape == expected.shape
+    np.testing.assert_allclose(roots, expected, rtol=0.0, atol=1e-12)
+    slopes = eval_profile(profile, expected, 1)
+    top, bottom = int(np.argmax(slopes)), int(np.argmin(slopes))
+    ex = derivative_extrema(profile)
+    np.testing.assert_allclose(
+        [ex.omega_plus, ex.omega_minus, ex.location_plus, ex.location_minus],
+        [slopes[top], slopes[bottom], expected[top], expected[bottom]], rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # terms that cancel
 # ---------------------------------------------------------------------------

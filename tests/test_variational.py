@@ -218,6 +218,11 @@ ORACLE_MODELS = {
     "angular": AngularBristle(k=1.0, L=1.0, h=0.5, theta_rest=0.1),
     "stretched": VerticalBristle(k=2.0, L_rest=0.5, h=1.0),  # alpha = -1
 }
+# harmonics 1 and 5: w'' has ten roots, so the w' table has eleven monotone pieces
+ELEVEN_PIECES = SurfaceProfile((
+    FourierTerm(0.1 / TWO_PI, 1),
+    FourierTerm(0.05 / (5 * TWO_PI), 5, 0.7),
+))
 
 
 class TestExactK:
@@ -269,6 +274,49 @@ class TestExactK:
         assert table.shape == (2, 2)
         assert table[1, 0] == 0.2
         assert table[0, 0] == pytest.approx(2.0 * RHO / math.pi, abs=self.TOL)
+
+
+class TestScalarRoute:
+    """A Python float takes ``math`` only; the array route is its oracle, bit for bit."""
+
+    @staticmethod
+    def edge_xis(density, count, seed):
+        lo, hi = density.interval.lower, density.interval.upper
+        edges = [lo, hi, 0.0, -0.0, math.inf, -math.inf, math.nan]
+        edges += [np.nextafter(t, side) for t in (lo, hi) for side in (-math.inf, math.inf)]
+        inside = np.random.default_rng(seed).uniform(lo, hi, count)
+        return np.concatenate((inside, edges))
+
+    @pytest.mark.parametrize("profile", [SurfaceProfile.sinusoid(0.1), MULTI_CROSSING,
+                                         ELEVEN_PIECES],
+                             ids=["sinusoid", "multi-crossing", "eleven-pieces"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_k_equals_array_route_bitwise(self, name, profile):
+        density = limit_density(ORACLE_MODELS[name], profile)
+        xis = self.edge_xis(density, 2000, seed=31)
+        scalars = [density.k(x) for x in xis.tolist()]
+        assert all(type(s) is float for s in scalars)
+        assert np.array_equal(density.k(xis), scalars, equal_nan=True)
+
+    def test_eleven_pieces_profile_has_eight_or_more(self):
+        # eight or more summed columns is where NumPy's pairwise sum reorders
+        density = limit_density(ORACLE_MODELS["vertical"], ELEVEN_PIECES)
+        assert density._table[2].size >= 8
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_value_and_residual_of_two_floats_match_broadcast_call(self, name):
+        density = limit_density(ORACLE_MODELS[name], MULTI_CROSSING)
+        xi = self.edge_xis(density, 300, seed=37)
+        v = np.random.default_rng(41).uniform(-2.0, 2.0, xi.size)
+        v[:4] = (0.0, -0.0, math.inf, math.nan)
+        for method in (density.value, density.residual):
+            scalars = [method(a, b) for a, b in zip(v.tolist(), xi.tolist())]
+            assert all(type(s) is float for s in scalars)
+            with np.errstate(invalid="ignore"):  # inf - inf where v xi = +inf
+                table, row = method(v, xi), method(1.3, xi)
+            assert np.array_equal(table, scalars, equal_nan=True)
+            # one float against an array, broadcast
+            assert np.array_equal(row, [method(1.3, b) for b in xi.tolist()], equal_nan=True)
 
 
 class TestLimitDensityFactory:
