@@ -311,6 +311,15 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
+def _columns(*columns):
+    """Rows of Python floats from equal-length array columns.
+
+    ``csv`` writes a float as ``str`` does, which for a NumPy scalar is the
+    same text but slower to produce, so the columns go through ``tolist``.
+    """
+    return zip(*(np.asarray(column).tolist() for column in columns))
+
+
 def _grid_for(loading, sim):
     horizon = sim["horizon"] if sim["horizon"] is not None else loading.horizon
     if horizon > loading.horizon * (1.0 + 1e-12):
@@ -457,7 +466,7 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
     _write_csv(
         out / "viscous.csv",
         ("t", "z", "zdot", "xi", "energy", "dissipation_cum", "delta_eps"),
-        zip(
+        _columns(
             trajectory.times,
             trajectory.states,
             trajectory.velocities,
@@ -472,7 +481,7 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
         _write_csv(
             out / "limit.csv",
             ("t", "z", "z_tilde_minus", "z_tilde_plus", "dissipation_cum", "energy"),
-            zip(
+            _columns(
                 limit.times,
                 limit.states,
                 lower,
@@ -590,7 +599,7 @@ def cmd_perceived(raw: dict, out: Path, svg: bool) -> None:
     _write_csv(
         out / "perceived.csv",
         ("z", "height", "slope"),
-        zip(perceived.grid, perceived.heights, perceived.slopes),
+        _columns(perceived.grid, perceived.heights, perceived.slopes),
     )
     if svg:
         line_plot(
@@ -620,7 +629,7 @@ def cmd_k_table(raw: dict, out: Path, svg: bool) -> None:
         _fail(path, f"need xi_min < xi_max, got ({xi_min}, {xi_max})")
     xis = np.linspace(xi_min, xi_max, count)
     values = density.k(xis)
-    _write_csv(out / "k_table.csv", ("xi", "K"), zip(xis, values))
+    _write_csv(out / "k_table.csv", ("xi", "K"), _columns(xis, values))
     if svg:
         line_plot(
             out / "k_table.svg",

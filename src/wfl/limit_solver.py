@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,6 +49,18 @@ class LoadingProgram(ABC):
     @abstractmethod
     def q(self, t):
         """Anchor position at time t (scalar or array)."""
+
+    def scalar_q(self) -> Callable[[float], float]:
+        """``q`` as a function of one Python float, built once per run.
+
+        The viscous right-hand side calls it at every stage.  The built-in
+        programs return a closure over their parameters that uses only
+        ``math``, and their ``q`` on a Python float calls that closure, so
+        there is one scalar formula per program.  This default goes
+        through ``q``.
+        """
+        q = self.q
+        return lambda t: float(q(t))
 
     @abstractmethod
     def qdot(self, t):
@@ -78,9 +91,13 @@ class Ramp(LoadingProgram):
         if not (math.isfinite(self.q0) and math.isfinite(self.rate)):
             raise ConfigError("ramp parameters must be finite")
 
+    def scalar_q(self) -> Callable[[float], float]:
+        q0, rate = self.q0, self.rate
+        return lambda t: q0 + rate * t
+
     def q(self, t):
         if isinstance(t, float):
-            return self.q0 + self.rate * t
+            return self.scalar_q()(t)
         ts = _as_array(t)
         return like_input(t, self.q0 + self.rate * ts)
 
@@ -116,10 +133,14 @@ class SinusoidLoading(LoadingProgram):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
 
+    def scalar_q(self) -> Callable[[float], float]:
+        q0, amplitude, phase = self.q0, self.amplitude, self.phase
+        rate, sin = 2.0 * math.pi * self.frequency, math.sin
+        return lambda t: q0 + amplitude * sin(rate * t + phase)
+
     def q(self, t):
         if isinstance(t, float):
-            u = 2.0 * math.pi * self.frequency * t + self.phase
-            return self.q0 + self.amplitude * math.sin(u)
+            return self.scalar_q()(t)
         ts = _as_array(t)
         u = 2.0 * math.pi * self.frequency * ts + self.phase
         return like_input(t, self.q0 + self.amplitude * np.sin(u))
@@ -174,7 +195,40 @@ class SmoothedPiecewiseLinear(LoadingProgram):
         vs = np.asarray(self.values)
         return np.diff(vs) / np.diff(ts)
 
+    def scalar_q(self) -> Callable[[float], float]:
+        knots, values, blend = self.times, self.values, self.blend
+        slopes = [
+            (v1 - v0) / (t1 - t0)
+            for t0, t1, v0, v1 in zip(knots, knots[1:], values, values[1:])
+        ]
+        last = len(slopes) - 1
+        # blend zone around interior knot i: from starts[i - 1] to its end in
+        # zones[i - 1].  In the array q a later zone overwrites an earlier one;
+        # both bounds grow with i, so the last zone starting at or before t
+        # wins if it holds t, and no earlier zone holds t if it does not
+        starts = [knots[i] - blend for i in range(1, last + 1)]
+        zones = [
+            (knots[i] + blend, values[i] - slopes[i - 1] * blend, slopes[i - 1],
+             slopes[i] - slopes[i - 1])
+            for i in range(1, last + 1)
+        ]
+        width = 4.0 * blend
+
+        def q(t):
+            j = bisect_right(starts, t)
+            if j:
+                end, q_lo, s0, ds = zones[j - 1]
+                if t <= end:
+                    u = t - starts[j - 1]
+                    return q_lo + s0 * u + ds * u * u / width
+            seg = min(max(bisect_right(knots, t) - 1, 0), last)
+            return values[seg] + slopes[seg] * (t - knots[seg])
+
+        return q
+
     def q(self, t):
+        if isinstance(t, float):
+            return self.scalar_q()(t)
         ts = _as_array(t)
         knots = np.asarray(self.times)
         vals = np.asarray(self.values)

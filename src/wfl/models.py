@@ -36,7 +36,7 @@ from which the friction thresholds follow:
     alpha < 0:  rho_plus = alpha * mu_minus, rho_minus = alpha * mu_plus.
 
 Each geometry is one class holding ``name``, ``alpha``, ``slope_factor``
-and five methods, to which the module functions delegate; a fourth
+and six methods, to which the module functions delegate; a fourth
 geometry is one more class.
 
 * ``conditions(extrema)``: admissibility inequalities, for :func:`validate`;
@@ -46,11 +46,14 @@ geometry is one more class.
   ``p + shift(eps w(p / eps)) = z``.  ``None`` when the tip sits under the root;
 * ``force(y, wp)``, ``energy(y)``: microscale force and potential at tip
   height ``y`` and surface slope ``wp``, for :func:`wiggly_force` and
-  :func:`wiggly_energy`.
+  :func:`wiggly_energy`;
+* ``scalar_force(profile, epsilon)``: the force as a function of one Python
+  float root position, for :func:`scalar_force` (the integrator's
+  right-hand side).  It computes the geometry's constants once and repeats
+  the operations of ``tip_shift`` and ``force`` on floats with ``math``.
 
-``tip_shift`` and ``force`` take arrays or Python floats; on floats they
-call ``math`` only, which is what :func:`scalar_force` (the integrator's
-right-hand side) relies on.
+``tip_shift``, ``force`` and ``energy`` are the array route and call NumPy;
+``scalar_force`` calls ``math`` only.
 """
 
 from __future__ import annotations
@@ -78,15 +81,6 @@ from .profiles import (
     eval_profile,
     like_input,
 )
-
-
-# math for a Python float (the scalar right-hand side), NumPy for anything else
-def _sqrt(x):
-    return math.sqrt(x) if type(x) is float else np.sqrt(x)
-
-
-def _acos(x):
-    return math.acos(x) if type(x) is float else np.arccos(x)
 
 
 def _require_finite(**values: float) -> None:
@@ -133,6 +127,23 @@ class VerticalBristle:
 
     def force(self, y, wp):
         return self.k * (self.L_rest - self.h + y) * wp
+
+    def scalar_force(self, profile: SurfaceProfile, epsilon: float):
+        # the tip sits under the root: the contact sum and the force are one function
+        terms = _scalar_terms(profile)
+        k, rest = self.k, self.L_rest - self.h
+        sin, cos = math.sin, math.cos
+
+        def force(z: float) -> float:
+            x = z / epsilon
+            w = wp = 0.0
+            for rate, amplitude, slope, phase in terms:
+                u = rate * x + phase
+                w += amplitude * sin(u)
+                wp += slope * cos(u)
+            return k * (rest + epsilon * w) * wp
+
+        return force
 
     def energy(self, y):
         rest = self.L_rest - self.h
@@ -193,6 +204,18 @@ class SlantedBristle:
         tan_t = math.tan(self.theta)
         stretch = self.L_rest - (self.h - y) / cos_t
         return (self.k / cos_t) * stretch * wp / (1.0 - tan_t * wp)
+
+    def scalar_force(self, profile: SurfaceProfile, epsilon: float):
+        cos_t, tan_t = math.cos(self.theta), math.tan(self.theta)
+        rate, tension, L_rest, h = -tan_t, self.k / cos_t, self.L_rest, self.h
+
+        def shift(y: float) -> tuple[float, float]:
+            return rate * y, rate
+
+        def force(y: float, wp: float) -> float:
+            return tension * (L_rest - (h - y) / cos_t) * wp / (1.0 - tan_t * wp)
+
+        return _newton_force(self, profile, epsilon, shift, force)
 
     def energy(self, y):
         cos_t = math.cos(self.theta)
@@ -259,15 +282,35 @@ class AngularBristle:
 
     def tip_shift(self, y):
         L, d = self.L, self.h - y
-        s = _sqrt(L * L - d * d)
+        s = np.sqrt(L * L - d * d)
         return s - math.sqrt(L * L - self.h * self.h), d / s
 
     def force(self, y, wp):
         d = self.h - y
-        s = _sqrt(self.L ** 2 - d * d)
-        theta = _acos(d / self.L)
+        s = np.sqrt(self.L ** 2 - d * d)
+        theta = np.arccos(d / self.L)
         a_local = d / s
         return self.k * (theta - self.theta_rest) * wp / (s * (1.0 + a_local * wp))
+
+    def scalar_force(self, profile: SurfaceProfile, epsilon: float):
+        sqrt, acos = math.sqrt, math.acos
+        k, L, h, theta_rest = self.k, self.L, self.h, self.theta_rest
+        # squared as tip_shift and force square it, so the routes stay bitwise equal
+        LL, L2 = L * L, L ** 2
+        flat = sqrt(LL - h * h)
+
+        def shift(y: float) -> tuple[float, float]:
+            d = h - y
+            s = sqrt(LL - d * d)
+            return s - flat, d / s
+
+        def force(y: float, wp: float) -> float:
+            d = h - y
+            s = sqrt(L2 - d * d)
+            theta = acos(d / L)
+            return k * (theta - theta_rest) * wp / (s * (1.0 + d / s * wp))
+
+        return _newton_force(self, profile, epsilon, shift, force)
 
     def energy(self, y):
         theta = np.arccos((self.h - y) / self.L)
@@ -600,36 +643,37 @@ def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z
 def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
     """``V_eps'`` as a function of one Python float ``z``, with no NumPy call.
 
-    The viscous integrator's right-hand side.  ``epsilon`` is checked here,
-    once.  Each call sums w and w' over the Fourier terms with ``math`` and
-    solves the root-tip relation by the Newton iteration of
-    :func:`wiggly_force` (same tolerance, clip radius and iteration cap),
-    then applies the geometry's own ``force``.  A point where Newton does
-    not converge is handed to :func:`wiggly_force`, whose bisection and
-    :class:`InversionFailureError` apply.  A non-finite ``z`` may raise
-    ``ValueError`` from ``math``.
+    The viscous integrator's right-hand side, built once per run by the
+    geometry's own ``scalar_force`` from constants it computes once.  Each
+    call sums w and w' over the Fourier terms with ``math`` in the order
+    :func:`eval_profile` does, solves the root-tip relation by the Newton
+    iteration of :func:`wiggly_force` (same tolerance, clip radius and
+    iteration cap) and applies the geometry's force formula with the same
+    operations as its array ``force``.  ``epsilon`` is checked here, once.
+    A point where Newton does not converge is handed to
+    :func:`wiggly_force`, whose bisection and :class:`InversionFailureError`
+    apply.  A non-finite ``z`` may raise ``ValueError`` from ``math``.
     """
     _require_valid_epsilon(model, profile, epsilon)
-    terms = [
+    return model.scalar_force(profile, epsilon)
+
+
+def _scalar_terms(profile: SurfaceProfile) -> tuple[tuple[float, float, float, float], ...]:
+    """(rate, amplitude, slope amplitude, phase) of each term, formed as in eval_profile."""
+    return tuple(
         (TWO_PI * t.harmonic, t.amplitude, t.amplitude * (TWO_PI * t.harmonic), t.phase)
         for t in profile.terms
-    ]
+    )
+
+
+def _newton_force(model, profile: SurfaceProfile, epsilon: float, shift, force):
+    """Scalar force of a geometry whose tip is shifted from its root.
+
+    ``shift(y)`` and ``force(y, wp)`` are the geometry's float forms of its
+    ``tip_shift`` and ``force``.
+    """
+    terms = _scalar_terms(profile)
     sin, cos = math.sin, math.cos
-    force, shift = model.force, model.tip_shift
-
-    def contact(p):
-        # tip height eps w(p / eps) and slope w'(p / eps), summed as eval_profile does
-        x = p / epsilon
-        w = wp = 0.0
-        for rate, amplitude, slope, phase in terms:
-            u = rate * x + phase
-            w += amplitude * sin(u)
-            wp += slope * cos(u)
-        return epsilon * w, wp
-
-    if shift is None:
-        return lambda z: force(*contact(z))
-
     ymax = epsilon * profile.amplitude_bound
     radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
 
@@ -638,7 +682,14 @@ def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
         lo, hi = z - radius, z + radius
         p = z
         for _ in range(100):
-            y, wp = contact(p)
+            # tip height eps w(p / eps) and slope w'(p / eps), summed as eval_profile does
+            x = p / epsilon
+            w = wp = 0.0
+            for rate, amplitude, slope, phase in terms:
+                u = rate * x + phase
+                w += amplitude * sin(u)
+                wp += slope * cos(u)
+            y = epsilon * w
             s, ds = shift(y)
             r = p + s - z
             if abs(r) <= tol:

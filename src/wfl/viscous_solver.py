@@ -18,6 +18,13 @@ controller, so it takes SciPy's steps to rounding.  Each accepted step keeps
 its quartic dense-output coefficients, and the whole post-processing mesh is
 evaluated from them in one vectorised pass.
 
+The stepper calls :func:`scalar_rhs`: one closure over plain floats, built
+once per run from the loading's ``scalar_q`` and the geometry's
+``scalar_force``, with Phi'(z) = k_h z inlined for the quadratic energy.  A
+call makes no attribute lookup and no NumPy call.  :func:`rhs` is the array
+route; post-processing evaluates it on the whole mesh, and the tests use it
+as the scalar route's oracle.
+
 Dissipation is accumulated as ``int eps^gamma zdot^2 dt`` with a composite
 Simpson rule over the union of accepted integrator steps and requested
 output times, evaluating the dense-output interpolant at segment endpoints
@@ -112,6 +119,56 @@ class WigglySystem:
 def rhs(system: WigglySystem, t, z):
     """zdot = (ell(t) - Phi'(z) - V_eps'(z)) / eps^gamma."""
     return system.force(t, z) / system.time_scale
+
+
+def scalar_rhs(system: WigglySystem):
+    """:func:`rhs` as one function of two Python floats, built once per run.
+
+    It closes over plain floats and the float routes of the loading
+    (``LoadingProgram.scalar_q``) and the microscale force
+    (:func:`scalar_force`), and inlines Phi'(z) = k_h z for the quadratic
+    energy, so a call makes no attribute lookup and no NumPy call.  It
+    takes the operations of :func:`rhs` in the same order.  A math error in
+    the microscale force, or a non-finite result, means the state ran away
+    and raises :class:`StiffnessFailureError`; an error in a custom Phi'
+    propagates as itself.
+    """
+    base = system.base
+    q = base.loading.scalar_q()
+    k_h, rest, tau = base.k_h, base.L_h_rest, system.time_scale
+    micro_force = scalar_force(system.model, system.profile, system.epsilon)
+    isfinite, nan = math.isfinite, math.nan
+
+    def overflow(t, z):
+        return StiffnessFailureError(
+            f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
+            f"the state has left the integrable range"
+        )
+
+    if base.quadratic:
+        def fun(t: float, z: float) -> float:
+            try:
+                f = micro_force(z)
+            except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
+                f = nan
+            v = (k_h * (q(t) - rest) - k_h * z - f) / tau
+            if not isfinite(v):
+                raise overflow(t, z)
+            return v
+    else:
+        phi_prime = base.phi_prime
+
+        def fun(t: float, z: float) -> float:
+            try:
+                f = micro_force(z)
+            except (ArithmeticError, ValueError):
+                f = nan
+            v = float((k_h * (q(t) - rest) - phi_prime(z) - f) / tau)
+            if not isfinite(v):
+                raise overflow(t, z)
+            return v
+
+    return fun
 
 
 # Dormand-Prince 5(4) tableau: nodes C, stages A, 5th-order weights B and
@@ -283,9 +340,13 @@ def integrate(
 ) -> ViscousTrajectory:
     """Integrate the viscous flow from ``z0`` and sample it on ``grid``.
 
-    Raises :class:`StiffnessFailureError` when the adaptive integrator
-    drives its step below the floating-point spacing (the problem is
-    stiffer than the explicit pair can handle at these tolerances).
+    The stepper advances :func:`scalar_rhs`, built once here; the samples,
+    the dissipation and the power integral come from the dense output and
+    the array route :func:`rhs` on the whole quadrature mesh.  Raises
+    :class:`StiffnessFailureError` when the adaptive integrator drives its
+    step below the floating-point spacing (the problem is stiffer than the
+    explicit pair can handle at these tolerances), or when the state runs
+    away so that the force overflows.
     """
     if config is None:
         config = IntegratorConfig()
@@ -306,26 +367,8 @@ def integrate(
         raise ConfigError(f"initial state must be finite, got {z0}")
 
     tau = system.time_scale
-    # the scalar form of rhs: built once, so no step pays for validation
-    # or NumPy; post-processing below keeps the array route
-    ell, phi_force = system.base.ell, system.base.phi_force
-    micro_force = scalar_force(system.model, system.profile, system.epsilon)
-
-    def fun(t, z):
-        try:
-            f = micro_force(z)
-        except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
-            f = math.nan
-        v = float((ell(t) - phi_force(z) - f) / tau)
-        if not math.isfinite(v):
-            raise StiffnessFailureError(
-                f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
-                f"the state has left the integrable range"
-            )
-        return v
-
     sol = solve_ivp(
-        fun,
+        scalar_rhs(system),
         (0.0, float(grid[-1])),
         float(z0),
         rtol=config.rtol,

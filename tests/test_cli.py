@@ -55,6 +55,17 @@ def run(tmp_path, command, payload, *extra):
     return code, out
 
 
+def test_float_columns_write_the_bytes_of_numpy_scalars(tmp_path):
+    # the CSV writer gets Python floats from the array columns; csv formats
+    # them with the same text as the NumPy scalars the columns hold
+    column = np.array([-0.0, 5e-324, 1e16, 1e22, np.inf, np.nan, 0.1, -1.0 / 3.0, 2.5e15])
+    columns = (column, -column, column[::-1])
+    cli._write_csv(tmp_path / "floats.csv", ("a", "b", "c"), cli._columns(*columns))
+    cli._write_csv(tmp_path / "scalars.csv", ("a", "b", "c"), zip(*columns))
+    assert type(next(cli._columns(*columns))[0]) is float
+    assert (tmp_path / "floats.csv").read_bytes() == (tmp_path / "scalars.csv").read_bytes()
+
+
 class TestCoeffs:
     def test_row_matches_library_bitwise(self, tmp_path):
         code, out = run(tmp_path, "coeffs", CANONICAL)

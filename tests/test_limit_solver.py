@@ -90,19 +90,43 @@ def test_smoothed_pwl_is_c1():
     [
         Ramp(q0=0.3, rate=-1.7, duration=2.0),
         SinusoidLoading(q0=0.1, amplitude=0.5, frequency=1.3, duration=2.0, phase=0.4),
+        SmoothedPiecewiseLinear(times=(0.0, 0.7, 1.3, 2.0), values=(0.0, 0.7, 0.2, 0.9), blend=0.05),
+        # blend is half the shortest segment: neighbouring blend zones touch
+        SmoothedPiecewiseLinear(
+            times=(0.0, 0.5, 1.0, 1.5, 2.0), values=(0.0, 0.1, 0.7, 0.3, 0.9), blend=0.25
+        ),
     ],
-    ids=["ramp", "sinusoid"],
+    ids=["ramp", "sinusoid", "piecewise", "piecewise-touching"],
 )
 def test_float_branch_of_q_matches_the_array_route_bitwise(loading):
     rng = np.random.default_rng(5)
+    edges = []
+    for knot in getattr(loading, "times", ()):
+        for edge in (knot - loading.blend, knot, knot + loading.blend):
+            edges.extend((np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)))
     ts = np.concatenate((
         rng.uniform(-0.5, 2.5, 500),
         [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 0.25 - 1e-12, 2.0 + 1e-9],
+        edges,
     ))
     scalar = np.array([loading.q(float(t)) for t in ts])
     assert all(type(loading.q(float(t))) is float for t in ts[:5])
     np.testing.assert_array_equal(scalar, loading.q(ts))
     np.testing.assert_array_equal(scalar, [loading.q(np.array([t]))[0] for t in ts])
+
+
+def test_touching_blend_zones_take_the_later_zone():
+    # blend 0.25 is half of each segment, so t = 0.75 ends the zone of knot
+    # 0.5 and starts the zone of knot 1.0.  The two quadratics agree in exact
+    # arithmetic but round apart here; both routes take the later zone's
+    q = SmoothedPiecewiseLinear(
+        times=(0.0, 0.5, 1.0, 1.5), values=(0.0, 0.1, 0.7, 0.3), blend=0.25
+    ).q
+    s0, s1 = 0.1 / 0.5, (0.7 - 0.1) / 0.5
+    earlier = (0.1 - s0 * 0.25) + s0 * 0.5 + (s1 - s0) * 0.5 * 0.5 / 1.0
+    later = 0.7 - s1 * 0.25
+    assert earlier != later
+    assert q(0.75) == q(np.array([0.75]))[0] == later
 
 
 def test_smoothed_pwl_validation():

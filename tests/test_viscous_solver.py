@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from wfl import viscous_solver
+from wfl import limit_solver, models, profiles, viscous_solver
 from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError
-from wfl.limit_solver import LimitSystem, Ramp, SinusoidLoading, elastic_strip, solve_limit
+from wfl.limit_solver import (
+    LimitSystem,
+    Ramp,
+    SinusoidLoading,
+    SmoothedPiecewiseLinear,
+    elastic_strip,
+    solve_limit,
+)
 from wfl.models import (
     AngularBristle,
     SlantedBristle,
@@ -26,6 +33,7 @@ from wfl.viscous_solver import (
     energy_balance_residual,
     integrate,
     rhs,
+    scalar_rhs,
 )
 
 CANONICAL = SurfaceProfile.sinusoid(slope=0.1)
@@ -115,6 +123,120 @@ class TestRightHandSide:
         for t, z in [(0.5, 0.2), (1.5, 1.3)]:
             fd = -(system.energy(t, z + h) - system.energy(t, z - h)) / (2.0 * h)
             assert system.force(t, z) == pytest.approx(fd, rel=1e-7, abs=1e-8)
+
+
+LOADINGS = {
+    "ramp": Ramp(q0=0.1, rate=1.0, duration=2.0),
+    "sinusoid": SinusoidLoading(q0=0.2, amplitude=0.5, frequency=1.3, duration=2.0, phase=0.4),
+    # blend is half the shortest segment, so neighbouring blend zones touch
+    "piecewise": SmoothedPiecewiseLinear(
+        times=(0.0, 0.5, 1.0, 1.5, 2.0), values=(0.0, 0.1, 0.7, 0.3, 0.9), blend=0.25
+    ),
+}
+
+
+def dressed_system(name, loading, custom_phi=False):
+    """Geometry ``name`` on the canonical sinusoid at eps 0.05, with its own thresholds."""
+    model = GEOMETRIES[name]
+    c = coefficients(model, CANONICAL)
+    phi = (
+        {"phi": lambda z: np.cosh(z) - 1.0, "phi_prime": np.sinh,
+         "phi_prime_inv": np.arcsinh, "convexity": 1.0}
+        if custom_phi else {}
+    )
+    base = LimitSystem(
+        k_h=1.5, L_h_rest=0.3, loading=LOADINGS[loading],
+        rho_plus=c.rho_plus, rho_minus=c.rho_minus, **phi,
+    )
+    return WigglySystem(base=base, model=model, profile=CANONICAL, epsilon=0.05)
+
+
+def rhs_sample(system):
+    """2000 random (t, z), both strip boundaries, and each knot +- blend with its neighbours."""
+    rng = np.random.default_rng(17)
+    loading = system.base.loading
+    ts = rng.uniform(0.0, loading.horizon, 2000)
+    points = list(zip(ts.tolist(), rng.uniform(-1.5, 2.5, ts.size).tolist()))
+    edge_ts = np.linspace(0.0, loading.horizon, 25)
+    for bound in elastic_strip(system.base, edge_ts):
+        points.extend(zip(edge_ts.tolist(), bound.tolist()))
+    if isinstance(loading, SmoothedPiecewiseLinear):
+        for knot in loading.times:
+            for edge in (knot - loading.blend, knot + loading.blend):
+                for t in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                    points.append((float(t), float(rng.uniform(-1.5, 2.5))))
+    return points
+
+
+def libm_arccos(x):
+    """NumPy's arccos with each element taken by ``math.acos``."""
+    return np.vectorize(math.acos, otypes=[float])(x)
+
+
+class TestScalarRightHandSide:
+    """``scalar_rhs``, the fused float form of ``rhs`` that ``integrate`` steps."""
+
+    @pytest.mark.parametrize("custom_phi", [False, True], ids=["quadratic", "custom-phi"])
+    @pytest.mark.parametrize("loading", list(LOADINGS))
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_matches_the_array_route_bitwise(self, name, loading, custom_phi, monkeypatch):
+        system = dressed_system(name, loading, custom_phi)
+        fun = scalar_rhs(system)
+        points = rhs_sample(system)
+        got = [fun(t, z) for t, z in points]
+        assert all(type(v) is float for v in got)
+        if name == "angular":
+            # NumPy's SIMD arccos may differ from libm's acos by an ulp, so
+            # against NumPy's own arccos the angular force agrees to 1e-14 of
+            # its scale (the tolerance of the models' scalar force test) ...
+            want = np.array([rhs(system, t, z) for t, z in points], dtype=float)
+            np.testing.assert_allclose(
+                got, want, rtol=0.0, atol=1e-14 * float(np.max(np.abs(want)))
+            )
+            # ... and with libm's acos in the array route, bitwise
+            monkeypatch.setattr(np, "arccos", libm_arccos)
+        want = np.array([rhs(system, t, z) for t, z in points], dtype=float)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_runaway_state_raises_stiffness_error(self, name):
+        fun = scalar_rhs(dressed_system(name, "ramp"))
+        for t, z in [(0.5, 1e308), (0.5, math.inf), (1e308, 0.0)]:
+            with pytest.raises(StiffnessFailureError, match="overflowed"):
+                fun(t, z)
+
+    def test_error_in_a_custom_elastic_force_propagates_as_itself(self):
+        def phi_prime(z):
+            raise ZeroDivisionError("bad phi_prime")
+
+        base = LimitSystem(
+            k_h=1.0, L_h_rest=0.0, loading=Ramp(duration=2.0), rho_plus=0.1,
+            rho_minus=-0.1, phi=lambda z: 0.5 * z * z, phi_prime=phi_prime,
+            phi_prime_inv=lambda f: f, convexity=1.0,
+        )
+        fun = scalar_rhs(WigglySystem(base=base, model=MODEL, profile=CANONICAL, epsilon=0.1))
+        with pytest.raises(ZeroDivisionError, match="bad phi_prime"):
+            fun(0.5, 0.2)
+
+    def test_no_array_route_on_the_per_call_path(self, monkeypatch):
+        # building and calling the right-hand side must not reach NumPy's
+        # profile sum, the loadings' array conversion or the array contact
+        systems = [dressed_system(name, loading) for name in GEOMETRIES for loading in LOADINGS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("array route on the per-call path")
+
+        for owner, attr in [
+            (profiles, "eval_profile"),
+            (models, "eval_profile"),
+            (limit_solver, "_as_array"),
+            (models, "_contact"),
+        ]:
+            monkeypatch.setattr(owner, attr, refuse)
+        for system in systems:
+            fun = scalar_rhs(system)
+            for t, z in [(0.0, 0.0), (0.5, 0.3), (0.74, 0.41), (1.25, 1.1), (1.9, 1.6)]:
+                assert type(fun(t, z)) is float
 
 
 class TestIntegration:
