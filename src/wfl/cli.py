@@ -6,7 +6,7 @@ admissibility runs before any computation), computes in memory, and only
 then writes output files.  A config problem therefore never leaves partial
 results behind.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 solver failure.
 """
 
 from __future__ import annotations
@@ -290,11 +290,23 @@ def load_config(path) -> dict:
     return raw
 
 
-def _need(raw: dict, *blocks):
+def _experiment(raw: dict, run: bool = False) -> tuple:
+    """The profile and model; for a run, also the system and simulation settings.
+
+    A run (``simulate``, ``converge``) also needs the loading, and its
+    system takes its default thresholds from the model's coefficients.
+    Every missing block is named in one message before anything is built.
+    """
+    blocks = ("profile", "model", "loading", "system") if run else ("profile", "model")
     missing = sorted(b for b in blocks if b not in raw)
     if missing:
         _fail("top level", f"this command needs the blocks {missing}")
-    return [raw[b] for b in blocks]
+    profile, model = build_profile(raw["profile"]), build_model(raw["model"])
+    if not run:
+        return profile, model
+    loading = build_loading(raw["loading"])
+    system = build_system(raw["system"], loading, coefficients(model, profile))
+    return profile, model, system, build_simulation(raw.get("simulation", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +348,7 @@ def _grid_for(loading, sim):
 
 
 def cmd_coeffs(raw: dict, out: Path, svg: bool) -> None:
-    profile_block, model_block = _need(raw, "profile", "model")
-    profile = build_profile(profile_block)
-    model = build_model(model_block)
+    profile, model = _experiment(raw)
     coeffs = coefficients(model, profile)
     mu_plus_oracle, mu_minus_oracle = perceived_extrema(profile, model.slope_factor)
     _write_csv(
@@ -438,15 +448,7 @@ def cmd_sweep_theta(raw: dict, out: Path, svg: bool) -> None:
 
 
 def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False) -> None:
-    profile_block, model_block, loading_block, system_block = _need(
-        raw, "profile", "model", "loading", "system"
-    )
-    profile = build_profile(profile_block)
-    model = build_model(model_block)
-    loading = build_loading(loading_block)
-    coeffs = coefficients(model, profile)
-    system = build_system(system_block, loading, coeffs)
-    sim = build_simulation(raw.get("simulation", {}))
+    profile, model, system, sim = _experiment(raw, run=True)
 
     if epsilon is None:
         epsilon = sim["epsilon"]
@@ -456,7 +458,7 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
     wiggly = WigglySystem(
         base=system, model=model, profile=profile, epsilon=float(epsilon), gamma=sim["gamma"]
     )
-    grid = _grid_for(loading, sim)
+    grid = _grid_for(system.loading, sim)
     trajectory = integrate(
         wiggly, sim["z0"], horizon=float(grid[-1]), config=sim["config"], grid=grid
     )
@@ -509,19 +511,11 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
 
 
 def cmd_converge(raw: dict, out: Path, svg: bool) -> None:
-    profile_block, model_block, loading_block, system_block = _need(
-        raw, "profile", "model", "loading", "system"
-    )
-    profile = build_profile(profile_block)
-    model = build_model(model_block)
-    loading = build_loading(loading_block)
-    coeffs = coefficients(model, profile)
-    system = build_system(system_block, loading, coeffs)
-    sim = build_simulation(raw.get("simulation", {}))
+    profile, model, system, sim = _experiment(raw, run=True)
     if not sim["epsilons"]:
         _fail("simulation", "converge needs a non-empty 'epsilons' list")
 
-    grid = _grid_for(loading, sim)
+    grid = _grid_for(system.loading, sim)
     report = run_sweep(
         system,
         profile,
@@ -589,12 +583,10 @@ def cmd_nap(raw: dict, out: Path, svg: bool) -> None:
 
 
 def cmd_perceived(raw: dict, out: Path, svg: bool) -> None:
-    profile_block, model_block = _need(raw, "profile", "model")
+    profile, model = _experiment(raw)
     block = raw.get("perceived", {})
     _check_keys(block, "perceived", optional=("samples",))
     samples = _integer(block, "samples", "perceived", default=512, minimum=8)
-    profile = build_profile(profile_block)
-    model = build_model(model_block)
     perceived = perceived_profile(profile, model.slope_factor, samples=samples)
     _write_csv(
         out / "perceived.csv",
@@ -615,12 +607,10 @@ def cmd_perceived(raw: dict, out: Path, svg: bool) -> None:
 
 
 def cmd_k_table(raw: dict, out: Path, svg: bool) -> None:
-    profile_block, model_block = _need(raw, "profile", "model")
+    profile, model = _experiment(raw)
     block = raw.get("k_table", {})
     path = "k_table"
     _check_keys(block, path, optional=("xi_min", "xi_max", "count"))
-    profile = build_profile(profile_block)
-    model = build_model(model_block)
     density = limit_density(model, profile)
     xi_min = _number(block, "xi_min", path, default=2.0 * density.interval.lower)
     xi_max = _number(block, "xi_max", path, default=2.0 * density.interval.upper)
@@ -651,6 +641,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors.
+
+    argparse would print a usage block and exit 2, the code of a solver
+    failure; raising lets :func:`main` report one line and exit 1.
+    Subcommand parsers inherit the class.
+    """
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON experiment file")
@@ -658,7 +660,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (created when the first file is written)")
     common.add_argument("--svg", action="store_true", help="also write SVG plots")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wfl",
         description="Friction-from-corrugation toolkit: coefficients, trajectories, "
         "convergence sweeps and duality tables.",
@@ -679,8 +681,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         raw = load_config(args.config)
         out = Path(args.out)
         if args.command == "simulate":

@@ -2,13 +2,13 @@
 
 In the small-corrugation limit the root coordinate ``z`` follows a play
 process between two moving envelopes.  With stored energy
-``E(t, z) = Phi(z) - ell(t) z`` and friction thresholds
-``rho_minus < 0 < rho_plus``, the state must satisfy the force inclusion
-``-D_z E(t, z) in [rho_minus, rho_plus]``, which confines it to the
-elastic strip
+``E(t, z) = Phi(z) - ell(t) z``, where ``Phi(z) = k_h z^2 / 2``, and
+friction thresholds ``rho_minus < 0 < rho_plus``, the state must satisfy
+the force inclusion ``-D_z E(t, z) in [rho_minus, rho_plus]``, which
+confines it to the elastic strip
 
-    z_minus(t) = (Phi')^{-1}(ell(t) - rho_plus),
-    z_plus(t)  = (Phi')^{-1}(ell(t) - rho_minus),
+    z_minus(t) = (ell(t) - rho_plus) / k_h,
+    z_plus(t)  = (ell(t) - rho_minus) / k_h,
 
 and it moves only when pushed by a strip boundary.  On a time grid this is
 the exact clamp recursion
@@ -29,7 +29,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -278,11 +278,8 @@ class SmoothedPiecewiseLinear(LoadingProgram):
 class LimitSystem:
     """Driven dry-friction system in the small-corrugation limit.
 
-    The default elastic energy is quadratic, ``Phi(z) = k_h z^2 / 2``,
-    matching a linear hauling spring.  A different uniformly convex energy
-    can be supplied through the three callables ``phi``, ``phi_prime`` and
-    ``phi_prime_inv`` (all or none) together with a positive lower bound
-    ``convexity`` on its second derivative.
+    The elastic energy is quadratic, ``Phi(z) = k_h z^2 / 2``: a linear
+    hauling spring.
     """
 
     k_h: float
@@ -290,10 +287,6 @@ class LimitSystem:
     loading: LoadingProgram
     rho_plus: float
     rho_minus: float
-    phi: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    phi_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    phi_prime_inv: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    convexity: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.k_h <= 0.0 or not math.isfinite(self.k_h):
@@ -305,24 +298,6 @@ class LimitSystem:
                 f"thresholds must satisfy rho_minus < 0 < rho_plus, got "
                 f"({self.rho_minus}, {self.rho_plus})"
             )
-        custom = (self.phi, self.phi_prime, self.phi_prime_inv)
-        if any(c is not None for c in custom):
-            if any(c is None for c in custom):
-                raise ConfigError(
-                    "custom elastic energy needs phi, phi_prime and phi_prime_inv"
-                )
-            if self.convexity is None or self.convexity <= 0.0:
-                raise ConfigError(
-                    "custom elastic energy needs a positive convexity bound"
-                )
-
-    @property
-    def quadratic(self) -> bool:
-        return self.phi is None
-
-    @property
-    def uniform_convexity(self) -> float:
-        return self.k_h if self.quadratic else float(self.convexity)
 
     def ell(self, t):
         return self.k_h * (self.loading.q(t) - self.L_h_rest)
@@ -336,19 +311,10 @@ class LimitSystem:
         return self.k_h * self.loading.max_rate
 
     def phi_value(self, z):
-        if self.quadratic:
-            return 0.5 * self.k_h * np.square(z)
-        return self.phi(z)
+        return 0.5 * self.k_h * np.square(z)
 
     def phi_force(self, z):
-        if self.quadratic:
-            return self.k_h * z
-        return self.phi_prime(z)
-
-    def phi_force_inv(self, f):
-        if self.quadratic:
-            return f / self.k_h
-        return self.phi_prime_inv(f)
+        return self.k_h * z
 
     def energy(self, t, z):
         """E(t, z) = Phi(z) - ell(t) z."""
@@ -359,8 +325,8 @@ def elastic_strip(system: LimitSystem, t):
     """Admissible interval [z_minus(t), z_plus(t)] of the force inclusion."""
     ts = _as_array(t)
     ell = system.ell(ts)
-    lower = system.phi_force_inv(ell - system.rho_plus)
-    upper = system.phi_force_inv(ell - system.rho_minus)
+    lower = (ell - system.rho_plus) / system.k_h
+    upper = (ell - system.rho_minus) / system.k_h
     return like_input(t, lower), like_input(t, upper)
 
 

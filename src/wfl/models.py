@@ -36,24 +36,31 @@ from which the friction thresholds follow:
     alpha < 0:  rho_plus = alpha * mu_minus, rho_minus = alpha * mu_plus.
 
 Each geometry is one class holding ``name``, ``alpha``, ``slope_factor``
-and six methods, to which the module functions delegate; a fourth
+and three methods, to which the module functions delegate; a fourth
 geometry is one more class.
 
 * ``conditions(extrema)``: admissibility inequalities, for :func:`validate`;
 * ``clearance(profile)``: tolerated corrugation height, for :func:`epsilon_limit`;
-* ``tip_shift(y)``: root minus tip abscissa (relative to flat contact) at
-  tip height ``y``, and its ``y``-derivative; the contact point solves
-  ``p + shift(eps w(p / eps)) = z``.  ``None`` when the tip sits under the root;
-* ``force(y, wp)``, ``energy(y)``: microscale force and potential at tip
-  height ``y`` and surface slope ``wp``, for :func:`wiggly_force` and
-  :func:`wiggly_energy`;
-* ``scalar_force(profile, epsilon)``: the force as a function of one Python
-  float root position, for :func:`scalar_force` (the integrator's
-  right-hand side).  It computes the geometry's constants once and repeats
-  the operations of ``tip_shift`` and ``force`` on floats with ``math``.
+* ``formulas(sqrt, acos)``: the geometry's three formulas, as closures over
+  constants computed once:
 
-``tip_shift``, ``force`` and ``energy`` are the array route and call NumPy;
-``scalar_force`` calls ``math`` only.
+  - ``shift(y)``: root minus tip abscissa (relative to flat contact) at tip
+    height ``y``, and its ``y``-derivative; the contact point solves
+    ``p + shift(eps w(p / eps)) = z``.  ``None`` when the tip sits under
+    the root;
+  - ``force(y, wp)``: microscale force at tip height ``y`` and surface
+    slope ``wp``;
+  - ``energy(y)``: microscale potential at tip height ``y``, zeroed on the
+    flat.
+
+The closures use Python's arithmetic operators and the ``sqrt``/``acos``
+passed in, so one formula set serves both routes: :func:`wiggly_force` and
+:func:`wiggly_energy` pass ``np.sqrt`` and libm's ``acos`` taken
+elementwise and call them on arrays; :func:`scalar_force` (the
+integrator's right-hand side) passes ``math.sqrt`` and ``math.acos`` and
+calls them on floats.  ``sqrt`` is correctly rounded in both, and the
+``acos`` is libm's in both, so the two routes agree bitwise and neither
+depends on NumPy's SIMD ``arccos``.
 """
 
 from __future__ import annotations
@@ -113,7 +120,6 @@ class VerticalBristle:
 
     name = "vertical"
     slope_factor = 0.0
-    tip_shift = None
 
     @property
     def alpha(self) -> float:
@@ -125,29 +131,16 @@ class VerticalBristle:
     def clearance(self, profile: SurfaceProfile) -> float:
         return 0.5 * self.h
 
-    def force(self, y, wp):
-        return self.k * (self.L_rest - self.h + y) * wp
-
-    def scalar_force(self, profile: SurfaceProfile, epsilon: float):
-        # the tip sits under the root: the contact sum and the force are one function
-        terms = _scalar_terms(profile)
+    def formulas(self, sqrt, acos):
         k, rest = self.k, self.L_rest - self.h
-        sin, cos = math.sin, math.cos
 
-        def force(z: float) -> float:
-            x = z / epsilon
-            w = wp = 0.0
-            for rate, amplitude, slope, phase in terms:
-                u = rate * x + phase
-                w += amplitude * sin(u)
-                wp += slope * cos(u)
-            return k * (rest + epsilon * w) * wp
+        def force(y, wp):
+            return k * (rest + y) * wp
 
-        return force
+        def energy(y):
+            return 0.5 * k * ((rest + y) ** 2 - rest ** 2)
 
-    def energy(self, y):
-        rest = self.L_rest - self.h
-        return 0.5 * self.k * ((rest + y) ** 2 - rest ** 2)
+        return None, force, energy
 
 
 @dataclass(frozen=True)
@@ -195,32 +188,21 @@ class SlantedBristle:
         omega_plus = derivative_extrema(profile).omega_plus
         return 0.25 * self.h * (1.0 - math.tan(self.theta) * omega_plus)
 
-    def tip_shift(self, y):
-        tan_t = math.tan(self.theta)
-        return -tan_t * y, -tan_t
-
-    def force(self, y, wp):
-        cos_t = math.cos(self.theta)
-        tan_t = math.tan(self.theta)
-        stretch = self.L_rest - (self.h - y) / cos_t
-        return (self.k / cos_t) * stretch * wp / (1.0 - tan_t * wp)
-
-    def scalar_force(self, profile: SurfaceProfile, epsilon: float):
+    def formulas(self, sqrt, acos):
+        k, L_rest, h = self.k, self.L_rest, self.h
         cos_t, tan_t = math.cos(self.theta), math.tan(self.theta)
-        rate, tension, L_rest, h = -tan_t, self.k / cos_t, self.L_rest, self.h
+        rate, tension, rest = -tan_t, k / cos_t, L_rest - h / cos_t
 
-        def shift(y: float) -> tuple[float, float]:
+        def shift(y):
             return rate * y, rate
 
-        def force(y: float, wp: float) -> float:
+        def force(y, wp):
             return tension * (L_rest - (h - y) / cos_t) * wp / (1.0 - tan_t * wp)
 
-        return _newton_force(self, profile, epsilon, shift, force)
+        def energy(y):
+            return 0.5 * k * ((rest + y / cos_t) ** 2 - rest ** 2)
 
-    def energy(self, y):
-        cos_t = math.cos(self.theta)
-        rest = self.L_rest - self.h / cos_t
-        return 0.5 * self.k * ((rest + y / cos_t) ** 2 - rest ** 2)
+        return shift, force, energy
 
 
 @dataclass(frozen=True)
@@ -280,43 +262,27 @@ class AngularBristle:
     def clearance(self, profile: SurfaceProfile) -> float:
         return 0.5 * min(self.h, self.L - self.h)
 
-    def tip_shift(self, y):
-        L, d = self.L, self.h - y
-        s = np.sqrt(L * L - d * d)
-        return s - math.sqrt(L * L - self.h * self.h), d / s
-
-    def force(self, y, wp):
-        d = self.h - y
-        s = np.sqrt(self.L ** 2 - d * d)
-        theta = np.arccos(d / self.L)
-        a_local = d / s
-        return self.k * (theta - self.theta_rest) * wp / (s * (1.0 + a_local * wp))
-
-    def scalar_force(self, profile: SurfaceProfile, epsilon: float):
-        sqrt, acos = math.sqrt, math.acos
+    def formulas(self, sqrt, acos):
         k, L, h, theta_rest = self.k, self.L, self.h, self.theta_rest
-        # squared as tip_shift and force square it, so the routes stay bitwise equal
+        # L * L in the shift, L ** 2 in the force: pow need not round as a product does
         LL, L2 = L * L, L ** 2
         flat = sqrt(LL - h * h)
+        rest = (self.theta_lim - theta_rest) ** 2
 
-        def shift(y: float) -> tuple[float, float]:
+        def shift(y):
             d = h - y
             s = sqrt(LL - d * d)
             return s - flat, d / s
 
-        def force(y: float, wp: float) -> float:
+        def force(y, wp):
             d = h - y
             s = sqrt(L2 - d * d)
-            theta = acos(d / L)
-            return k * (theta - theta_rest) * wp / (s * (1.0 + d / s * wp))
+            return k * (acos(d / L) - theta_rest) * wp / (s * (1.0 + d / s * wp))
 
-        return _newton_force(self, profile, epsilon, shift, force)
+        def energy(y):
+            return 0.5 * k * ((acos((h - y) / L) - theta_rest) ** 2 - rest)
 
-    def energy(self, y):
-        theta = np.arccos((self.h - y) / self.L)
-        return 0.5 * self.k * (
-            (theta - self.theta_rest) ** 2 - (self.theta_lim - self.theta_rest) ** 2
-        )
+        return shift, force, energy
 
 
 BristleModel = Union[VerticalBristle, SlantedBristle, AngularBristle]
@@ -440,50 +406,18 @@ def _check_invertible(profile: SurfaceProfile, slope_factor: float) -> Derivativ
     return extrema
 
 
-def invert_contact_map(
-    profile: SurfaceProfile,
-    slope_factor: float,
-    z,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-):
+def invert_contact_map(profile: SurfaceProfile, slope_factor: float, z):
     """Solve ``p + a * w(p) = z`` for ``p`` (elementwise, safeguarded Newton).
 
     The map is strictly increasing under the admissibility condition, so the
-    solution is unique and lies within ``|a| * sup|w|`` of ``z``.  Newton
-    steps are clipped to that bracket; a bisection sweep mops up any points
-    that have not met ``tol`` after ``max_iter`` iterations.
+    solution is unique and lies within ``|a| * sup|w|`` of ``z``.  This is
+    the contact iteration of :func:`wiggly_force` for the shift ``a * y`` at
+    eps = 1, where ``1.0 * w(p / 1.0)`` is exact, with Newton stopped and
+    the result checked at a residual of 1e-12.
     """
     _check_invertible(profile, slope_factor)
     a = slope_factor
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    radius = abs(a) * profile.amplitude_bound
-    lo = zs - radius
-    hi = zs + radius
-    p = zs.copy()
-    converged = False
-    for _ in range(max_iter):
-        r = p + a * eval_profile(profile, p, 0) - zs
-        if np.max(np.abs(r)) <= tol:
-            converged = True
-            break
-        dg = 1.0 + a * eval_profile(profile, p, 1)
-        p = np.clip(p - r / dg, lo, hi)
-    if not converged:
-        r = p + a * eval_profile(profile, p, 0) - zs
-        bad = np.abs(r) > tol
-        p_lo, p_hi = lo[bad], hi[bad]
-        for _ in range(80):
-            mid = 0.5 * (p_lo + p_hi)
-            high = mid + a * eval_profile(profile, mid, 0) - zs[bad] > 0.0
-            p_hi = np.where(high, mid, p_hi)
-            p_lo = np.where(high, p_lo, mid)
-        p[bad] = 0.5 * (p_lo + p_hi)
-        r = p + a * eval_profile(profile, p, 0) - zs
-        if np.max(np.abs(r)) > tol:
-            raise InversionFailureError(
-                f"contact map inversion stalled at residual {np.max(np.abs(r)):.3e}"
-            )
+    p, _ = _contact(profile, 1.0, z, lambda y: (a * y, a), tol=1e-12, bound=1e-12)
     return like_input(z, p)
 
 
@@ -587,46 +521,56 @@ def _require_valid_epsilon(model: BristleModel, profile: SurfaceProfile, epsilon
         )
 
 
-def _contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, z, slope=True):
-    """Tip height ``y = eps w(p / eps)`` and slope ``w'(p / eps)`` at the contact.
+def _contact(profile: SurfaceProfile, epsilon: float, z, shift, tol=None, bound=1e-10):
+    """Contact point ``p`` and tip height ``y = eps w(p / eps)`` for root position ``z``.
 
     ``p`` solves the root-tip relation ``p + shift(y) = z`` by safeguarded
     Newton (the relation is strictly monotone inside the validity region),
-    with a bisection sweep for points that stall.  A tip under its root
-    solves nothing, and skips ``w'`` when ``slope`` is false.
+    stopped at ``tol`` (by default 1e-13 of ``max(1, |z|)``), with a
+    bisection sweep for points whose residual is still above 1e-12; a
+    residual above ``bound`` after the sweep raises
+    :class:`InversionFailureError`.  A tip under its root (``shift`` is
+    ``None``) solves nothing.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    p, shift = zs, model.tip_shift
-    if shift is not None:
-        ymax = epsilon * profile.amplitude_bound
-        radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
-        lo, hi = zs - radius, zs + radius
+    zs = np.array(z, dtype=float, ndmin=1)
+    if shift is None:
+        return zs, epsilon * eval_profile(profile, zs / epsilon, 0)
+    ymax = epsilon * profile.amplitude_bound
+    radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
+    lo, hi = zs - radius, zs + radius
+    if tol is None:
         tol = 1e-13 * max(1.0, float(np.max(np.abs(zs))))
-        for _ in range(100):
-            x = p / epsilon
-            y = epsilon * eval_profile(profile, x, 0)
-            wp = eval_profile(profile, x, 1)
-            s, ds = shift(y)
-            r = p + s - zs
-            if np.max(np.abs(r)) <= tol:
-                return y, wp
-            p = np.clip(p - r / (1.0 + ds * wp), lo, hi)
+    p = zs
+    for _ in range(100):
+        x = p / epsilon
+        y = epsilon * eval_profile(profile, x, 0)
+        s, ds = shift(y)
+        r = p + s - zs
+        if np.max(np.abs(r)) <= tol:
+            return p, y
+        p = np.clip(p - r / (1.0 + ds * eval_profile(profile, x, 1)), lo, hi)
 
-        def residual(q):
-            return q + shift(epsilon * eval_profile(profile, q / epsilon, 0))[0] - zs
+    def residual(q):
+        return q + shift(epsilon * eval_profile(profile, q / epsilon, 0))[0] - zs
 
-        bad = np.abs(residual(p)) > 1e-12
-        if np.any(bad):
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                high = residual(mid) > 0.0
-                hi = np.where(high, mid, hi)
-                lo = np.where(high, lo, mid)
-            p = np.where(bad, 0.5 * (lo + hi), p)
-            if np.max(np.abs(residual(p))) > 1e-10:
-                raise InversionFailureError("tip location iteration failed to converge")
-    x = p / epsilon
-    return epsilon * eval_profile(profile, x, 0), (eval_profile(profile, x, 1) if slope else None)
+    bad = np.abs(residual(p)) > 1e-12
+    if np.any(bad):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            high = residual(mid) > 0.0
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+        p = np.where(bad, 0.5 * (lo + hi), p)
+        worst = float(np.max(np.abs(residual(p))))
+        if worst > bound:
+            raise InversionFailureError(f"contact iteration stalled at residual {worst:.3e}")
+    return p, epsilon * eval_profile(profile, p / epsilon, 0)
+
+
+def _libm_acos(x):
+    """``math.acos`` elementwise: NumPy's SIMD ``arccos`` can be an ulp off libm's."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.acos, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
@@ -637,43 +581,47 @@ def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z
     root-tip relation.
     """
     _require_valid_epsilon(model, profile, epsilon)
-    return like_input(z, model.force(*_contact(model, profile, epsilon, z)))
+    shift, force, _ = model.formulas(np.sqrt, _libm_acos)
+    p, y = _contact(profile, epsilon, z, shift)
+    return like_input(z, force(y, eval_profile(profile, p / epsilon, 1)))
 
 
 def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
     """``V_eps'`` as a function of one Python float ``z``, with no NumPy call.
 
-    The viscous integrator's right-hand side, built once per run by the
-    geometry's own ``scalar_force`` from constants it computes once.  Each
-    call sums w and w' over the Fourier terms with ``math`` in the order
-    :func:`eval_profile` does, solves the root-tip relation by the Newton
-    iteration of :func:`wiggly_force` (same tolerance, clip radius and
-    iteration cap) and applies the geometry's force formula with the same
-    operations as its array ``force``.  ``epsilon`` is checked here, once.
-    A point where Newton does not converge is handed to
-    :func:`wiggly_force`, whose bisection and :class:`InversionFailureError`
-    apply.  A non-finite ``z`` may raise ``ValueError`` from ``math``.
+    The viscous integrator's right-hand side, built once per run from the
+    geometry's ``formulas`` on ``math``.  Each call sums w and w' over the
+    Fourier terms in the order :func:`eval_profile` does, solves the
+    root-tip relation by the Newton iteration of :func:`wiggly_force` (same
+    tolerance, clip radius and iteration cap) and applies the geometry's
+    force, so it agrees bitwise with :func:`wiggly_force`.  ``epsilon`` is
+    checked here, once.  A point where Newton does not converge is handed
+    to :func:`wiggly_force`, whose bisection and
+    :class:`InversionFailureError` apply.  A non-finite ``z`` may raise
+    ``ValueError`` from ``math``.
     """
     _require_valid_epsilon(model, profile, epsilon)
-    return model.scalar_force(profile, epsilon)
-
-
-def _scalar_terms(profile: SurfaceProfile) -> tuple[tuple[float, float, float, float], ...]:
-    """(rate, amplitude, slope amplitude, phase) of each term, formed as in eval_profile."""
-    return tuple(
+    shift, force, _ = model.formulas(math.sqrt, math.acos)
+    # (rate, amplitude, slope amplitude, phase) of each term, formed as in eval_profile
+    terms = tuple(
         (TWO_PI * t.harmonic, t.amplitude, t.amplitude * (TWO_PI * t.harmonic), t.phase)
         for t in profile.terms
     )
-
-
-def _newton_force(model, profile: SurfaceProfile, epsilon: float, shift, force):
-    """Scalar force of a geometry whose tip is shifted from its root.
-
-    ``shift(y)`` and ``force(y, wp)`` are the geometry's float forms of its
-    ``tip_shift`` and ``force``.
-    """
-    terms = _scalar_terms(profile)
     sin, cos = math.sin, math.cos
+
+    if shift is None:
+        # the tip sits under the root: the contact sum and the force are one function
+        def at(z: float) -> float:
+            x = z / epsilon
+            w = wp = 0.0
+            for rate, amplitude, slope, phase in terms:
+                u = rate * x + phase
+                w += amplitude * sin(u)
+                wp += slope * cos(u)
+            return force(epsilon * w, wp)
+
+        return at
+
     ymax = epsilon * profile.amplitude_bound
     radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
 
@@ -682,7 +630,6 @@ def _newton_force(model, profile: SurfaceProfile, epsilon: float, shift, force):
         lo, hi = z - radius, z + radius
         p = z
         for _ in range(100):
-            # tip height eps w(p / eps) and slope w'(p / eps), summed as eval_profile does
             x = p / epsilon
             w = wp = 0.0
             for rate, amplitude, slope, phase in terms:
@@ -703,7 +650,8 @@ def _newton_force(model, profile: SurfaceProfile, epsilon: float, shift, force):
 def wiggly_energy(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
     """Microscale bristle potential at root position ``z``, zeroed on the flat."""
     _require_valid_epsilon(model, profile, epsilon)
-    return like_input(z, model.energy(_contact(model, profile, epsilon, z, slope=False)[0]))
+    shift, _, energy = model.formulas(np.sqrt, _libm_acos)
+    return like_input(z, energy(_contact(profile, epsilon, z, shift)[1]))
 
 
 # ---------------------------------------------------------------------------

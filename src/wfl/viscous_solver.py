@@ -19,11 +19,11 @@ its quartic dense-output coefficients, and the whole post-processing mesh is
 evaluated from them in one vectorised pass.
 
 The stepper calls :func:`scalar_rhs`: one closure over plain floats, built
-once per run from the loading's ``scalar_q`` and the geometry's
-``scalar_force``, with Phi'(z) = k_h z inlined for the quadratic energy.  A
-call makes no attribute lookup and no NumPy call.  :func:`rhs` is the array
-route; post-processing evaluates it on the whole mesh, and the tests use it
-as the scalar route's oracle.
+once per run from the loading's ``scalar_q`` and the models'
+``scalar_force``, with Phi'(z) = k_h z inlined.  A call makes no attribute
+lookup and no NumPy call.  :func:`rhs` is the array route; post-processing
+evaluates it on the whole mesh, and the tests use it as the scalar route's
+oracle.
 
 Dissipation is accumulated as ``int eps^gamma zdot^2 dt`` with a composite
 Simpson rule over the union of accepted integrator steps and requested
@@ -94,11 +94,6 @@ class WigglySystem:
         """Relaxation time eps^gamma of the viscous term."""
         return self.epsilon ** self.gamma
 
-    @property
-    def beta(self) -> float:
-        """Exponent of the strip-attraction radius: min(1, gamma)."""
-        return min(1.0, self.gamma)
-
     def force(self, t, z):
         """Total force ell(t) - Phi'(z) - V_eps'(z); also -D_z of the energy."""
         return (
@@ -126,12 +121,11 @@ def scalar_rhs(system: WigglySystem):
 
     It closes over plain floats and the float routes of the loading
     (``LoadingProgram.scalar_q``) and the microscale force
-    (:func:`scalar_force`), and inlines Phi'(z) = k_h z for the quadratic
-    energy, so a call makes no attribute lookup and no NumPy call.  It
-    takes the operations of :func:`rhs` in the same order.  A math error in
-    the microscale force, or a non-finite result, means the state ran away
-    and raises :class:`StiffnessFailureError`; an error in a custom Phi'
-    propagates as itself.
+    (:func:`scalar_force`), and inlines Phi'(z) = k_h z, so a call makes no
+    attribute lookup and no NumPy call.  It takes the operations of
+    :func:`rhs` in the same order.  A math error in the microscale force,
+    or a non-finite result, means the state ran away and raises
+    :class:`StiffnessFailureError`.
     """
     base = system.base
     q = base.loading.scalar_q()
@@ -139,34 +133,18 @@ def scalar_rhs(system: WigglySystem):
     micro_force = scalar_force(system.model, system.profile, system.epsilon)
     isfinite, nan = math.isfinite, math.nan
 
-    def overflow(t, z):
-        return StiffnessFailureError(
-            f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
-            f"the state has left the integrable range"
-        )
-
-    if base.quadratic:
-        def fun(t: float, z: float) -> float:
-            try:
-                f = micro_force(z)
-            except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
-                f = nan
-            v = (k_h * (q(t) - rest) - k_h * z - f) / tau
-            if not isfinite(v):
-                raise overflow(t, z)
-            return v
-    else:
-        phi_prime = base.phi_prime
-
-        def fun(t: float, z: float) -> float:
-            try:
-                f = micro_force(z)
-            except (ArithmeticError, ValueError):
-                f = nan
-            v = float((k_h * (q(t) - rest) - phi_prime(z) - f) / tau)
-            if not isfinite(v):
-                raise overflow(t, z)
-            return v
+    def fun(t: float, z: float) -> float:
+        try:
+            f = micro_force(z)
+        except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
+            f = nan
+        v = (k_h * (q(t) - rest) - k_h * z - f) / tau
+        if not isfinite(v):
+            raise StiffnessFailureError(
+                f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
+                f"the state has left the integrable range"
+            )
+        return v
 
     return fun
 

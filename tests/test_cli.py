@@ -362,6 +362,38 @@ class TestErrorReporting:
         assert code == 1
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_every_missing_block_is_named_on_one_line(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, {"profile": CANONICAL["profile"]})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "['loading', 'model', 'system']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["bogus"], "invalid choice: 'bogus'"),
+            (["simulate", "--config", "x", "--epsilon", "abc"], "invalid float value: 'abc'"),
+            (["simulate", "--epsilon", "0.1"], "required: --config"),
+        ],
+        ids=["unknown-command", "bad-epsilon", "missing-config"],
+    )
+    def test_usage_error_is_one_line_exit_one(self, capsys, argv, named):
+        # argparse alone exits 2, the solver-failure code, with a usage block
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: wfl") and captured.err.count("\n") == 1
+        assert named in captured.err and "usage:" not in captured.err
+        assert captured.out == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["simulate", "--help"])
+        assert done.value.code == 0
+        assert "--epsilon" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "command, block, value, named",
         [

@@ -335,42 +335,3 @@ def test_bad_grid_rejected():
         solve_limit(system, 0.0, grid=np.array([0.0, 0.5, 0.4]))
     with pytest.raises(ConfigError):
         solve_limit(system, 0.0, grid=np.array([0.0, 3.0]))
-
-
-# ---------------------------------------------------------------------------
-# generic convex elastic energy
-# ---------------------------------------------------------------------------
-
-def cosh_system(duration=2.0):
-    return LimitSystem(
-        k_h=1.0,
-        L_h_rest=0.0,
-        loading=Ramp(q0=0.0, rate=1.0, duration=duration),
-        rho_plus=0.1,
-        rho_minus=-0.1,
-        phi=lambda z: np.cosh(z) - 1.0,
-        phi_prime=np.sinh,
-        phi_prime_inv=np.arcsinh,
-        convexity=1.0,
-    )
-
-
-def test_custom_energy_strip_and_solution():
-    system = cosh_system()
-    ts = np.linspace(0.0, 2.0, 101)
-    lo, hi = elastic_strip(system, ts)
-    np.testing.assert_allclose(lo, np.arcsinh(ts - 0.1), rtol=1e-14)
-    np.testing.assert_allclose(hi, np.arcsinh(ts + 0.1), rtol=1e-14)
-    traj = solve_limit(system, 0.0)
-    expected = np.maximum(0.0, np.arcsinh(traj.times - 0.1))
-    np.testing.assert_allclose(traj.states, expected, atol=1e-14)
-
-
-def test_custom_energy_needs_all_three_callables():
-    with pytest.raises(ConfigError):
-        LimitSystem(1.0, 0.0, Ramp(), 0.1, -0.1, phi=np.cosh)
-    with pytest.raises(ConfigError):
-        LimitSystem(
-            1.0, 0.0, Ramp(), 0.1, -0.1,
-            phi=np.cosh, phi_prime=np.sinh, phi_prime_inv=np.arcsinh,
-        )

@@ -13,6 +13,7 @@ from wfl import (
     GeometryError,
     InadmissibleModelError,
     InadmissibleSlopeFactorError,
+    InversionFailureError,
     ParameterDomainError,
     ScaleValidityError,
     SlantedBristle,
@@ -296,6 +297,63 @@ def test_perceived_near_admissibility_boundary():
     assert mu_oracle[0] == pytest.approx(mu_closed[0], rel=1e-7)
 
 
+# ---------------------------------------------------------------------------
+# the contact Newton's bisection sweep: reached only when Newton stalls
+# ---------------------------------------------------------------------------
+
+SWEEP_Z = np.random.default_rng(7).uniform(-0.5, 0.5, 32)
+SWEEP_CASES = {
+    "invert": lambda: invert_contact_map(CANONICAL, -1.0, SWEEP_Z),
+    "slanted-energy": lambda: wiggly_energy(
+        SlantedBristle(1.0, 3.0, 1.0, math.pi / 6), CANONICAL, 0.05, SWEEP_Z
+    ),
+}
+
+
+def patch_profile(monkeypatch, height=None, slope=None):
+    """Replace w (order 0) or w' (order 1) in the models' view of the profile;
+    return the list of the orders evaluated."""
+    exact, orders = models.eval_profile, []
+
+    def patched(profile, x, order=0):
+        orders.append(order)
+        value = exact(profile, x, order)
+        replace = {0: height, 1: slope}[order]
+        return value if replace is None else replace(x, value)
+
+    monkeypatch.setattr(models, "eval_profile", patched)
+    return orders
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_bisection_sweep_recovers_the_root_when_newton_stalls(case, monkeypatch):
+    # w' inflated a billionfold: each Newton step moves p by ~1e-9 of the
+    # residual, so 100 steps leave it unsolved and the sweep must finish
+    want = SWEEP_CASES[case]()
+    orders = patch_profile(monkeypatch, slope=lambda x, wp: 1e9 * np.sign(wp))
+    got = SWEEP_CASES[case]()
+    assert orders.count(0) >= 100 + 80  # Newton ran out, then the sweep ran
+    # Newton and the sweep both land on the root to rounding (measured <= 6e-17 apart)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", ["invert", "angular-force"])
+def test_bisection_sweep_raises_when_no_root_exists(case, monkeypatch):
+    # w jumps up at 0 and w' reads 0: p + shift(eps w(p / eps)) jumps over
+    # z = 0, Newton cycles across the jump, and the sweep closes in on it
+    # with the jump as its residual
+    patch_profile(
+        monkeypatch,
+        height=lambda x, w: np.where(x < 0.0, -0.01, 0.01),
+        slope=lambda x, wp: np.zeros_like(wp),
+    )
+    with pytest.raises(InversionFailureError, match="stalled at residual"):
+        if case == "invert":
+            invert_contact_map(CANONICAL, 1.0, np.array([0.0, 0.2]))
+        else:
+            wiggly_force(SCALAR_MODELS[2], CANONICAL, 0.05, np.array([0.0, 0.2]))
+
+
 # two minima of w' 3e-5 apart: the oracle must refine every local extremum of
 # its table, not only its sampled argmin, which sits at the other one
 NEAR_TIE = SurfaceProfile((
@@ -499,6 +557,23 @@ def test_force_and_energy_match_the_written_out_formulas(model, scalar):
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+def test_shift_vanishes_on_the_flat_with_the_slope_factor_as_its_rate(model):
+    # the contact Newton divides by 1 + ds * w': ds must be the y-derivative
+    # of the tip shift, and at y = 0 it is the slope factor of mu_from_omega
+    shift, _, _ = model.formulas(math.sqrt, math.acos)
+    if isinstance(model, VerticalBristle):
+        assert shift is None
+        return
+    s0, ds0 = shift(0.0)
+    assert s0 == 0.0
+    assert ds0 == pytest.approx(model.slope_factor, rel=1e-15)
+    step = 1e-6
+    for y in (-0.2, -0.05, 0.05, 0.2):
+        numeric = (shift(y + step)[0] - shift(y - step)[0]) / (2.0 * step)
+        assert shift(y)[1] == pytest.approx(numeric, rel=1e-8)
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
 def test_margins_and_epsilon_limit_match_the_written_out_formulas(model):
     extrema = derivative_extrema(TWO_MODE)
     bound = TWO_MODE.amplitude_bound
@@ -546,7 +621,7 @@ def strip_boundaries(model, profile):
 @pytest.mark.parametrize("profile", [README_PROFILE, TWO_HARMONIC], ids=["sinusoid", "two-harmonic"])
 @pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
 def test_scalar_force_matches_the_array_route(model, profile, limit):
-    # tolerance: 1e-14 relative to the sample's largest |force|
+    # one formula set on both routes, libm's acos on both: bitwise
     eps = epsilon_limit(model, profile) if limit else 0.05
     rng = np.random.default_rng(11)
     zs = [*rng.uniform(-2.0, 3.0, 300).tolist(), *strip_boundaries(model, profile)]
@@ -554,7 +629,20 @@ def test_scalar_force_matches_the_array_route(model, profile, limit):
     got = np.array([force(z) for z in zs])
     want = np.array([wiggly_force(model, profile, eps, np.array([z]))[0] for z in zs])
     assert all(type(f) is float for f in map(force, zs[:5]))
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
+def test_array_route_never_calls_numpy_arccos(model, monkeypatch):
+    # NumPy's SIMD arccos can be an ulp off libm's acos, which the scalar route
+    # calls; the array route takes libm's acos elementwise instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.arccos on the array route")
+
+    monkeypatch.setattr(np, "arccos", refuse)
+    zs = np.linspace(-1.0, 1.0, 257)
+    assert np.all(np.isfinite(wiggly_force(model, CANONICAL, 0.05, zs)))
+    assert np.all(np.isfinite(wiggly_energy(model, CANONICAL, 0.05, zs)))
 
 
 def test_scalar_force_checks_epsilon_when_built():

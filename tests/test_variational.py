@@ -398,22 +398,6 @@ class TestCertificate:
         assert report.residual == math.inf
         assert report.chi_time == pytest.approx(0.5, abs=1e-3)
 
-    def test_custom_elastic_energy_passes(self):
-        system = LimitSystem(
-            k_h=1.0,
-            L_h_rest=0.0,
-            loading=Ramp(q0=0.0, rate=1.0, duration=2.0),
-            rho_plus=RHO,
-            rho_minus=-RHO,
-            phi=lambda z: np.cosh(z) - 1.0,
-            phi_prime=np.sinh,
-            phi_prime_inv=np.arcsinh,
-            convexity=1.0,
-        )
-        trajectory = solve_limit(system, 0.0)
-        report = de_giorgi_certificate(system, trajectory, self.density)
-        assert report.passed
-
     def test_threshold_mismatch_rejected(self):
         wrong = sinusoid_density(0.2)
         with pytest.raises(ConfigError):

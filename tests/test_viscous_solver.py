@@ -10,6 +10,7 @@ from wfl import limit_solver, models, profiles, viscous_solver
 from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError
 from wfl.limit_solver import (
     LimitSystem,
+    LoadingProgram,
     Ramp,
     SinusoidLoading,
     SmoothedPiecewiseLinear,
@@ -135,18 +136,13 @@ LOADINGS = {
 }
 
 
-def dressed_system(name, loading, custom_phi=False):
+def dressed_system(name, loading):
     """Geometry ``name`` on the canonical sinusoid at eps 0.05, with its own thresholds."""
     model = GEOMETRIES[name]
     c = coefficients(model, CANONICAL)
-    phi = (
-        {"phi": lambda z: np.cosh(z) - 1.0, "phi_prime": np.sinh,
-         "phi_prime_inv": np.arcsinh, "convexity": 1.0}
-        if custom_phi else {}
-    )
     base = LimitSystem(
         k_h=1.5, L_h_rest=0.3, loading=LOADINGS[loading],
-        rho_plus=c.rho_plus, rho_minus=c.rho_minus, **phi,
+        rho_plus=c.rho_plus, rho_minus=c.rho_minus,
     )
     return WigglySystem(base=base, model=model, profile=CANONICAL, epsilon=0.05)
 
@@ -168,33 +164,42 @@ def rhs_sample(system):
     return points
 
 
-def libm_arccos(x):
-    """NumPy's arccos with each element taken by ``math.acos``."""
-    return np.vectorize(math.acos, otypes=[float])(x)
+class FailingRamp(LoadingProgram):
+    """A user loading: q(t) = t on [0, 2], raising ``error`` once t passes 0.3."""
+
+    horizon = 2.0
+    max_rate = 1.0
+
+    def __init__(self, error):
+        self.error = error
+
+    def q(self, t):
+        if np.max(t) > 0.3:
+            raise self.error
+        return t
+
+    def qdot(self, t):
+        return np.ones_like(t)
+
+
+def custom_loading_system(error):
+    base = LimitSystem(
+        k_h=1.0, L_h_rest=0.0, loading=FailingRamp(error), rho_plus=0.1, rho_minus=-0.1,
+    )
+    return WigglySystem(base=base, model=MODEL, profile=CANONICAL, epsilon=0.1)
 
 
 class TestScalarRightHandSide:
     """``scalar_rhs``, the fused float form of ``rhs`` that ``integrate`` steps."""
 
-    @pytest.mark.parametrize("custom_phi", [False, True], ids=["quadratic", "custom-phi"])
     @pytest.mark.parametrize("loading", list(LOADINGS))
     @pytest.mark.parametrize("name", list(GEOMETRIES))
-    def test_matches_the_array_route_bitwise(self, name, loading, custom_phi, monkeypatch):
-        system = dressed_system(name, loading, custom_phi)
+    def test_matches_the_array_route_bitwise(self, name, loading):
+        system = dressed_system(name, loading)
         fun = scalar_rhs(system)
         points = rhs_sample(system)
         got = [fun(t, z) for t, z in points]
         assert all(type(v) is float for v in got)
-        if name == "angular":
-            # NumPy's SIMD arccos may differ from libm's acos by an ulp, so
-            # against NumPy's own arccos the angular force agrees to 1e-14 of
-            # its scale (the tolerance of the models' scalar force test) ...
-            want = np.array([rhs(system, t, z) for t, z in points], dtype=float)
-            np.testing.assert_allclose(
-                got, want, rtol=0.0, atol=1e-14 * float(np.max(np.abs(want)))
-            )
-            # ... and with libm's acos in the array route, bitwise
-            monkeypatch.setattr(np, "arccos", libm_arccos)
         want = np.array([rhs(system, t, z) for t, z in points], dtype=float)
         np.testing.assert_array_equal(got, want)
 
@@ -205,17 +210,11 @@ class TestScalarRightHandSide:
             with pytest.raises(StiffnessFailureError, match="overflowed"):
                 fun(t, z)
 
-    def test_error_in_a_custom_elastic_force_propagates_as_itself(self):
-        def phi_prime(z):
-            raise ZeroDivisionError("bad phi_prime")
-
-        base = LimitSystem(
-            k_h=1.0, L_h_rest=0.0, loading=Ramp(duration=2.0), rho_plus=0.1,
-            rho_minus=-0.1, phi=lambda z: 0.5 * z * z, phi_prime=phi_prime,
-            phi_prime_inv=lambda f: f, convexity=1.0,
-        )
-        fun = scalar_rhs(WigglySystem(base=base, model=MODEL, profile=CANONICAL, epsilon=0.1))
-        with pytest.raises(ZeroDivisionError, match="bad phi_prime"):
+    def test_error_in_a_custom_loading_propagates_as_itself(self):
+        # only the microscale force's math errors mean the state ran away
+        fun = scalar_rhs(custom_loading_system(ZeroDivisionError("bad q")))
+        assert type(fun(0.2, 0.1)) is float
+        with pytest.raises(ZeroDivisionError, match="bad q"):
             fun(0.5, 0.2)
 
     def test_no_array_route_on_the_per_call_path(self, monkeypatch):
@@ -433,7 +432,7 @@ class TestStripAttraction:
         _, upper = elastic_strip(system.base, 0.0)
         traj = integrate(system, upper + 2.0)
         assert traj.delta[0] == pytest.approx(2.0, rel=1e-12)
-        layer = traj.delta > 10.0 * system.epsilon**system.beta
+        layer = traj.delta > 10.0 * system.epsilon ** min(1.0, system.gamma)
         assert np.all(np.diff(traj.delta)[layer[:-1]] < 0.0)
         assert traj.delta[traj.times >= 0.5].max() < 0.15
         assert traj.delta[-1] < 0.1
@@ -442,7 +441,7 @@ class TestStripAttraction:
         traj = canonical_run(0.05)
         system = canonical_system(0.05)
         lower, upper = elastic_strip(system.base, traj.times)
-        slack = 10.0 * system.epsilon**system.beta
+        slack = 10.0 * system.epsilon ** min(1.0, system.gamma)
         assert np.all(traj.states <= upper + slack)
         assert np.all(traj.states >= lower - slack)
 
@@ -490,10 +489,6 @@ class TestEdgeCases:
 
 
 class TestGammaExponent:
-    def test_beta_is_min_of_one_and_gamma(self):
-        assert canonical_system(0.1, gamma=0.5).beta == 0.5
-        assert canonical_system(0.1, gamma=2.0).beta == 1.0
-
     def test_gamma_two_run_stays_near_limit(self):
         system = canonical_system(0.2, gamma=2.0, duration=0.5)
         traj = integrate(system, 0.0)
@@ -513,19 +508,9 @@ class TestFailureModes:
                 with pytest.raises(StiffnessFailureError):
                     integrate(system, 1e308)
 
-    def test_error_in_a_custom_elastic_force_is_not_a_stiffness_error(self):
-        # only the microscale force's math errors mean the state ran away
-        def phi_prime(z):
-            raise ValueError("bad phi_prime")
-
-        base = LimitSystem(
-            k_h=1.0, L_h_rest=0.0, loading=Ramp(duration=2.0), rho_plus=0.1,
-            rho_minus=-0.1, phi=lambda z: 0.5 * z * z, phi_prime=phi_prime,
-            phi_prime_inv=lambda f: f, convexity=1.0,
-        )
-        system = WigglySystem(base=base, model=MODEL, profile=CANONICAL, epsilon=0.1)
-        with pytest.raises(ValueError, match="bad phi_prime"):
-            integrate(system, 0.0)
+    def test_error_in_a_custom_loading_is_not_a_stiffness_error(self):
+        with pytest.raises(ValueError, match="bad q"):
+            integrate(custom_loading_system(ValueError("bad q")), 0.0)
 
     def test_epsilon_outside_validity_rejected(self):
         with pytest.raises(ScaleValidityError):
