@@ -34,6 +34,7 @@ from .limit_solver import (
     default_grid,
     elastic_strip,
     solve_limit,
+    time_grid,
 )
 from .models import (
     AdmissibilityCondition,

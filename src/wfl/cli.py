@@ -1,10 +1,11 @@
 """Command line surface: JSON config in, CSV (and optional SVG) out.
 
 One JSON file describes the experiment; each subcommand reads the blocks
-it needs, validates them strictly (unknown keys are rejected, cross-field
-admissibility runs before any computation), computes in memory, and only
-then writes output files.  A config problem therefore never leaves partial
-results behind.
+it needs, validates them strictly (here: unknown keys, types, finite
+numbers, the integer cap; every range and cross-field admissibility in the
+library class or function that takes the value, before any computation),
+computes in memory, and only then writes output files.  A config problem
+therefore never leaves partial results behind.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver failure.
 """
@@ -17,7 +18,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,10 @@ from .limit_solver import (
     Ramp,
     SinusoidLoading,
     SmoothedPiecewiseLinear,
-    default_grid,
+    DEFAULT_GRID_POINTS,
     elastic_strip,
     solve_limit,
+    time_grid,
 )
 from .models import (
     AngularBristle,
@@ -68,7 +70,8 @@ def _check_keys(obj, path, required=(), optional=()):
         _fail(path, f"missing required keys {missing}")
 
 
-def _number(obj, key, path, default=None, positive=False, nonnegative=False):
+def _number(obj, key, path, default=None):
+    """A finite float; its range is checked by the class or function that takes it."""
     if key not in obj:
         return default
     value = obj[key]
@@ -80,14 +83,11 @@ def _number(obj, key, path, default=None, positive=False, nonnegative=False):
         value = math.inf
     if not math.isfinite(value):
         _fail(path, f"{key} must be finite")
-    if positive and value <= 0.0:
-        _fail(path, f"{key} must be positive, got {value}")
-    if nonnegative and value < 0.0:
-        _fail(path, f"{key} must be nonnegative, got {value}")
     return value
 
 
 def _integer(obj, key, path, default=None, minimum=None):
+    """An integer of at most 10^6; ``minimum`` for the counts the CLI itself uses."""
     if key not in obj:
         return default
     value = obj[key]
@@ -132,8 +132,8 @@ def build_profile(block) -> SurfaceProfile:
         sub = block["sinusoid"]
         _check_keys(sub, path + ".sinusoid", optional=("slope", "harmonic", "phase"))
         return SurfaceProfile.sinusoid(
-            slope=_number(sub, "slope", path, default=0.1, positive=True),
-            harmonic=_integer(sub, "harmonic", path, default=1, minimum=1),
+            slope=_number(sub, "slope", path, default=0.1),
+            harmonic=_integer(sub, "harmonic", path, default=1),
             phase=_number(sub, "phase", path, default=0.0),
         )
     if not isinstance(block["terms"], list):
@@ -145,64 +145,47 @@ def build_profile(block) -> SurfaceProfile:
         terms.append(
             FourierTerm(
                 amplitude=_number(raw, "amplitude", term_path),
-                harmonic=_integer(raw, "harmonic", term_path, default=1, minimum=1),
+                harmonic=_integer(raw, "harmonic", term_path, default=1),
                 phase=_number(raw, "phase", term_path, default=0.0),
             )
         )
     return SurfaceProfile(terms=tuple(terms))
 
 
-_MODELS = {cls.name: cls for cls in (VerticalBristle, SlantedBristle, AngularBristle)}
+_KINDS = {
+    "model": {cls.name: cls for cls in (VerticalBristle, SlantedBristle, AngularBristle)},
+    "loading": {"ramp": Ramp, "sinusoid": SinusoidLoading, "piecewise": SmoothedPiecewiseLinear},
+}
+
+
+def _build_kind(block, path):
+    """The class that ``block["kind"]`` names in ``_KINDS[path]``, built from its fields.
+
+    A dataclass field without a default is a required key; a ``tuple``
+    field takes a list of numbers, any other field a number.
+    """
+    table = _KINDS[path]
+    if not isinstance(block, dict) or "kind" not in block:
+        _fail(path, f"needs a 'kind' of {', '.join(table)}")
+    kind = block["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        _fail(path, f"unknown {path} kind {reprlib.repr(kind)}")
+    names = {f.name: f for f in fields(table[kind])}
+    required = [n for n, f in names.items() if f.default is MISSING]
+    _check_keys(block, path, required=("kind", *required), optional=names)
+    return table[kind](**{
+        n: tuple(_number_list(block, n, path)) if "tuple" in str(names[n].type)
+        else _number(block, n, path)
+        for n in block if n != "kind"
+    })
 
 
 def build_model(block):
-    path = "model"
-    if not isinstance(block, dict) or "kind" not in block:
-        _fail(path, "needs a 'kind' of vertical, slanted or angular")
-    kind = block["kind"]
-    if not isinstance(kind, str) or kind not in _MODELS:
-        _fail(path, f"unknown model kind {reprlib.repr(kind)}")
-    names = [f.name for f in fields(_MODELS[kind])]
-    _check_keys(block, path, required=("kind", *names))
-    return _MODELS[kind](
-        **{n: _number(block, n, path, positive=n in ("k", "L", "h")) for n in names}
-    )
+    return _build_kind(block, "model")
 
 
 def build_loading(block):
-    path = "loading"
-    if not isinstance(block, dict) or "kind" not in block:
-        _fail(path, "needs a 'kind' of ramp, sinusoid or piecewise")
-    kind = block["kind"]
-    if kind == "ramp":
-        _check_keys(block, path, required=("kind", "duration"), optional=("q0", "rate"))
-        return Ramp(
-            q0=_number(block, "q0", path, default=0.0),
-            rate=_number(block, "rate", path, default=1.0),
-            duration=_number(block, "duration", path, positive=True),
-        )
-    if kind == "sinusoid":
-        _check_keys(
-            block,
-            path,
-            required=("kind", "duration"),
-            optional=("q0", "amplitude", "frequency", "phase"),
-        )
-        return SinusoidLoading(
-            q0=_number(block, "q0", path, default=0.0),
-            amplitude=_number(block, "amplitude", path, default=1.0),
-            frequency=_number(block, "frequency", path, default=1.0, positive=True),
-            duration=_number(block, "duration", path, positive=True),
-            phase=_number(block, "phase", path, default=0.0),
-        )
-    if kind == "piecewise":
-        _check_keys(block, path, required=("kind", "times", "values", "blend"))
-        return SmoothedPiecewiseLinear(
-            times=tuple(_number_list(block, "times", path)),
-            values=tuple(_number_list(block, "values", path)),
-            blend=_number(block, "blend", path, positive=True),
-        )
-    _fail(path, f"unknown loading kind {reprlib.repr(kind)}")
+    return _build_kind(block, "loading")
 
 
 def build_system(block, loading, coeffs) -> LimitSystem:
@@ -210,14 +193,12 @@ def build_system(block, loading, coeffs) -> LimitSystem:
     _check_keys(
         block, path, required=("k_h",), optional=("L_h_rest", "rho_plus", "rho_minus")
     )
-    rho_plus = _number(block, "rho_plus", path, default=coeffs.rho_plus)
-    rho_minus = _number(block, "rho_minus", path, default=coeffs.rho_minus)
     return LimitSystem(
-        k_h=_number(block, "k_h", path, positive=True),
+        k_h=_number(block, "k_h", path),
         L_h_rest=_number(block, "L_h_rest", path, default=0.0),
         loading=loading,
-        rho_plus=rho_plus,
-        rho_minus=rho_minus,
+        rho_plus=_number(block, "rho_plus", path, default=coeffs.rho_plus),
+        rho_minus=_number(block, "rho_minus", path, default=coeffs.rho_minus),
     )
 
 
@@ -238,12 +219,9 @@ def build_simulation(block):
         ),
     )
     tolerances = block.get("tolerances", {})
-    _check_keys(tolerances, path + ".tolerances", optional=("rtol", "atol", "max_step"))
-    config = IntegratorConfig(
-        rtol=_number(tolerances, "rtol", path, default=1e-9, positive=True),
-        atol=_number(tolerances, "atol", path, default=1e-11, positive=True),
-        max_step=_number(tolerances, "max_step", path, default=None, positive=True),
-    )
+    names = [f.name for f in fields(IntegratorConfig)]
+    _check_keys(tolerances, path + ".tolerances", optional=names)
+    config = IntegratorConfig(**{n: _number(tolerances, n, path) for n in tolerances})
     windows = block.get("windows")
     if windows is not None:
         if not isinstance(windows, list) or not windows:
@@ -258,9 +236,9 @@ def build_simulation(block):
     return {
         "epsilon": _number(block, "epsilon", path, default=None),
         "epsilons": _number_list(block, "epsilons", path, default=None),
-        "gamma": _number(block, "gamma", path, default=1.0, positive=True),
+        "gamma": _number(block, "gamma", path, default=1.0),
         "z0": _number(block, "z0", path, default=0.0),
-        "horizon": _number(block, "horizon", path, default=None, positive=True),
+        "horizon": _number(block, "horizon", path, default=None),
         "grid_points": _integer(block, "grid_points", path, default=None, minimum=2),
         "config": config,
         "windows": windows,
@@ -334,12 +312,8 @@ def _columns(*columns):
 
 def _grid_for(loading, sim):
     horizon = sim["horizon"] if sim["horizon"] is not None else loading.horizon
-    if horizon > loading.horizon * (1.0 + 1e-12):
-        _fail("simulation", f"horizon {horizon} exceeds the loading duration")
-    points = sim["grid_points"]
-    if points is None:
-        return default_grid(horizon)
-    return np.linspace(0.0, horizon, points)
+    points = sim["grid_points"] or DEFAULT_GRID_POINTS
+    return time_grid(loading, np.linspace(0.0, horizon, points))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +371,9 @@ def cmd_sweep_theta(raw: dict, out: Path, svg: bool) -> None:
     if kind not in ("slanted", "angular"):
         _fail(path, f"model must be 'slanted' or 'angular', got {reprlib.repr(kind)}")
     count = _integer(block, "count", path, default=50, minimum=1)
-    slope = _number(block, "slope", path, default=0.1, positive=True)
+    # the profile checks the slope before the default bounds divide by it
+    slope = _number(block, "slope", path, default=0.1)
+    profile = SurfaceProfile.sinusoid(slope=slope)
     lo, hi = _sweep_theta_bounds(kind, slope)
     lo = _number(block, "theta_min", path, default=lo)
     hi = _number(block, "theta_max", path, default=hi)
@@ -405,7 +381,6 @@ def cmd_sweep_theta(raw: dict, out: Path, svg: bool) -> None:
         _fail(path, f"need 0 < theta_min < theta_max, got ({lo}, {hi})")
     with_oracle = _boolean(block, "oracle", path, default=True)
 
-    profile = SurfaceProfile.sinusoid(slope=slope)
     thetas = np.linspace(lo, hi, count + 2)[1:-1]
 
     rows = []
@@ -459,9 +434,7 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
         base=system, model=model, profile=profile, epsilon=float(epsilon), gamma=sim["gamma"]
     )
     grid = _grid_for(system.loading, sim)
-    trajectory = integrate(
-        wiggly, sim["z0"], horizon=float(grid[-1]), config=sim["config"], grid=grid
-    )
+    trajectory = integrate(wiggly, sim["z0"], config=sim["config"], grid=grid)
 
     limit = solve_limit(system, sim["z0"], grid=grid) if with_limit else None
 
@@ -556,11 +529,11 @@ def cmd_nap(raw: dict, out: Path, svg: bool) -> None:
         required=("theta_lim", "theta_with"),
         optional=("mu_plus", "k", "L"),
     )
-    theta_lim = _number(block, "theta_lim", path, positive=True)
-    theta_with = _number(block, "theta_with", path, nonnegative=True)
-    mu_plus = _number(block, "mu_plus", path, default=0.1, positive=True)
-    k = _number(block, "k", path, default=1.0, positive=True)
-    L = _number(block, "L", path, default=1.0, positive=True)
+    theta_lim = _number(block, "theta_lim", path)
+    theta_with = _number(block, "theta_with", path)
+    mu_plus = _number(block, "mu_plus", path, default=0.1)
+    k = _number(block, "k", path, default=1.0)
+    L = _number(block, "L", path, default=1.0)
 
     rho_with, rho_against = nap_coefficients(mu_plus, theta_lim, theta_with)
     rows = []

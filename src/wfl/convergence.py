@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SweepError, WflError
-from .limit_solver import LimitSystem, default_grid, solve_limit
+from .errors import ConfigError, SolverError, SweepError
+from .limit_solver import LimitSystem, solve_limit, time_grid
 from .models import BristleModel
 from .profiles import SurfaceProfile
 from .viscous_solver import IntegratorConfig, WigglySystem, integrate
@@ -93,7 +93,8 @@ def run_sweep(
     All scales are validated up front, so an inadmissible epsilon aborts
     before any integration starts.  If an integration fails midway, the
     rows of the scales before it are wrapped in a partial report attached
-    to the raised :class:`SweepError`.
+    to the raised :class:`SweepError`; a scale that ``integrate`` refuses
+    raises its :class:`ConfigError` as it is.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -108,11 +109,7 @@ def run_sweep(
         for e in eps
     ]
 
-    horizon = system.loading.horizon
-    if grid is None:
-        grid = default_grid(horizon)
-    grid = np.asarray(grid, dtype=float)
-
+    grid = time_grid(system.loading, grid)
     if windows is None:
         windows = ((0.0, float(grid[-1])),)
     windows = tuple((float(t1), float(t2)) for t1, t2 in windows)
@@ -124,12 +121,12 @@ def run_sweep(
     limit_diss = tuple(limit.dissipated(t1, t2) for t1, t2 in windows)
 
     runs: list = []  # (trajectory, runtime) per scale, up to the first failure
-    failure: Optional[WflError] = None
+    failure: Optional[SolverError] = None
     for wiggly in systems:
         start = time.perf_counter()
         try:
             trajectory = integrate(wiggly, float(z0), config=config, grid=grid)
-        except WflError as exc:
+        except SolverError as exc:
             failure = exc
             break
         runs.append((trajectory, time.perf_counter() - start))

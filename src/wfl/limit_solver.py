@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInitialStateError
+from .errors import ConfigError, InvalidInitialStateError, SolverError
 from .profiles import like_input
 
 DEFAULT_GRID_POINTS = 4097  # horizon / 4096 steps
@@ -41,6 +42,16 @@ DEFAULT_GRID_POINTS = 4097  # horizon / 4096 steps
 
 def _as_array(t):
     return np.atleast_1d(np.asarray(t, dtype=float))
+
+
+@contextmanager
+def overflow_raises(error: type, what: str):
+    """Run NumPy code in which an overflow or invalid result raises ``error``, not a warning."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise error(f"{what} overflowed ({exc})") from exc
 
 
 class LoadingProgram(ABC):
@@ -364,52 +375,62 @@ def default_grid(horizon: float, steps: int = DEFAULT_GRID_POINTS - 1) -> np.nda
     return np.linspace(0.0, horizon, steps + 1)
 
 
+def time_grid(loading: LoadingProgram, grid=None) -> np.ndarray:
+    """``grid``, checked, or the :func:`default_grid` of the loading horizon.
+
+    A grid is 1-D with at least two strictly increasing points, starts at 0
+    and ends within the loading horizon (up to a relative 1e-12).
+    """
+    if grid is None:
+        grid = default_grid(loading.horizon)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
+        raise ConfigError("time grid must be strictly increasing with >= 2 points")
+    if grid[0] != 0.0 or not grid[-1] <= loading.horizon * (1.0 + 1e-12):
+        raise ConfigError(f"time grid must run from 0 to at most the horizon {loading.horizon:g}")
+    return grid
+
+
 def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
-    """Evolve the play process from ``z0`` on a time grid.
+    """Evolve the play process from ``z0`` on a :func:`time_grid`.
 
     ``z0`` must lie inside the elastic strip at the initial time (up to a
     1e-12 slack for roundoff); otherwise the quasistatic problem has no
     solution starting there and :class:`InvalidInitialStateError` is
     raised.
     """
-    if grid is None:
-        grid = default_grid(system.loading.horizon)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ConfigError("time grid must be strictly increasing with >= 2 points")
-    if grid[0] < 0.0 or grid[-1] > system.loading.horizon * (1.0 + 1e-12):
-        raise ConfigError("time grid must lie within the loading horizon")
+    grid = time_grid(system.loading, grid)
+    with overflow_raises(SolverError, "limit solution"):
+        lower, upper = elastic_strip(system, grid)
+        scale = max(1.0, abs(z0), float(np.max(np.abs(upper))))
+        slack = 1e-12 * scale
+        if not lower[0] - slack <= z0 <= upper[0] + slack:
+            raise InvalidInitialStateError(
+                f"initial state {z0} outside the elastic strip "
+                f"[{lower[0]}, {upper[0]}] at t = {grid[0]}"
+            )
 
-    lower, upper = elastic_strip(system, grid)
-    scale = max(1.0, abs(z0), float(np.max(np.abs(upper))))
-    slack = 1e-12 * scale
-    if not lower[0] - slack <= z0 <= upper[0] + slack:
-        raise InvalidInitialStateError(
-            f"initial state {z0} outside the elastic strip "
-            f"[{lower[0]}, {upper[0]}] at t = {grid[0]}"
+        states = np.empty_like(grid)
+        states[0] = min(max(z0, lower[0]), upper[0])
+        z = states[0]
+        for n in range(1, grid.size):
+            z = min(upper[n], max(lower[n], z))
+            states[n] = z
+
+        increments = np.diff(states)
+        dissipation = np.concatenate((
+            [0.0],
+            np.cumsum(
+                system.rho_plus * np.maximum(increments, 0.0)
+                + system.rho_minus * np.minimum(increments, 0.0)
+            ),
+        ))
+        velocities = np.gradient(states, grid)
+        energies = system.phi_value(states) - system.ell(grid) * states
+        return Trajectory(
+            times=grid,
+            states=states,
+            velocities=velocities,
+            energies=energies,
+            dissipation=dissipation,
         )
-
-    states = np.empty_like(grid)
-    states[0] = min(max(z0, lower[0]), upper[0])
-    z = states[0]
-    for n in range(1, grid.size):
-        z = min(upper[n], max(lower[n], z))
-        states[n] = z
-
-    increments = np.diff(states)
-    dissipation = np.concatenate((
-        [0.0],
-        np.cumsum(
-            system.rho_plus * np.maximum(increments, 0.0)
-            + system.rho_minus * np.minimum(increments, 0.0)
-        ),
-    ))
-    velocities = np.gradient(states, grid)
-    energies = system.phi_value(states) - system.ell(grid) * states
-    return Trajectory(
-        times=grid,
-        states=states,
-        velocities=velocities,
-        energies=energies,
-        dissipation=dissipation,
-    )

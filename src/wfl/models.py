@@ -224,9 +224,10 @@ class AngularBristle:
         _require_finite(k=self.k, L=self.L, h=self.h, theta_rest=self.theta_rest)
         if self.k <= 0.0:
             raise GeometryError(f"torsional stiffness must be positive, got {self.k}")
-        if not 0.0 < self.h < self.L:
+        # L^2 - h^2 enters as a positive float: under- or overflow would divide by 0 or inf
+        if not (0.0 < self.h < self.L and 0.0 < self.L * self.L - self.h * self.h < math.inf):
             raise GeometryError(
-                f"need 0 < h < L for the rod to reach the surface, got h={self.h}, L={self.L}"
+                f"need 0 < h < L and a finite L^2 - h^2 > 0, got h={self.h}, L={self.L}"
             )
         if not -0.5 * math.pi < self.theta_rest < self.theta_lim:
             raise GeometryError(
@@ -394,18 +395,6 @@ def coefficients(model: BristleModel, profile: SurfaceProfile) -> FrictionCoeffi
 # perceived profile: numerical inversion of the tip-to-root map
 # ---------------------------------------------------------------------------
 
-def _check_invertible(profile: SurfaceProfile, slope_factor: float) -> DerivativeExtrema:
-    extrema = derivative_extrema(profile)
-    if (
-        1.0 + slope_factor * extrema.omega_plus <= 0.0
-        or 1.0 + slope_factor * extrema.omega_minus <= 0.0
-    ):
-        raise InadmissibleSlopeFactorError(
-            f"slope factor a={slope_factor} makes g(p) = p + a*w(p) non-monotone"
-        )
-    return extrema
-
-
 def invert_contact_map(profile: SurfaceProfile, slope_factor: float, z):
     """Solve ``p + a * w(p) = z`` for ``p`` (elementwise, safeguarded Newton).
 
@@ -413,9 +402,12 @@ def invert_contact_map(profile: SurfaceProfile, slope_factor: float, z):
     solution is unique and lies within ``|a| * sup|w|`` of ``z``.  This is
     the contact iteration of :func:`wiggly_force` for the shift ``a * y`` at
     eps = 1, where ``1.0 * w(p / 1.0)`` is exact, with Newton stopped and
-    the result checked at a residual of 1e-12.
+    the result checked at a residual of 1e-12.  :func:`mu_from_omega`
+    raises :class:`InadmissibleSlopeFactorError` where the map is not
+    invertible.
     """
-    _check_invertible(profile, slope_factor)
+    extrema = derivative_extrema(profile)
+    mu_from_omega(extrema.omega_plus, extrema.omega_minus, slope_factor)
     a = slope_factor
     p, _ = _contact(profile, 1.0, z, lambda y: (a * y, a), tol=1e-12, bound=1e-12)
     return like_input(z, p)
@@ -446,7 +438,6 @@ def perceived_profile(
     profile: SurfaceProfile, slope_factor: float, samples: int = 4096
 ) -> PerceivedProfile:
     """Tabulate the perceived profile over one period of the root coordinate."""
-    _check_invertible(profile, slope_factor)
     zs = np.arange(samples, dtype=float) / samples
     ps = invert_contact_map(profile, slope_factor, zs)
     heights = eval_profile(profile, ps, 0)

@@ -40,14 +40,16 @@ class FourierTerm:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.harmonic, (int, np.integer)) or isinstance(self.harmonic, bool):
-            raise InvalidScaleError(f"harmonic must be an integer, got {self.harmonic!r}")
-        if not 1 <= int(self.harmonic) <= MAX_HARMONIC:
-            raise InvalidScaleError(
-                f"harmonic must lie in [1, {MAX_HARMONIC}], got {self.harmonic}"
-            )
+        _check_harmonic(self.harmonic)
         if not math.isfinite(self.amplitude) or not math.isfinite(self.phase):
             raise InvalidScaleError("amplitude and phase must be finite")
+
+
+def _check_harmonic(harmonic) -> None:
+    if not isinstance(harmonic, (int, np.integer)) or isinstance(harmonic, bool):
+        raise InvalidScaleError(f"harmonic must be an integer, got {type(harmonic).__name__}")
+    if not 1 <= int(harmonic) <= MAX_HARMONIC:
+        raise InvalidScaleError(f"harmonic must lie in [1, {MAX_HARMONIC}]")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,7 @@ class SurfaceProfile:
         """
         if slope <= 0.0:
             raise InvalidScaleError(f"slope amplitude must be positive, got {slope}")
+        _check_harmonic(harmonic)  # before it divides
         amplitude = slope / (TWO_PI * harmonic)
         return cls(terms=(FourierTerm(amplitude, harmonic, phase),))
 

@@ -36,15 +36,21 @@ samples.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ScaleValidityError, StiffnessFailureError
-from .limit_solver import LimitSystem, Trajectory, default_grid, elastic_strip
+from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raises, time_grid
 from .models import BristleModel, epsilon_limit, scalar_force, wiggly_energy, wiggly_force
 from .profiles import SurfaceProfile
+
+
+#: Most steps a run may take: :func:`integrate` refuses a run whose step cap
+#: needs more, and :func:`solve_ivp` stops one that takes as many short of its end.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,12 @@ class WigglySystem:
                 f"epsilon {self.epsilon} outside the valid range (0, {limit:.6g}] "
                 f"for this geometry"
             )
+        try:
+            tau = self.time_scale
+        except OverflowError:
+            tau = math.inf
+        if not sys.float_info.min <= tau < math.inf:
+            raise ConfigError(f"time scale eps^gamma = {tau:g} is not a normal float")
 
     @property
     def time_scale(self) -> float:
@@ -215,9 +227,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
 
     ``fun`` takes and returns Python floats.  The first step, the error
     norm and the controller (safety 0.9, step factor in [0.2, 10], no growth
-    right after a rejection) are those of SciPy's RK45, and so is the
-    minimum step of 10 ulp(t): a step forced below it raises
-    :class:`StiffnessFailureError`.
+    right after a rejection) are those of SciPy's RK45.  The minimum step is
+    10 ulp of the end time, where SciPy takes 10 ulp(t): near t = 0 that
+    would be a subnormal step, so a stiff run would crawl instead of
+    failing.  A step forced below it raises :class:`StiffnessFailureError`,
+    and so does a run that takes ``MAX_STEPS`` steps without reaching the end.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     y = float(y0)
@@ -227,7 +241,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
     scale = atol + abs(y) * rtol
     d0, d1 = abs(y) / scale, abs(k1) / scale
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = abs(fun(t + h0, y + h0 * k1) - k1) / scale / h0
+    # h0 is 0 where d1 overflowed; the first step then starts at the floor
+    d2 = abs(fun(t + h0, y + h0 * k1) - k1) / scale / h0 if h0 > 0.0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -235,9 +250,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
     h_abs = min(100 * h0, h1, span, max_step)
     nfev = 2
 
+    min_step = 10.0 * math.ulp(t_end)
     times, states, stages = [t], [y], []
     while t < t_end:
-        min_step = 10.0 * math.ulp(t)
         h = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
         while True:
@@ -276,6 +291,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
         t, y, k1 = t_new, y_new, k7
         times.append(t)
         states.append(y)
+        if len(stages) == MAX_STEPS and t < t_end:
+            raise StiffnessFailureError(
+                f"viscous integration took {MAX_STEPS} steps to reach t = {t:.6g} of {t_end:.6g}"
+            )
 
     return StepperResult(
         t=np.array(times), y=np.array(states), q=np.array(stages).reshape(-1, 7) @ _P,
@@ -312,93 +331,82 @@ def _union_with_midpoints(accepted: np.ndarray, grid: np.ndarray):
 def integrate(
     system: WigglySystem,
     z0: float,
-    horizon: Optional[float] = None,
     config: Optional[IntegratorConfig] = None,
     grid=None,
 ) -> ViscousTrajectory:
-    """Integrate the viscous flow from ``z0`` and sample it on ``grid``.
+    """Integrate the viscous flow from ``z0`` to the end of ``grid`` and sample it there.
 
-    The stepper advances :func:`scalar_rhs`, built once here; the samples,
-    the dissipation and the power integral come from the dense output and
-    the array route :func:`rhs` on the whole quadrature mesh.  Raises
-    :class:`StiffnessFailureError` when the adaptive integrator drives its
-    step below the floating-point spacing (the problem is stiffer than the
-    explicit pair can handle at these tolerances), or when the state runs
-    away so that the force overflows.
+    ``grid`` is a :func:`~wfl.limit_solver.time_grid` of the loading.  The
+    stepper advances :func:`scalar_rhs`, built once here; the samples, the
+    dissipation and the power integral come from the dense output and the
+    array route :func:`rhs` on the whole quadrature mesh.  A run whose step
+    cap alone needs more than ``MAX_STEPS`` steps is refused with
+    :class:`ConfigError`.  Raises :class:`StiffnessFailureError` when the
+    adaptive integrator drives its step below the floating-point spacing
+    (the problem is stiffer than the explicit pair can handle at these
+    tolerances) or takes ``MAX_STEPS`` steps, or when the state runs away so
+    that the force, or any post-processed quantity, overflows.
     """
     if config is None:
         config = IntegratorConfig()
-    if horizon is None:
-        horizon = system.base.loading.horizon
-    if not 0.0 < horizon <= system.base.loading.horizon * (1.0 + 1e-12):
-        raise ConfigError(
-            f"horizon must lie in (0, {system.base.loading.horizon}], got {horizon}"
-        )
-    if grid is None:
-        grid = default_grid(horizon)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ConfigError("output grid must be strictly increasing with >= 2 points")
-    if grid[0] != 0.0 or grid[-1] > horizon * (1.0 + 1e-12):
-        raise ConfigError("output grid must start at 0 and end within the horizon")
+    grid = time_grid(system.base.loading, grid)
     if not math.isfinite(z0):
         raise ConfigError(f"initial state must be finite, got {z0}")
-
     tau = system.time_scale
+    max_step = config.effective_max_step(tau)
+    if grid[-1] / max_step > MAX_STEPS:
+        raise ConfigError(f"the step cap {max_step:.3g} needs more than {MAX_STEPS} steps "
+                          f"to reach t = {grid[-1]:.6g}")
     sol = solve_ivp(
         scalar_rhs(system),
         (0.0, float(grid[-1])),
         float(z0),
         rtol=config.rtol,
         atol=config.atol,
-        max_step=config.effective_max_step(tau),
+        max_step=max_step,
     )
+    with overflow_raises(StiffnessFailureError, "post-processing"):
+        # quadrature mesh: accepted steps refined by the output grid, plus
+        # segment midpoints for Simpson weights; the dense output fills in
+        # everything but the accepted steps, whose states are known
+        nodes, mids = _union_with_midpoints(sol.t, grid)
+        z_nodes = sol.sample(nodes)
+        z_nodes[np.searchsorted(nodes, sol.t)] = sol.y
+        z_mids = sol.sample(mids)
+        zdot_nodes = rhs(system, nodes, z_nodes)
+        zdot_mids = rhs(system, mids, z_mids)
 
-    # quadrature mesh: accepted steps refined by the output grid, plus
-    # segment midpoints for Simpson weights; the dense output fills in
-    # everything but the accepted steps, whose states are known
-    nodes, mids = _union_with_midpoints(sol.t, grid)
-    z_nodes = sol.sample(nodes)
-    z_nodes[np.searchsorted(nodes, sol.t)] = sol.y
-    z_mids = sol.sample(mids)
-    zdot_nodes = rhs(system, nodes, z_nodes)
-    zdot_mids = rhs(system, mids, z_mids)
+        widths = np.diff(nodes)
+        g_nodes = tau * np.square(zdot_nodes)
+        g_mids = tau * np.square(zdot_mids)
+        diss_steps = (widths / 6.0) * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
+        diss_cum = np.concatenate(([0.0], np.cumsum(diss_steps)))
 
-    widths = np.diff(nodes)
-    g_nodes = tau * np.square(zdot_nodes)
-    g_mids = tau * np.square(zdot_mids)
-    diss_steps = (widths / 6.0) * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
-    diss_cum = np.concatenate(([0.0], np.cumsum(diss_steps)))
+        # external power int dE/dt = -int ell'(t) z dt, same Simpson mesh
+        p_nodes = -system.base.ell_rate(nodes) * z_nodes
+        p_mids = -system.base.ell_rate(mids) * z_mids
+        power_steps = (widths / 6.0) * (p_nodes[:-1] + 4.0 * p_mids + p_nodes[1:])
+        power_integral = float(np.sum(power_steps))
 
-    # external power int dE/dt = -int ell'(t) z dt, same Simpson mesh
-    p_nodes = -system.base.ell_rate(nodes) * z_nodes
-    p_mids = -system.base.ell_rate(mids) * z_mids
-    power_steps = (widths / 6.0) * (p_nodes[:-1] + 4.0 * p_mids + p_nodes[1:])
-    power_integral = float(np.sum(power_steps))
+        grid_idx = np.searchsorted(nodes, grid)
+        states = z_nodes[grid_idx]
+        velocities = zdot_nodes[grid_idx]
+        dissipation = diss_cum[grid_idx]
+        xi = system.force(grid, states)
+        energies = system.energy(grid, states)
+        lower, upper = elastic_strip(system.base, grid)
+        delta = np.maximum(np.maximum(states - upper, lower - states), 0.0)
 
-    grid_idx = np.searchsorted(nodes, grid)
-    states = z_nodes[grid_idx]
-    velocities = zdot_nodes[grid_idx]
-    dissipation = diss_cum[grid_idx]
-    xi = (
-        system.base.ell(grid)
-        - system.base.phi_force(states)
-        - wiggly_force(system.model, system.profile, system.epsilon, states)
-    )
-    energies = system.energy(grid, states)
-    lower, upper = elastic_strip(system.base, grid)
-    delta = np.maximum(np.maximum(states - upper, lower - states), 0.0)
-
-    return ViscousTrajectory(
-        times=grid,
-        states=states,
-        velocities=velocities,
-        energies=energies,
-        dissipation=dissipation,
-        xi=xi,
-        delta=delta,
-        power_integral=power_integral,
-    )
+        return ViscousTrajectory(
+            times=grid,
+            states=states,
+            velocities=velocities,
+            energies=energies,
+            dissipation=dissipation,
+            xi=xi,
+            delta=delta,
+            power_integral=power_integral,
+        )
 
 
 def energy_balance_residual(system: WigglySystem, trajectory: ViscousTrajectory) -> float:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -174,7 +175,7 @@ class TestSimulate:
         )
         system = WigglySystem(base=base, model=model, profile=profile, epsilon=0.1)
         grid = np.linspace(0.0, 0.5, 201)
-        trajectory = integrate(system, 0.0, horizon=0.5, config=IntegratorConfig(), grid=grid)
+        trajectory = integrate(system, 0.0, config=IntegratorConfig(), grid=grid)
 
         assert len(rows) == 201
         for i in (0, 57, 200):
@@ -462,6 +463,66 @@ class TestErrorReporting:
         assert code == 1
 
 
+class _Overtime(BaseException):
+    """Raised by the alarm; a BaseException, so ``cli.main`` cannot report it."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime()
+
+
+def _edge(block, key, value):
+    return dict(CANONICAL, **{block: dict(CANONICAL[block], **{key: value})})
+
+
+NAP = {"theta_lim": 1.0, "theta_with": 0.5}
+
+# extreme values that once hung, overflowed into inf output with warnings, or
+# raised a traceback; each must now end within seconds on the exit contract
+EDGE_CASES = [
+    ("simulate", _edge("model", "k", 1e300), (), 2),
+    ("simulate", _edge("model", "h", 1e300), (), 2),
+    ("simulate", _edge("model", "L_rest", 1e300), (), 2),
+    ("simulate", CANONICAL, ("--epsilon", "1e-9"), 1),
+    ("simulate", _edge("loading", "duration", 1e300), (), 1),
+    ("simulate", dict(CANONICAL, simulation={"gamma": 1e300}), (), 1),
+    ("simulate", _edge("loading", "rate", 1e300), (), 2),
+    ("simulate", dict(CANONICAL, simulation={"z0": 1e300}), (), 2),
+    ("nap", {"nap": dict(NAP, L=1e-300)}, (), 1),
+    ("nap", {"nap": dict(NAP, L=1e300)}, (), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra, expected",
+    EDGE_CASES,
+    ids=["k-huge", "h-huge", "L_rest-huge", "epsilon-tiny", "duration-huge", "gamma-huge",
+         "rate-huge", "z0-huge", "nap-L-tiny", "nap-L-huge"],
+)
+def test_extreme_value_keeps_the_exit_contract_within_seconds(
+    tmp_path, capsys, command, payload, extra, expected
+):
+    if command == "simulate" and not extra:
+        extra = ("--epsilon", "0.05")
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.alarm(20)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, command, payload, *extra)
+    except _Overtime:
+        pytest.fail(f"wfl {command} still running after 20 s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == expected
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err
+    if code == 1:
+        assert not out.exists()
+
+
 def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
     # only the oracles (perceived_extrema, k_of_xi) import SciPy, inside the function
     config = write_config(tmp_path, dict(CANONICAL, simulation={"grid_points": 21}))
@@ -496,6 +557,8 @@ CONTRACT_CONFIGS = {
     "k-table": dict(CANONICAL, k_table={"xi_min": -0.2, "xi_max": 0.2, "count": 5}),
     "perceived": dict(CANONICAL, perceived={"samples": 16}),
     "nap": {"nap": {"theta_lim": 1.0, "theta_with": 0.5, "mu_plus": 0.1, "k": 1.0, "L": 1.0}},
+    "sweep-theta": {"sweep_theta": {"model": "slanted", "count": 3, "slope": 0.1,
+                                    "theta_min": 0.1, "theta_max": 1.0, "oracle": True}},
 }
 
 BLOCK_CASES = [
@@ -509,8 +572,9 @@ BLOCK_CASES = [
                             "tolerances": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.1}}),
 ]
 
-BAD_LEAVES = [math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**63, True, "1.0",
-              None, [], [0.5], {}]
+# the zeros, signs and extreme magnitudes reach the classes' own range checks
+BAD_LEAVES = [0, -0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 10**400,
+              -(10**400), 2**63, True, "1.0", None, [], [0.5], {}]
 
 
 def _leaf_paths(tree, prefix=()):

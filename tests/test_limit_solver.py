@@ -335,3 +335,8 @@ def test_bad_grid_rejected():
         solve_limit(system, 0.0, grid=np.array([0.0, 0.5, 0.4]))
     with pytest.raises(ConfigError):
         solve_limit(system, 0.0, grid=np.array([0.0, 3.0]))
+    # the one grid rule also asks for a start at 0 and ordered numbers
+    with pytest.raises(ConfigError):
+        solve_limit(system, 0.0, grid=np.array([0.1, 1.0]))
+    with pytest.raises(ConfigError):
+        solve_limit(system, 0.0, grid=np.array([0.0, math.nan]))

@@ -228,6 +228,9 @@ def test_geometry_validation():
         AngularBristle(1.0, math.sqrt(2.0), 1.0, 1.0)  # rest angle above theta_lim
     with pytest.raises(GeometryError):
         AngularBristle(1.0, math.sqrt(2.0), 1.0, -1.6)  # below -pi/2
+    for L in (1e-300, 1e300):  # L^2 - h^2 would under- or overflow to 0 or inf
+        with pytest.raises(GeometryError, match=r"finite L\^2 - h\^2 > 0"):
+            AngularBristle(1.0, L, L * math.cos(1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ def test_sinusoid_rejects_nonpositive_slope():
 def test_bad_harmonics_rejected(harmonic):
     with pytest.raises(InvalidScaleError):
         FourierTerm(0.01, harmonic)
+    # the sinusoid checks the harmonic before it divides by it
+    with pytest.raises(InvalidScaleError, match="harmonic must"):
+        SurfaceProfile.sinusoid(0.1, harmonic)
 
 
 def test_zero_profile_rejected():

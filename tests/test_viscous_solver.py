@@ -1,6 +1,7 @@
 """Tests for the singularly perturbed viscous flow and its diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ class TestIntegration:
 
     def test_custom_grid_and_horizon(self):
         grid = np.linspace(0.0, 0.5, 301)
-        traj = integrate(canonical_system(0.1), 0.0, horizon=0.5, grid=grid)
+        traj = integrate(canonical_system(0.1), 0.0, grid=grid)
         np.testing.assert_array_equal(traj.times, grid)
 
     @pytest.mark.parametrize("name", ["vertical", "slanted"])
@@ -372,6 +373,12 @@ class TestStepper:
         assert scipy_run.t[-1] == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(StiffnessFailureError, match=r"stalled at t = 1\b"):
             viscous_solver.solve_ivp(blow_up, (0.0, 2.0), 0.0, **kwargs)
+        # the floor is 10 ulp of the end time: 10 ulp(t) near t = 0 is
+        # subnormal, and at rate 1e290 a stiff run would crawl there instead
+        # of failing; at 1e300 the initial-step estimate |y'| / tolerance overflows
+        for rate in (1e290, 1e300):
+            with pytest.raises(StiffnessFailureError, match=r"stalled at t = 0\b"):
+                viscous_solver.solve_ivp(lambda t, y: -rate * y, (0.0, 2.0), 1.0, **kwargs)
 
 
 class TestEnergyBalance:
@@ -508,6 +515,31 @@ class TestFailureModes:
                 with pytest.raises(StiffnessFailureError):
                     integrate(system, 1e308)
 
+    def test_overflow_in_post_processing_is_a_stiffness_error(self):
+        # the state reaches ~1e300, so the energy squares it past the float range
+        fast = LimitSystem(k_h=1.0, L_h_rest=0.0, loading=Ramp(rate=1e300, duration=2.0),
+                           rho_plus=0.1, rho_minus=-0.1)
+        system = WigglySystem(base=fast, model=MODEL, profile=CANONICAL, epsilon=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StiffnessFailureError, match="post-processing overflowed"):
+                integrate(system, 0.0)
+
+    def test_run_beyond_a_million_steps_is_refused_or_stopped(self, monkeypatch):
+        system = canonical_system(0.1)
+        # 2 / 1e-6 = 2e6 steps at the user cap, refused before the first step
+        with pytest.raises(ConfigError, match="needs more than 1000000 steps"):
+            integrate(system, 0.0, config=IntegratorConfig(max_step=1e-6))
+        assert 2.0 / IntegratorConfig().effective_max_step(0.1) <= viscous_solver.MAX_STEPS
+        # a run that takes the whole budget without reaching its end stops there
+        monkeypatch.setattr(viscous_solver, "MAX_STEPS", 50)
+        kwargs = {"rtol": 1e-10, "atol": 1e-12}
+        assert viscous_solver.solve_ivp(lambda t, y: math.cos(t), (0.0, 3.0), 0.0,
+                                        max_step=0.1, **kwargs).t.size <= 51
+        with pytest.raises(StiffnessFailureError, match=r"took 50 steps to reach t = 0\.\d+ of 3"):
+            viscous_solver.solve_ivp(lambda t, y: math.cos(t), (0.0, 3.0), 0.0,
+                                     max_step=0.01, **kwargs)
+
     def test_error_in_a_custom_loading_is_not_a_stiffness_error(self):
         with pytest.raises(ValueError, match="bad q"):
             integrate(custom_loading_system(ValueError("bad q")), 0.0)
@@ -523,6 +555,10 @@ class TestFailureModes:
             canonical_system(0.1, gamma=0.0)
         with pytest.raises(ConfigError):
             canonical_system(0.1, gamma=-1.0)
+        # eps^gamma must be a normal float: 0.1^400 underflows
+        for gamma in (400.0, 1e300):
+            with pytest.raises(ConfigError, match="not a normal float"):
+                canonical_system(0.1, gamma=gamma)
 
     def test_integrator_config_validation(self):
         with pytest.raises(ConfigError):
@@ -540,7 +576,7 @@ class TestFailureModes:
     def test_grid_and_horizon_validation(self):
         system = canonical_system(0.1)
         with pytest.raises(ConfigError):
-            integrate(system, 0.0, horizon=3.0)
+            integrate(system, 0.0, grid=np.linspace(0.0, 3.0, 31))
         with pytest.raises(ConfigError):
             integrate(system, 0.0, grid=np.array([0.5, 1.0]))
         with pytest.raises(ConfigError):
