@@ -4,8 +4,10 @@ One JSON file describes the experiment; each subcommand reads the blocks
 it needs, validates them strictly (here: unknown keys, types, finite
 numbers, the integer cap; every range and cross-field admissibility in the
 library class or function that takes the value, before any computation),
-computes in memory, and only then writes output files.  A config problem
-therefore never leaves partial results behind.
+computes in memory, and returns its tables and plots without writing.
+:func:`main` then draws every requested plot, and only then creates
+``--out`` and writes the files.  A config problem, a plot that cannot be
+drawn among them, therefore never leaves partial results behind.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver failure.
 """
@@ -293,8 +295,6 @@ def _experiment(raw: dict, run: bool = False) -> tuple:
 
 
 def _write_csv(path: Path, header, rows):
-    # the output directory appears with the first file, so a failed run leaves none
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -302,12 +302,12 @@ def _write_csv(path: Path, header, rows):
 
 
 def _columns(*columns):
-    """Rows of Python floats from equal-length array columns.
+    """Rows of Python floats from equal-length array columns, made as they are written.
 
     ``csv`` writes a float as ``str`` does, which for a NumPy scalar is the
     same text but slower to produce, so the columns go through ``tolist``.
     """
-    return zip(*(np.asarray(column).tolist() for column in columns))
+    yield from zip(*(np.asarray(column).tolist() for column in columns))
 
 
 def _grid_for(loading, sim):
@@ -317,16 +317,17 @@ def _grid_for(loading, sim):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its tables (filename, header, rows) and its plots
+# (filename, series, line_plot keywords); main writes them
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(raw: dict, out: Path, svg: bool) -> None:
+def cmd_coeffs(raw: dict, args) -> tuple:
     profile, model = _experiment(raw)
     coeffs = coefficients(model, profile)
     mu_plus_oracle, mu_minus_oracle = perceived_extrema(profile, model.slope_factor)
-    _write_csv(
-        out / "coeffs.csv",
+    table = (
+        "coeffs.csv",
         (
             "model",
             "alpha",
@@ -350,6 +351,7 @@ def cmd_coeffs(raw: dict, out: Path, svg: bool) -> None:
             )
         ],
     )
+    return [table], []
 
 
 def _sweep_theta_bounds(kind: str, slope: float):
@@ -358,7 +360,7 @@ def _sweep_theta_bounds(kind: str, slope: float):
     return math.atan(slope) + 0.01, math.atan(1.0 / slope) - 0.01
 
 
-def cmd_sweep_theta(raw: dict, out: Path, svg: bool) -> None:
+def cmd_sweep_theta(raw: dict, args) -> tuple:
     block = raw.get("sweep_theta", {})
     path = "sweep_theta"
     _check_keys(
@@ -407,26 +409,18 @@ def cmd_sweep_theta(raw: dict, out: Path, svg: bool) -> None:
     header = ["theta", "a", "alpha", "mu_plus", "mu_minus", "rho_plus", "rho_minus"]
     if with_oracle:
         header.extend(["mu_plus_oracle", "mu_minus_oracle"])
-    _write_csv(out / "sweep_theta.csv", tuple(header), rows)
-
-    if svg:
-        line_plot(
-            out / "sweep_theta.svg",
-            [
-                (thetas, [r[3] for r in rows], "mu_plus"),
-                (thetas, [-r[4] for r in rows], "-mu_minus"),
-            ],
-            title=f"perceived slope extremes, {kind} model",
-            xlabel="theta",
-            ylabel="mu",
-        )
+    series = [
+        (thetas, [r[3] for r in rows], "mu_plus"),
+        (thetas, [-r[4] for r in rows], "-mu_minus"),
+    ]
+    plot = dict(title=f"perceived slope extremes, {kind} model", xlabel="theta", ylabel="mu")
+    return [("sweep_theta.csv", tuple(header), rows)], [("sweep_theta.svg", series, plot)]
 
 
-def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False) -> None:
+def cmd_simulate(raw: dict, args) -> tuple:
     profile, model, system, sim = _experiment(raw, run=True)
 
-    if epsilon is None:
-        epsilon = sim["epsilon"]
+    epsilon = args.epsilon if args.epsilon is not None else sim["epsilon"]
     if epsilon is None:
         _fail("simulation", "simulate needs an epsilon (config key or --epsilon)")
 
@@ -435,11 +429,8 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
     )
     grid = _grid_for(system.loading, sim)
     trajectory = integrate(wiggly, sim["z0"], config=sim["config"], grid=grid)
-
-    limit = solve_limit(system, sim["z0"], grid=grid) if with_limit else None
-
-    _write_csv(
-        out / "viscous.csv",
+    tables = [(
+        "viscous.csv",
         ("t", "z", "zdot", "xi", "energy", "dissipation_cum", "delta_eps"),
         _columns(
             trajectory.times,
@@ -450,11 +441,14 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
             trajectory.dissipation,
             trajectory.delta,
         ),
-    )
-    if limit is not None:
+    )]
+    series = [(trajectory.times, trajectory.states, f"z_eps (eps={epsilon:g})")]
+    bands = None
+    if args.limit:
+        limit = solve_limit(system, sim["z0"], grid=grid)
         lower, upper = elastic_strip(system, limit.times)
-        _write_csv(
-            out / "limit.csv",
+        tables.append((
+            "limit.csv",
             ("t", "z", "z_tilde_minus", "z_tilde_plus", "dissipation_cum", "energy"),
             _columns(
                 limit.times,
@@ -464,26 +458,14 @@ def cmd_simulate(raw: dict, out: Path, svg: bool, epsilon=None, with_limit=False
                 limit.dissipation,
                 limit.energies,
             ),
-        )
-
-    if svg:
-        series = [(trajectory.times, trajectory.states, f"z_eps (eps={epsilon:g})")]
-        bands = None
-        if limit is not None:
-            series.append((limit.times, limit.states, "z limit"))
-            lower, upper = elastic_strip(system, limit.times)
-            bands = [(limit.times, lower, upper, "elastic strip")]
-        line_plot(
-            out / "overlay.svg",
-            series,
-            title="driven state vs time",
-            xlabel="t",
-            ylabel="z",
-            bands=bands,
-        )
+        ))
+        series.append((limit.times, limit.states, "z limit"))
+        bands = [(limit.times, lower, upper, "elastic strip")]
+    plot = dict(title="driven state vs time", xlabel="t", ylabel="z", bands=bands)
+    return tables, [("overlay.svg", series, plot)]
 
 
-def cmd_converge(raw: dict, out: Path, svg: bool) -> None:
+def cmd_converge(raw: dict, args) -> tuple:
     profile, model, system, sim = _experiment(raw, run=True)
     if not sim["epsilons"]:
         _fail("simulation", "converge needs a non-empty 'epsilons' list")
@@ -503,24 +485,17 @@ def cmd_converge(raw: dict, out: Path, svg: bool) -> None:
 
     gap_names = [f"diss_gap_w{j + 1}" for j in range(len(report.windows))]
     order = "" if report.fitted_order is None else report.fitted_order
-    _write_csv(
-        out / "convergence.csv",
+    table = (
+        "convergence.csv",
         ("epsilon", "sup_error", *gap_names, "runtime_s", "fitted_order"),
         [(*row, order) for row in report.rows],
     )
-
-    if svg:
-        line_plot(
-            out / "convergence.svg",
-            [(report.epsilons, report.sup_errors, "sup |z_eps - z|")],
-            title="state convergence",
-            xlabel="epsilon",
-            ylabel="sup error",
-            loglog=True,
-        )
+    series = [(report.epsilons, report.sup_errors, "sup |z_eps - z|")]
+    plot = dict(title="state convergence", xlabel="epsilon", ylabel="sup error", loglog=True)
+    return [table], [("convergence.svg", series, plot)]
 
 
-def cmd_nap(raw: dict, out: Path, svg: bool) -> None:
+def cmd_nap(raw: dict, args) -> tuple:
     block = raw.get("nap", {})
     path = "nap"
     _check_keys(
@@ -548,38 +523,34 @@ def cmd_nap(raw: dict, out: Path, svg: bool) -> None:
         rows.append(
             (direction, tilt, rho, tension, "true" if tension < 0.0 else "false")
         )
-    _write_csv(
-        out / "nap.csv",
+    table = (
+        "nap.csv",
         ("direction", "rest_tilt", "rho", "tension", "compressed"),
         rows,
     )
+    return [table], []
 
 
-def cmd_perceived(raw: dict, out: Path, svg: bool) -> None:
+def cmd_perceived(raw: dict, args) -> tuple:
     profile, model = _experiment(raw)
     block = raw.get("perceived", {})
     _check_keys(block, "perceived", optional=("samples",))
     samples = _integer(block, "samples", "perceived", default=512, minimum=8)
     perceived = perceived_profile(profile, model.slope_factor, samples=samples)
-    _write_csv(
-        out / "perceived.csv",
+    table = (
+        "perceived.csv",
         ("z", "height", "slope"),
         _columns(perceived.grid, perceived.heights, perceived.slopes),
     )
-    if svg:
-        line_plot(
-            out / "perceived.svg",
-            [
-                (perceived.grid, perceived.heights, "height"),
-                (perceived.grid, perceived.slopes, "slope"),
-            ],
-            title="perceived corrugation over one period",
-            xlabel="z",
-            ylabel="value",
-        )
+    series = [
+        (perceived.grid, perceived.heights, "height"),
+        (perceived.grid, perceived.slopes, "slope"),
+    ]
+    plot = dict(title="perceived corrugation over one period", xlabel="z", ylabel="value")
+    return [table], [("perceived.svg", series, plot)]
 
 
-def cmd_k_table(raw: dict, out: Path, svg: bool) -> None:
+def cmd_k_table(raw: dict, args) -> tuple:
     profile, model = _experiment(raw)
     block = raw.get("k_table", {})
     path = "k_table"
@@ -590,27 +561,23 @@ def cmd_k_table(raw: dict, out: Path, svg: bool) -> None:
     count = _integer(block, "count", path, default=201, minimum=2)
     if xi_min >= xi_max:
         _fail(path, f"need xi_min < xi_max, got ({xi_min}, {xi_max})")
+    if not math.isfinite(xi_max - xi_min):  # linspace would write nan with warnings
+        _fail(path, f"xi_max - xi_min overflows, got ({xi_min}, {xi_max})")
     xis = np.linspace(xi_min, xi_max, count)
     values = density.k(xis)
-    _write_csv(out / "k_table.csv", ("xi", "K"), _columns(xis, values))
-    if svg:
-        line_plot(
-            out / "k_table.svg",
-            [(xis, values, "K(xi)"), (xis, np.abs(xis), "|xi|")],
-            title="mean absolute force gap",
-            xlabel="xi",
-            ylabel="K",
-        )
+    series = [(xis, values, "K(xi)"), (xis, np.abs(xis), "|xi|")]
+    plot = dict(title="mean absolute force gap", xlabel="xi", ylabel="K")
+    return [("k_table.csv", ("xi", "K"), _columns(xis, values))], [("k_table.svg", series, plot)]
 
 
 _COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "sweep-theta": cmd_sweep_theta,
-    "simulate": cmd_simulate,
-    "converge": cmd_converge,
-    "nap": cmd_nap,
-    "perceived": cmd_perceived,
-    "k-table": cmd_k_table,
+    "coeffs": (cmd_coeffs, "friction coefficient table"),
+    "sweep-theta": (cmd_sweep_theta, "coefficient sweep over tilt angles"),
+    "simulate": (cmd_simulate, "integrate trajectories"),
+    "converge": (cmd_converge, "epsilon convergence sweep"),
+    "nap": (cmd_nap, "direction-dependent thresholds"),
+    "perceived": (cmd_perceived, "perceived corrugation table"),
+    "k-table": (cmd_k_table, "dissipation density table"),
 }
 
 
@@ -630,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON experiment file")
     common.add_argument("--out", default=".",
-                        help="output directory (created when the first file is written)")
+                        help="output directory (created once every result and plot is ready)")
     common.add_argument("--svg", action="store_true", help="also write SVG plots")
 
     parser = _Parser(
@@ -639,31 +606,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "convergence sweeps and duality tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("coeffs", parents=[common], help="friction coefficient table")
-    sub.add_parser("sweep-theta", parents=[common], help="coefficient sweep over tilt angles")
-    simulate = sub.add_parser("simulate", parents=[common], help="integrate trajectories")
+    for name, (_, summary) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=summary)
+    simulate = sub.choices["simulate"]
     simulate.add_argument("--epsilon", type=float, default=None, help="corrugation scale")
     simulate.add_argument(
         "--limit", action="store_true", help="also solve the quasistatic limit"
     )
-    sub.add_parser("converge", parents=[common], help="epsilon convergence sweep")
-    sub.add_parser("nap", parents=[common], help="direction-dependent thresholds")
-    sub.add_parser("perceived", parents=[common], help="perceived corrugation table")
-    sub.add_parser("k-table", parents=[common], help="dissipation density table")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        raw = load_config(args.config)
+        tables, plots = _COMMANDS[args.command][0](load_config(args.config), args)
+        # a plot that cannot be drawn is a config error, raised before any file exists
+        drawn = [(name, line_plot(series, **kw)) for name, series, kw in plots if args.svg]
         out = Path(args.out)
-        if args.command == "simulate":
-            cmd_simulate(
-                raw, out, args.svg, epsilon=args.epsilon, with_limit=args.limit
-            )
-        else:
-            _COMMANDS[args.command](raw, out, args.svg)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, header, rows in tables:
+            _write_csv(out / name, header, rows)
+        for name, text in drawn:
+            (out / name).write_text(text, encoding="utf-8")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from .errors import ConfigError, SolverError, SweepError
 from .limit_solver import LimitSystem, solve_limit, time_grid
 from .models import BristleModel
 from .profiles import SurfaceProfile
-from .viscous_solver import IntegratorConfig, WigglySystem, integrate
+from .viscous_solver import IntegratorConfig, WigglySystem, integrate, step_cap
 
 __all__ = ["SweepReport", "run_sweep"]
 
@@ -90,11 +90,11 @@ def run_sweep(
 ) -> SweepReport:
     """Measure viscous-to-limit convergence over a decreasing scale list.
 
-    All scales are validated up front, so an inadmissible epsilon aborts
-    before any integration starts.  If an integration fails midway, the
-    rows of the scales before it are wrapped in a partial report attached
-    to the raised :class:`SweepError`; a scale that ``integrate`` refuses
-    raises its :class:`ConfigError` as it is.
+    All scales are validated up front, their range and their step budget
+    (:func:`~wfl.viscous_solver.step_cap`), so an inadmissible epsilon
+    aborts with :class:`ConfigError` before any integration starts.  If an
+    integration fails midway, the rows of the scales before it are wrapped
+    in a partial report attached to the raised :class:`SweepError`.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -110,6 +110,8 @@ def run_sweep(
     ]
 
     grid = time_grid(system.loading, grid)
+    for wiggly in systems:
+        step_cap(wiggly, config or IntegratorConfig(), grid[-1])
     if windows is None:
         windows = ((0.0, float(grid[-1])),)
     windows = tuple((float(t1), float(t2)) for t1, t2 in windows)

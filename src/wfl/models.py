@@ -81,12 +81,12 @@ from .errors import (
     ZeroTensionError,
 )
 from .profiles import (
-    TWO_PI,
     DerivativeExtrema,
     SurfaceProfile,
     derivative_extrema,
     eval_profile,
     like_input,
+    scalar_terms,
 )
 
 
@@ -593,11 +593,7 @@ def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
     """
     _require_valid_epsilon(model, profile, epsilon)
     shift, force, _ = model.formulas(math.sqrt, math.acos)
-    # (rate, amplitude, slope amplitude, phase) of each term, formed as in eval_profile
-    terms = tuple(
-        (TWO_PI * t.harmonic, t.amplitude, t.amplitude * (TWO_PI * t.harmonic), t.phase)
-        for t in profile.terms
-    )
+    terms = scalar_terms(profile)
     sin, cos = math.sin, math.cos
 
     if shift is None:
@@ -605,7 +601,7 @@ def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
         def at(z: float) -> float:
             x = z / epsilon
             w = wp = 0.0
-            for rate, amplitude, slope, phase in terms:
+            for rate, phase, amplitude, slope, _ in terms:
                 u = rate * x + phase
                 w += amplitude * sin(u)
                 wp += slope * cos(u)
@@ -623,7 +619,7 @@ def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
         for _ in range(100):
             x = p / epsilon
             w = wp = 0.0
-            for rate, amplitude, slope, phase in terms:
+            for rate, phase, amplitude, slope, _ in terms:
                 u = rate * x + phase
                 w += amplitude * sin(u)
                 wp += slope * cos(u)

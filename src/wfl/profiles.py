@@ -121,6 +121,22 @@ def eval_profile(profile: SurfaceProfile, x, order: int = 0):
     return like_input(x, out)
 
 
+@lru_cache(maxsize=256)
+def scalar_terms(profile: SurfaceProfile) -> tuple:
+    """Per Fourier term ``(rate, phase, A, A rate, A rate rate)`` as Python floats.
+
+    The factors of w, w' and w'' formed as :func:`eval_profile` forms them,
+    so ``math`` sums over them, term by term in this order, equal its array
+    results bit for bit.
+    """
+    terms = []
+    for term in profile.terms:
+        rate, amplitude = float(TWO_PI * term.harmonic), float(term.amplitude)
+        slope = amplitude * rate
+        terms.append((rate, float(term.phase), amplitude, slope, slope * rate))
+    return tuple(terms)
+
+
 def like_input(x, values: np.ndarray):
     """``values`` as a float when ``x`` is a scalar (or a 0-d array), else as is.
 

@@ -7,7 +7,6 @@ linear or log-log axes with a handful of ticks.  No plotting dependency.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
@@ -67,15 +66,14 @@ def _polyline_points(canvas: _Canvas, xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def line_plot(
-    path,
     series: Sequence,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
     loglog: bool = False,
     bands: Optional[Sequence] = None,
-) -> None:
-    """Write a line plot to ``path``, creating its directory if missing.
+) -> str:
+    """The SVG text of a line plot.
 
     ``series`` is a sequence of ``(x, y, label)`` triples; ``bands`` an
     optional sequence of ``(x, y_low, y_high, label)`` shaded regions drawn
@@ -183,6 +181,4 @@ def line_plot(
         )
 
     parts.append("</svg>")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError
 from .limit_solver import LimitSystem, Trajectory
 from .models import BristleModel, coefficients, invert_contact_map
-from .profiles import TWO_PI, SurfaceProfile, curvature_roots, eval_profile, like_input
+from .profiles import SurfaceProfile, curvature_roots, eval_profile, like_input, scalar_terms
 
 __all__ = [
     "ElasticInterval",
@@ -187,17 +187,11 @@ class LimitWithK:
 
     @cached_property
     def _scalar_table(self) -> tuple:
-        """``_table`` as Python lists, its pieces as (first, last) pairs, and per
-        Fourier term ``(rate, phase, A, A rate, A rate rate)`` formed as
-        :func:`eval_profile` forms them: all that :meth:`_scalar_k` reads."""
+        """``_table`` as Python lists, its pieces as (first, last) pairs, and the
+        profile's :func:`scalar_terms`: all that :meth:`_scalar_k` reads."""
         nodes, slopes, first, last = self._table
-        terms = []
-        for term in self.profile.terms:
-            rate, amplitude = float(TWO_PI * term.harmonic), float(term.amplitude)
-            slope = amplitude * rate
-            terms.append((rate, float(term.phase), amplitude, slope, slope * rate))
         pieces = list(zip(first.tolist(), last.tolist()))
-        return nodes.tolist(), slopes.tolist(), pieces, tuple(terms)
+        return nodes.tolist(), slopes.tolist(), pieces, scalar_terms(self.profile)
 
     def k(self, xi):
         """K(xi) = int_0^1 |xi - W'(y)| dy for a scalar or an array ``xi``.
@@ -327,7 +321,7 @@ def _polish(profile, level, p, p0, p1):
 
 
 def _w(terms, p: float) -> float:
-    """w(p) over ``LimitWithK._scalar_table`` terms, summed as :func:`eval_profile` sums it."""
+    """w(p) over :func:`scalar_terms`, summed as :func:`eval_profile` sums it."""
     w = 0.0
     for rate, phase, amplitude, _, _ in terms:
         w += amplitude * math.sin(rate * p + phase)

@@ -42,9 +42,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ScaleValidityError, StiffnessFailureError
+from .errors import ConfigError, StiffnessFailureError
 from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raises, time_grid
-from .models import BristleModel, epsilon_limit, scalar_force, wiggly_energy, wiggly_force
+from .models import (
+    BristleModel, _require_valid_epsilon, scalar_force, wiggly_energy, wiggly_force,
+)
+from .models import epsilon_limit  # unused here; perfbench's tracer wraps this binding
 from .profiles import SurfaceProfile
 
 
@@ -88,12 +91,7 @@ class WigglySystem:
     def __post_init__(self) -> None:
         if self.gamma <= 0.0 or not math.isfinite(self.gamma):
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        limit = epsilon_limit(self.model, self.profile)
-        if not 0.0 < self.epsilon <= limit:
-            raise ScaleValidityError(
-                f"epsilon {self.epsilon} outside the valid range (0, {limit:.6g}] "
-                f"for this geometry"
-            )
+        _require_valid_epsilon(self.model, self.profile, self.epsilon)
         try:
             tau = self.time_scale
         except OverflowError:
@@ -322,6 +320,20 @@ class ViscousTrajectory(Trajectory):
             raise ConfigError("viscous trajectory requires xi and delta columns")
 
 
+def step_cap(system: WigglySystem, config: IntegratorConfig, horizon: float) -> float:
+    """The run's largest step, min(``max_step``, eps^gamma / 2).
+
+    Raises :class:`ConfigError` when that cap alone needs more than
+    ``MAX_STEPS`` steps to reach ``horizon``, so such a run is refused
+    before it starts.
+    """
+    max_step = config.effective_max_step(system.time_scale)
+    if horizon / max_step > MAX_STEPS:
+        raise ConfigError(f"the step cap {max_step:.3g} needs more than {MAX_STEPS} steps "
+                          f"to reach t = {horizon:.6g}")
+    return max_step
+
+
 def _union_with_midpoints(accepted: np.ndarray, grid: np.ndarray):
     nodes = np.union1d(accepted, grid)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -339,8 +351,8 @@ def integrate(
     ``grid`` is a :func:`~wfl.limit_solver.time_grid` of the loading.  The
     stepper advances :func:`scalar_rhs`, built once here; the samples, the
     dissipation and the power integral come from the dense output and the
-    array route :func:`rhs` on the whole quadrature mesh.  A run whose step
-    cap alone needs more than ``MAX_STEPS`` steps is refused with
+    array route :func:`rhs` on the whole quadrature mesh.  A run whose
+    :func:`step_cap` needs more than ``MAX_STEPS`` steps is refused with
     :class:`ConfigError`.  Raises :class:`StiffnessFailureError` when the
     adaptive integrator drives its step below the floating-point spacing
     (the problem is stiffer than the explicit pair can handle at these
@@ -353,10 +365,7 @@ def integrate(
     if not math.isfinite(z0):
         raise ConfigError(f"initial state must be finite, got {z0}")
     tau = system.time_scale
-    max_step = config.effective_max_step(tau)
-    if grid[-1] / max_step > MAX_STEPS:
-        raise ConfigError(f"the step cap {max_step:.3g} needs more than {MAX_STEPS} steps "
-                          f"to reach t = {grid[-1]:.6g}")
+    max_step = step_cap(system, config, grid[-1])
     sol = solve_ivp(
         scalar_rhs(system),
         (0.0, float(grid[-1])),

@@ -446,6 +446,22 @@ class TestErrorReporting:
         # nothing is written, not even the --out directory
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("converge", dict(CANONICAL, simulation={"grid_points": 51, "epsilons": [0.1]})),
+            ("sweep-theta", {"sweep_theta": {"model": "slanted", "count": 1}}),
+        ],
+        ids=["converge-one-epsilon", "sweep-theta-count-one"],
+    )
+    def test_plot_of_one_point_fails_before_any_file(self, tmp_path, capsys, command, payload):
+        # a line plot needs two points; the CSV alone would have been valid
+        code, out = run(tmp_path, command, payload, "--svg")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_out_naming_a_file_is_one_line_exit_one(self, tmp_path, capsys):
         config = write_config(tmp_path, CANONICAL)
         taken = tmp_path / "taken"
@@ -490,6 +506,7 @@ EDGE_CASES = [
     ("simulate", dict(CANONICAL, simulation={"z0": 1e300}), (), 2),
     ("nap", {"nap": dict(NAP, L=1e-300)}, (), 1),
     ("nap", {"nap": dict(NAP, L=1e300)}, (), 1),
+    ("k-table", dict(CANONICAL, k_table={"xi_min": -1e308, "xi_max": 1e308}), ("--svg",), 1),
 ]
 
 
@@ -497,7 +514,7 @@ EDGE_CASES = [
     "command, payload, extra, expected",
     EDGE_CASES,
     ids=["k-huge", "h-huge", "L_rest-huge", "epsilon-tiny", "duration-huge", "gamma-huge",
-         "rate-huge", "z0-huge", "nap-L-tiny", "nap-L-huge"],
+         "rate-huge", "z0-huge", "nap-L-tiny", "nap-L-huge", "k-table-span-huge"],
 )
 def test_extreme_value_keeps_the_exit_contract_within_seconds(
     tmp_path, capsys, command, payload, extra, expected
@@ -545,8 +562,8 @@ def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the CLI contract as a property: any one bad leaf exits 0, 1 or 2 with at
-# most one stderr line, and exit 1 leaves no file behind
+# the CLI contract as a property: any one bad leaf, with or without --svg,
+# exits 0, 1 or 2 with at most one stderr line, and exit 1 leaves no file behind
 # ---------------------------------------------------------------------------
 
 CONTRACT_CONFIGS = {
@@ -603,18 +620,20 @@ CONTRACT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, 
 
 class TestContractProperty:
     @CONTRACT_SETTINGS
-    @given(case=st.sampled_from(CLI_LEAVES), leaf=st.sampled_from(BAD_LEAVES))
-    def test_one_bad_leaf_keeps_the_exit_contract(self, case, leaf):
+    @given(case=st.sampled_from(CLI_LEAVES), leaf=st.sampled_from(BAD_LEAVES),
+           svg=st.booleans())
+    def test_one_bad_leaf_keeps_the_exit_contract(self, case, leaf, svg):
         command, path = case
         payload = _replaced(CONTRACT_CONFIGS[command], path, leaf)
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.json"
             config.write_text(json.dumps(payload), encoding="utf-8")
             out = Path(tmp) / "out"
+            argv = [command, "--config", str(config), "--out", str(out)] + ["--svg"] * svg
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
                 warnings.simplefilter("always")
-                code = cli.main([command, "--config", str(config), "--out", str(out)])
+                code = cli.main(argv)
             # a warning would reach stderr in a real run
             lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
             assert code in (0, 1, 2)

@@ -71,6 +71,14 @@ class TestRunSweep:
         with pytest.raises(ScaleValidityError):
             run_sweep(canonical_system(), PROFILE, MODEL, epsilons=[0.1, 1e9])
 
+    def test_step_budget_is_checked_before_any_run(self, monkeypatch):
+        # eps 1e-9 caps the step at 5e-10: 4e9 steps to t = 2, refused before eps 0.1 runs
+        calls = []
+        monkeypatch.setattr(convergence, "integrate", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError, match="needs more than 1000000 steps"):
+            run_sweep(canonical_system(), PROFILE, MODEL, epsilons=[0.1, 1e-9])
+        assert calls == []
+
     def test_midway_failure_carries_partial_report(self, monkeypatch):
         real_integrate = convergence.integrate
 

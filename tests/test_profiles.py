@@ -19,7 +19,7 @@ from wfl import (
     derivative_extrema,
     eval_profile,
 )
-from wfl.profiles import MAX_HARMONIC, curvature_roots
+from wfl.profiles import MAX_HARMONIC, curvature_roots, scalar_terms
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +103,24 @@ def test_eval_vectorized_matches_scalar():
         vec = eval_profile(p, xs, order)
         scal = np.array([eval_profile(p, float(x), order) for x in xs])
         np.testing.assert_array_equal(vec, scal)
+
+
+def test_scalar_terms_sum_to_eval_profile_bitwise():
+    # the one table the math-only routes of models and variational read
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        p = random_profile(rng)
+        terms = scalar_terms(p)
+        assert terms is scalar_terms(p)
+        assert all(type(value) is float for term in terms for value in term)
+        for x in rng.uniform(-3.0, 3.0, size=20).tolist():
+            w = wp = wpp = 0.0
+            for rate, phase, amplitude, slope, curvature in terms:
+                u = rate * x + phase
+                w += amplitude * math.sin(u)
+                wp += slope * math.cos(u)
+                wpp -= curvature * math.sin(u)
+            assert (w, wp, wpp) == tuple(eval_profile(p, x, order) for order in (0, 1, 2))
 
 
 def test_derivatives_against_finite_differences():

@@ -550,6 +550,20 @@ class TestFailureModes:
         with pytest.raises(ScaleValidityError):
             canonical_system(1e9)
 
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_epsilon_range_is_the_force_route_check(self, name):
+        # one check and one message for the system and the microscale force
+        model = GEOMETRIES[name]
+        limit = epsilon_limit(model, CANONICAL)
+        WigglySystem(base=canonical_base(), model=model, profile=CANONICAL, epsilon=limit)
+        above = math.nextafter(limit, math.inf)
+        with pytest.raises(ScaleValidityError) as system_error:
+            WigglySystem(base=canonical_base(), model=model, profile=CANONICAL, epsilon=above)
+        with pytest.raises(ScaleValidityError) as force_error:
+            models.wiggly_force(model, CANONICAL, above, 0.0)
+        assert str(system_error.value) == str(force_error.value)
+        assert "exceeds the geometric validity limit" in str(system_error.value)
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ConfigError):
             canonical_system(0.1, gamma=0.0)
