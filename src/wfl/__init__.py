@@ -38,7 +38,6 @@ from .limit_solver import (
 )
 from .models import (
     AdmissibilityCondition,
-    AdmissibilityReport,
     AngularBristle,
     BristleModel,
     FrictionCoefficients,
@@ -53,7 +52,6 @@ from .models import (
     nap_coefficients,
     perceived_extrema,
     perceived_profile,
-    validate,
     wiggly_energy,
     wiggly_force,
 )

@@ -20,7 +20,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +33,13 @@ from .limit_solver import (
     SinusoidLoading,
     SmoothedPiecewiseLinear,
     DEFAULT_GRID_POINTS,
+    default_grid,
     elastic_strip,
     solve_limit,
-    time_grid,
 )
 from .models import (
     AngularBristle,
+    FrictionCoefficients,
     SlantedBristle,
     VerticalBristle,
     axial_tension,
@@ -99,15 +100,6 @@ def _integer(obj, key, path, default=None, minimum=None):
         _fail(path, f"{key} must be >= {minimum}")
     if value > 10**6:  # integers size arrays: a larger one would exhaust memory
         _fail(path, f"{key} must be <= {10**6}")
-    return value
-
-
-def _boolean(obj, key, path, default=False):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not isinstance(value, bool):
-        _fail(path, f"{key} must be true or false")
     return value
 
 
@@ -209,16 +201,7 @@ def build_simulation(block):
     _check_keys(
         block,
         path,
-        optional=(
-            "epsilon",
-            "epsilons",
-            "gamma",
-            "z0",
-            "horizon",
-            "grid_points",
-            "tolerances",
-            "windows",
-        ),
+        optional=("epsilons", "gamma", "z0", "grid_points", "tolerances", "windows"),
     )
     tolerances = block.get("tolerances", {})
     names = [f.name for f in fields(IntegratorConfig)]
@@ -236,12 +219,10 @@ def build_simulation(block):
             parsed.append(tuple(_number_list({key: pair}, key, path)))
         windows = tuple(parsed)
     return {
-        "epsilon": _number(block, "epsilon", path, default=None),
         "epsilons": _number_list(block, "epsilons", path, default=None),
         "gamma": _number(block, "gamma", path, default=1.0),
         "z0": _number(block, "z0", path, default=0.0),
-        "horizon": _number(block, "horizon", path, default=None),
-        "grid_points": _integer(block, "grid_points", path, default=None, minimum=2),
+        "grid_points": _integer(block, "grid_points", path, DEFAULT_GRID_POINTS, minimum=2),
         "config": config,
         "windows": windows,
     }
@@ -310,10 +291,16 @@ def _columns(*columns):
     yield from zip(*(np.asarray(column).tolist() for column in columns))
 
 
-def _grid_for(loading, sim):
-    horizon = sim["horizon"] if sim["horizon"] is not None else loading.horizon
-    points = sim["grid_points"] or DEFAULT_GRID_POINTS
-    return time_grid(loading, np.linspace(0.0, horizon, points))
+#: The ``coeffs`` and ``sweep-theta`` columns: the coefficients, then the oracle's extreme slopes.
+_COEFFICIENT_COLUMNS = (
+    *(f.name for f in fields(FrictionCoefficients)), "mu_plus_oracle", "mu_minus_oracle"
+)
+
+
+def _coefficient_row(model, profile) -> tuple:
+    """The :data:`_COEFFICIENT_COLUMNS` of ``model`` on ``profile``."""
+    coeffs = astuple(coefficients(model, profile))
+    return (*coeffs, *perceived_extrema(profile, model.slope_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -324,34 +311,8 @@ def _grid_for(loading, sim):
 
 def cmd_coeffs(raw: dict, args) -> tuple:
     profile, model = _experiment(raw)
-    coeffs = coefficients(model, profile)
-    mu_plus_oracle, mu_minus_oracle = perceived_extrema(profile, model.slope_factor)
-    table = (
-        "coeffs.csv",
-        (
-            "model",
-            "alpha",
-            "mu_plus",
-            "mu_minus",
-            "rho_plus",
-            "rho_minus",
-            "mu_plus_oracle",
-            "mu_minus_oracle",
-        ),
-        [
-            (
-                model.name,
-                coeffs.alpha,
-                coeffs.mu_plus,
-                coeffs.mu_minus,
-                coeffs.rho_plus,
-                coeffs.rho_minus,
-                mu_plus_oracle,
-                mu_minus_oracle,
-            )
-        ],
-    )
-    return [table], []
+    row = (model.name, *_coefficient_row(model, profile))
+    return [("coeffs.csv", ("model", *_COEFFICIENT_COLUMNS), [row])], []
 
 
 def _sweep_theta_bounds(kind: str, slope: float):
@@ -367,7 +328,7 @@ def cmd_sweep_theta(raw: dict, args) -> tuple:
         block,
         path,
         required=("model",),
-        optional=("count", "slope", "theta_min", "theta_max", "oracle"),
+        optional=("count", "slope", "theta_min", "theta_max"),
     )
     kind = block["model"]
     if kind not in ("slanted", "angular"):
@@ -381,7 +342,6 @@ def cmd_sweep_theta(raw: dict, args) -> tuple:
     hi = _number(block, "theta_max", path, default=hi)
     if not 0.0 < lo < hi:
         _fail(path, f"need 0 < theta_min < theta_max, got ({lo}, {hi})")
-    with_oracle = _boolean(block, "oracle", path, default=True)
 
     thetas = np.linspace(lo, hi, count + 2)[1:-1]
 
@@ -392,42 +352,23 @@ def cmd_sweep_theta(raw: dict, args) -> tuple:
             model = SlantedBristle(k=1.0, L_rest=1.0, h=0.05, theta=theta)
         else:
             model = AngularBristle(k=1.0, L=1.0, h=math.cos(theta), theta_rest=0.0)
-        coeffs = coefficients(model, profile)
-        row = [
-            theta,
-            model.slope_factor,
-            coeffs.alpha,
-            coeffs.mu_plus,
-            coeffs.mu_minus,
-            coeffs.rho_plus,
-            coeffs.rho_minus,
-        ]
-        if with_oracle:
-            row.extend(perceived_extrema(profile, model.slope_factor))
-        rows.append(tuple(row))
+        rows.append((theta, model.slope_factor, *_coefficient_row(model, profile)))
 
-    header = ["theta", "a", "alpha", "mu_plus", "mu_minus", "rho_plus", "rho_minus"]
-    if with_oracle:
-        header.extend(["mu_plus_oracle", "mu_minus_oracle"])
+    header = ("theta", "a", *_COEFFICIENT_COLUMNS)
     series = [
         (thetas, [r[3] for r in rows], "mu_plus"),
         (thetas, [-r[4] for r in rows], "-mu_minus"),
     ]
     plot = dict(title=f"perceived slope extremes, {kind} model", xlabel="theta", ylabel="mu")
-    return [("sweep_theta.csv", tuple(header), rows)], [("sweep_theta.svg", series, plot)]
+    return [("sweep_theta.csv", header, rows)], [("sweep_theta.svg", series, plot)]
 
 
 def cmd_simulate(raw: dict, args) -> tuple:
     profile, model, system, sim = _experiment(raw, run=True)
-
-    epsilon = args.epsilon if args.epsilon is not None else sim["epsilon"]
-    if epsilon is None:
-        _fail("simulation", "simulate needs an epsilon (config key or --epsilon)")
-
     wiggly = WigglySystem(
-        base=system, model=model, profile=profile, epsilon=float(epsilon), gamma=sim["gamma"]
+        base=system, model=model, profile=profile, epsilon=args.epsilon, gamma=sim["gamma"]
     )
-    grid = _grid_for(system.loading, sim)
+    grid = default_grid(system.loading.horizon, sim["grid_points"] - 1)
     trajectory = integrate(wiggly, sim["z0"], config=sim["config"], grid=grid)
     tables = [(
         "viscous.csv",
@@ -442,7 +383,7 @@ def cmd_simulate(raw: dict, args) -> tuple:
             trajectory.delta,
         ),
     )]
-    series = [(trajectory.times, trajectory.states, f"z_eps (eps={epsilon:g})")]
+    series = [(trajectory.times, trajectory.states, f"z_eps (eps={args.epsilon:g})")]
     bands = None
     if args.limit:
         limit = solve_limit(system, sim["z0"], grid=grid)
@@ -470,7 +411,7 @@ def cmd_converge(raw: dict, args) -> tuple:
     if not sim["epsilons"]:
         _fail("simulation", "converge needs a non-empty 'epsilons' list")
 
-    grid = _grid_for(system.loading, sim)
+    grid = default_grid(system.loading.horizon, sim["grid_points"] - 1)
     report = run_sweep(
         system,
         profile,
@@ -609,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, summary) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=summary)
     simulate = sub.choices["simulate"]
-    simulate.add_argument("--epsilon", type=float, default=None, help="corrugation scale")
+    simulate.add_argument("--epsilon", type=float, required=True, help="corrugation scale")
     simulate.add_argument(
         "--limit", action="store_true", help="also solve the quasistatic limit"
     )

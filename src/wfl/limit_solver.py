@@ -46,8 +46,11 @@ def _as_array(t):
 
 @contextmanager
 def overflow_raises(error: type, what: str):
-    """Run NumPy code in which an overflow or invalid result raises ``error``, not a warning."""
-    with np.errstate(over="raise", invalid="raise"):
+    """Run NumPy code in which overflow, division by zero or an invalid result raises ``error``.
+
+    NumPy would otherwise warn and carry an inf or a nan on.
+    """
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
             yield
         except FloatingPointError as exc:

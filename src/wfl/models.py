@@ -39,7 +39,7 @@ Each geometry is one class holding ``name``, ``alpha``, ``slope_factor``
 and three methods, to which the module functions delegate; a fourth
 geometry is one more class.
 
-* ``conditions(extrema)``: admissibility inequalities, for :func:`validate`;
+* ``conditions(extrema)``: admissibility inequalities, for :func:`coefficients`;
 * ``clearance(profile)``: tolerated corrugation height, for :func:`epsilon_limit`;
 * ``formulas(sqrt, acos)``: the geometry's three formulas, as closures over
   constants computed once:
@@ -96,6 +96,17 @@ def _require_finite(**values: float) -> None:
             raise GeometryError(f"{name} must be finite, got {value}")
 
 
+def _require_spring(model, **more: float) -> None:
+    """Every value finite, then a linear spring's ``k > 0``, ``h > 0`` and ``L_rest >= 0``."""
+    _require_finite(k=model.k, L_rest=model.L_rest, h=model.h, **more)
+    if model.k <= 0.0:
+        raise GeometryError(f"stiffness must be positive, got {model.k}")
+    if model.h <= 0.0:
+        raise GeometryError(f"stand-off height must be positive, got {model.h}")
+    if model.L_rest < 0.0:
+        raise GeometryError(f"rest length must be nonnegative, got {model.L_rest}")
+
+
 @dataclass(frozen=True)
 class VerticalBristle:
     """Vertical linear spring: stiffness ``k``, rest length ``L_rest``, stand-off ``h``."""
@@ -105,13 +116,7 @@ class VerticalBristle:
     h: float
 
     def __post_init__(self) -> None:
-        _require_finite(k=self.k, L_rest=self.L_rest, h=self.h)
-        if self.k <= 0.0:
-            raise GeometryError(f"stiffness must be positive, got {self.k}")
-        if self.h <= 0.0:
-            raise GeometryError(f"stand-off height must be positive, got {self.h}")
-        if self.L_rest < 0.0:
-            raise GeometryError(f"rest length must be nonnegative, got {self.L_rest}")
+        _require_spring(self)
         if self.L_rest == self.h:
             raise ZeroTensionError(
                 "rest length equals stand-off: spring is unloaded on the flat "
@@ -153,13 +158,7 @@ class SlantedBristle:
     theta: float
 
     def __post_init__(self) -> None:
-        _require_finite(k=self.k, L_rest=self.L_rest, h=self.h, theta=self.theta)
-        if self.k <= 0.0:
-            raise GeometryError(f"stiffness must be positive, got {self.k}")
-        if self.h <= 0.0:
-            raise GeometryError(f"stand-off height must be positive, got {self.h}")
-        if self.L_rest < 0.0:
-            raise GeometryError(f"rest length must be nonnegative, got {self.L_rest}")
+        _require_spring(self, theta=self.theta)
         if not 0.0 < self.theta < 0.5 * math.pi:
             raise GeometryError(
                 f"mounting angle must lie in (0, pi/2), got {self.theta}"
@@ -314,30 +313,6 @@ class AdmissibilityCondition:
     margin: float
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    conditions: tuple[AdmissibilityCondition, ...]
-
-    @property
-    def admissible(self) -> bool:
-        return all(c.satisfied for c in self.conditions)
-
-    def require(self) -> None:
-        failing = [c for c in self.conditions if not c.satisfied]
-        if failing:
-            detail = "; ".join(f"{c.label} (margin {c.margin:.3e})" for c in failing)
-            raise InadmissibleModelError(f"model inadmissible for this profile: {detail}")
-
-
-def validate(model: BristleModel, extrema: DerivativeExtrema) -> AdmissibilityReport:
-    """Check the slope inequalities that keep the contact single-valued.
-
-    Returns one condition per inequality with its margin (positive when
-    satisfied).  Vertical bristles have no profile-dependent condition.
-    """
-    return AdmissibilityReport(model.conditions(extrema))
-
-
 def mu_from_omega(
     omega_plus: float, omega_minus: float, slope_factor: float
 ) -> tuple[float, float]:
@@ -365,11 +340,16 @@ def coefficients(model: BristleModel, profile: SurfaceProfile) -> FrictionCoeffi
     """Friction coefficients of a bristle model on a given profile.
 
     Raises :class:`InadmissibleModelError` when the profile slopes violate
-    the model's admissibility inequalities, and :class:`ZeroTensionError`
-    when the contact carries no force on the flat.
+    the model's admissibility inequalities (``model.conditions``, one per
+    inequality with its margin, positive when satisfied; none for the
+    vertical bristle), and :class:`ZeroTensionError` when the contact
+    carries no force on the flat.
     """
     extrema = derivative_extrema(profile)
-    validate(model, extrema).require()
+    failing = [c for c in model.conditions(extrema) if not c.satisfied]
+    if failing:
+        detail = "; ".join(f"{c.label} (margin {c.margin:.3e})" for c in failing)
+        raise InadmissibleModelError(f"model inadmissible for this profile: {detail}")
     alpha = model.alpha
     if alpha == 0.0:
         raise ZeroTensionError("contact tension scale alpha is zero")
@@ -530,14 +510,14 @@ def _contact(profile: SurfaceProfile, epsilon: float, z, shift, tol=None, bound=
     radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
     lo, hi = zs - radius, zs + radius
     if tol is None:
-        tol = 1e-13 * max(1.0, float(np.max(np.abs(zs))))
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(zs), initial=0.0)))
     p = zs
     for _ in range(100):
         x = p / epsilon
         y = epsilon * eval_profile(profile, x, 0)
         s, ds = shift(y)
         r = p + s - zs
-        if np.max(np.abs(r)) <= tol:
+        if np.max(np.abs(r), initial=0.0) <= tol:
             return p, y
         p = np.clip(p - r / (1.0 + ds * eval_profile(profile, x, 1)), lo, hi)
 

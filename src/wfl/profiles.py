@@ -9,8 +9,9 @@ The two numbers that control the induced friction are the extreme slopes
 
     omega_plus  = max w'(x) > 0,      omega_minus = min w'(x) < 0,
 
-so this module exposes closed-form evaluation of w, w', w'' and every root
-of w'', over which those extrema are exact maxima and minima.
+so this module exposes closed-form evaluation of w and its first three
+derivatives and every root of w'', over which those extrema are exact
+maxima and minima.
 """
 
 from __future__ import annotations
@@ -95,18 +96,18 @@ class DerivativeExtrema:
 
 
 def eval_profile(profile: SurfaceProfile, x, order: int = 0):
-    """Evaluate w, w' or w'' at ``x`` (scalar or array).
+    """Evaluate w or its derivative of order 1, 2 or 3 at ``x`` (scalar or array).
 
     Args:
         profile: the surface profile.
         x: evaluation points, any shape.
-        order: 0 for w, 1 for w', 2 for w''.
+        order: 0 for w, 1 for w', 2 for w'', 3 for w'''.
 
     Returns:
         Value with the same shape as ``x`` (a float for scalar input).
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0, 1, 2 or 3, got {order}")
     xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
     for term in profile.terms:
@@ -116,8 +117,10 @@ def eval_profile(profile: SurfaceProfile, x, order: int = 0):
             out += term.amplitude * np.sin(u)
         elif order == 1:
             out += term.amplitude * rate * np.cos(u)
-        else:
+        elif order == 2:
             out -= term.amplitude * rate * rate * np.sin(u)
+        else:
+            out -= term.amplitude * rate * rate * rate * np.cos(u)
     return like_input(x, out)
 
 
@@ -192,21 +195,13 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
         x = ((turn[:, None] + np.arange(g)) / g).ravel()
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(3):
-                step = eval_profile(profile, x, 2) / _third_derivative(profile, x)
+                step = eval_profile(profile, x, 2) / eval_profile(profile, x, 3)
                 x = np.where(np.isfinite(step), x - step, x)
         x %= 1.0
         # a tiny negative x wraps to exactly 1.0
         roots = np.unique(np.where(x < 1.0, x, 0.0))
     roots.flags.writeable = False
     return roots
-
-
-def _third_derivative(profile: SurfaceProfile, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for term in profile.terms:
-        rate = TWO_PI * term.harmonic
-        out -= term.amplitude * rate * rate * rate * np.cos(rate * x + term.phase)
-    return out
 
 
 @lru_cache(maxsize=256)

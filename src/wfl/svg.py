@@ -32,12 +32,6 @@ def _transform(values: np.ndarray, log: bool) -> np.ndarray:
     return np.log10(values)
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, count)
-
-
 def _tick_label(value: float, log: bool) -> str:
     shown = 10.0**value if log else value
     return f"{shown:.3g}"
@@ -132,7 +126,7 @@ def line_plot(
         f'<rect x="{x0:.2f}" y="{y1:.2f}" width="{x1 - x0:.2f}" height="{y0 - y1:.2f}" '
         f'fill="none" stroke="#333" stroke-width="1"/>'
     )
-    for tick in _ticks(canvas.x_lo, canvas.x_hi):
+    for tick in np.linspace(canvas.x_lo, canvas.x_hi, 5):
         px = canvas.x(tick)
         parts.append(
             f'<line x1="{px:.2f}" y1="{y0:.2f}" x2="{px:.2f}" y2="{y0 + 5:.2f}" stroke="#333"/>'
@@ -141,7 +135,7 @@ def line_plot(
             f'<text x="{px:.2f}" y="{y0 + 20:.2f}" font-family="monospace" font-size="11" '
             f'text-anchor="middle">{_tick_label(tick, loglog)}</text>'
         )
-    for tick in _ticks(canvas.y_lo, canvas.y_hi):
+    for tick in np.linspace(canvas.y_lo, canvas.y_hi, 5):
         py = canvas.y(tick)
         parts.append(
             f'<line x1="{x0 - 5:.2f}" y1="{py:.2f}" x2="{x0:.2f}" y2="{py:.2f}" stroke="#333"/>'

@@ -70,13 +70,6 @@ class IntegratorConfig:
         if self.max_step is not None and self.max_step <= 0.0:
             raise ConfigError("max_step must be positive when given")
 
-    def effective_max_step(self, time_scale: float) -> float:
-        """User cap intersected with half the boundary-layer time scale."""
-        cap = 0.5 * time_scale
-        if self.max_step is None:
-            return cap
-        return min(self.max_step, cap)
-
 
 @dataclass(frozen=True)
 class WigglySystem:
@@ -327,17 +320,13 @@ def step_cap(system: WigglySystem, config: IntegratorConfig, horizon: float) -> 
     ``MAX_STEPS`` steps to reach ``horizon``, so such a run is refused
     before it starts.
     """
-    max_step = config.effective_max_step(system.time_scale)
+    max_step = 0.5 * system.time_scale
+    if config.max_step is not None:
+        max_step = min(config.max_step, max_step)
     if horizon / max_step > MAX_STEPS:
         raise ConfigError(f"the step cap {max_step:.3g} needs more than {MAX_STEPS} steps "
                           f"to reach t = {horizon:.6g}")
     return max_step
-
-
-def _union_with_midpoints(accepted: np.ndarray, grid: np.ndarray):
-    nodes = np.union1d(accepted, grid)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    return nodes, mids
 
 
 def integrate(
@@ -378,7 +367,8 @@ def integrate(
         # quadrature mesh: accepted steps refined by the output grid, plus
         # segment midpoints for Simpson weights; the dense output fills in
         # everything but the accepted steps, whose states are known
-        nodes, mids = _union_with_midpoints(sol.t, grid)
+        nodes = np.union1d(sol.t, grid)
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
         z_nodes = sol.sample(nodes)
         z_nodes[np.searchsorted(nodes, sol.t)] = sol.y
         z_mids = sol.sample(mids)

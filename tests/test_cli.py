@@ -198,9 +198,13 @@ class TestSimulate:
         assert code == 1
         assert not (out / "viscous.csv").exists()
 
-    def test_missing_epsilon_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "simulate", self.payload())
+    def test_missing_epsilon_rejected(self, tmp_path, capsys):
+        # eps comes only from --epsilon; there is no config key for it
+        code, out = run(tmp_path, "simulate", self.payload())
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "required: --epsilon" in err
+        assert not out.exists()
 
     def test_runaway_initial_state_is_solver_failure(self, tmp_path):
         payload = self.payload()
@@ -365,7 +369,8 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("command", ["simulate", "converge"])
     def test_every_missing_block_is_named_on_one_line(self, tmp_path, capsys, command):
-        code, out = run(tmp_path, command, {"profile": CANONICAL["profile"]})
+        extra = ("--epsilon", "0.1") if command == "simulate" else ()
+        code, out = run(tmp_path, command, {"profile": CANONICAL["profile"]}, *extra)
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -438,7 +443,8 @@ class TestErrorReporting:
     def test_malformed_block_is_one_line_exit_one(
         self, tmp_path, capsys, command, block, value, named
     ):
-        code, out = run(tmp_path, command, dict(CANONICAL, **{block: value}))
+        extra = ("--epsilon", "0.1") if command == "simulate" else ()
+        code, out = run(tmp_path, command, dict(CANONICAL, **{block: value}), *extra)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
@@ -472,11 +478,26 @@ class TestErrorReporting:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert taken.read_text(encoding="utf-8") == "keep"
 
-    def test_horizon_beyond_loading_rejected(self, tmp_path):
-        payload = dict(CANONICAL)
-        payload["simulation"] = {"horizon": 3.0}
-        code, _ = run(tmp_path, "simulate", payload, "--epsilon", "0.1")
+    @pytest.mark.parametrize(
+        "command, block, key, value",
+        [
+            ("simulate", "simulation", "epsilon", 0.1),
+            ("simulate", "simulation", "horizon", 0.25),
+            ("sweep-theta", "sweep_theta", "oracle", False),
+        ],
+        ids=["simulation.epsilon", "simulation.horizon", "sweep_theta.oracle"],
+    )
+    def test_removed_key_is_an_unknown_key(self, tmp_path, capsys, command, block, key, value):
+        # eps comes only from --epsilon, a run spans its loading's horizon, and
+        # sweep-theta always writes the oracle columns
+        base = {**CANONICAL, "simulation": {}, "sweep_theta": {"model": "slanted", "count": 3}}
+        payload = dict(base, **{block: dict(base[block], **{key: value})})
+        extra = ("--epsilon", "0.1") if command == "simulate" else ()
+        code, out = run(tmp_path, command, payload, *extra)
         assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config {block}: unknown keys ['{key}']\n"
+        assert not out.exists()
 
 
 class _Overtime(BaseException):
@@ -501,6 +522,10 @@ EDGE_CASES = [
     ("simulate", _edge("model", "L_rest", 1e300), (), 2),
     ("simulate", CANONICAL, ("--epsilon", "1e-9"), 1),
     ("simulate", _edge("loading", "duration", 1e300), (), 1),
+    # grid steps of ~2e-304 make np.gradient divide by an underflowed zero
+    ("simulate", _edge("loading", "duration", 1e-300), ("--epsilon", "0.05", "--limit"), 2),
+    ("converge", dict(_edge("loading", "duration", 1e-300), simulation={"epsilons": [0.1, 0.05]}),
+     (), 2),
     ("simulate", dict(CANONICAL, simulation={"gamma": 1e300}), (), 1),
     ("simulate", _edge("loading", "rate", 1e300), (), 2),
     ("simulate", dict(CANONICAL, simulation={"z0": 1e300}), (), 2),
@@ -513,8 +538,9 @@ EDGE_CASES = [
 @pytest.mark.parametrize(
     "command, payload, extra, expected",
     EDGE_CASES,
-    ids=["k-huge", "h-huge", "L_rest-huge", "epsilon-tiny", "duration-huge", "gamma-huge",
-         "rate-huge", "z0-huge", "nap-L-tiny", "nap-L-huge", "k-table-span-huge"],
+    ids=["k-huge", "h-huge", "L_rest-huge", "epsilon-tiny", "duration-huge", "duration-tiny",
+         "duration-tiny-converge", "gamma-huge", "rate-huge", "z0-huge", "nap-L-tiny",
+         "nap-L-huge", "k-table-span-huge"],
 )
 def test_extreme_value_keeps_the_exit_contract_within_seconds(
     tmp_path, capsys, command, payload, extra, expected
@@ -575,8 +601,16 @@ CONTRACT_CONFIGS = {
     "perceived": dict(CANONICAL, perceived={"samples": 16}),
     "nap": {"nap": {"theta_lim": 1.0, "theta_with": 0.5, "mu_plus": 0.1, "k": 1.0, "L": 1.0}},
     "sweep-theta": {"sweep_theta": {"model": "slanted", "count": 3, "slope": 0.1,
-                                    "theta_min": 0.1, "theta_max": 1.0, "oracle": True}},
+                                    "theta_min": 0.1, "theta_max": 1.0}},
+    # whole runs, kept short: a 0.2-s ramp on an 11-point grid
+    "simulate": dict(CANONICAL, loading={"kind": "ramp", "q0": 0.0, "rate": 1.0, "duration": 0.2},
+                     simulation={"gamma": 1.0, "z0": 0.0, "grid_points": 11,
+                                 "tolerances": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.1}}),
+    "converge": dict(CANONICAL, loading={"kind": "ramp", "rate": 1.0, "duration": 0.2},
+                     simulation={"epsilons": [0.1, 0.05], "grid_points": 11,
+                                 "windows": [[0.0, 0.2]]}),
 }
+CONTRACT_ARGS = {"simulate": ["--epsilon", "0.05", "--limit"]}
 
 BLOCK_CASES = [
     (cli.build_loading, {"kind": "ramp", "duration": 1.0, "q0": 0.0, "rate": 1.0}),
@@ -584,8 +618,8 @@ BLOCK_CASES = [
                          "frequency": 1.0, "phase": 0.0}),
     (cli.build_loading, {"kind": "piecewise", "times": [0.0, 0.5, 1.0],
                          "values": [0.0, 0.1, 0.0], "blend": 0.1}),
-    (cli.build_simulation, {"epsilon": 0.1, "epsilons": [0.1, 0.05], "gamma": 1.0, "z0": 0.0,
-                            "horizon": 1.0, "grid_points": 11, "windows": [[0.0, 1.0]],
+    (cli.build_simulation, {"epsilons": [0.1, 0.05], "gamma": 1.0, "z0": 0.0,
+                            "grid_points": 11, "windows": [[0.0, 1.0]],
                             "tolerances": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.1}}),
 ]
 
@@ -619,6 +653,20 @@ CONTRACT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, 
 
 
 class TestContractProperty:
+    # a base that failed by itself would make every drawn example fail for
+    # the same reason, and the properties would pass without testing anything
+    @pytest.mark.parametrize("command", list(CONTRACT_CONFIGS))
+    def test_every_base_config_exits_zero(self, tmp_path, command):
+        extra = (*CONTRACT_ARGS.get(command, ()), "--svg")
+        code, out = run(tmp_path, command, CONTRACT_CONFIGS[command], *extra)
+        assert code == 0
+        assert any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("index", range(len(BLOCK_CASES)))
+    def test_every_base_block_parses(self, index):
+        parse, block = BLOCK_CASES[index]
+        parse(block)
+
     @CONTRACT_SETTINGS
     @given(case=st.sampled_from(CLI_LEAVES), leaf=st.sampled_from(BAD_LEAVES),
            svg=st.booleans())
@@ -629,7 +677,8 @@ class TestContractProperty:
             config = Path(tmp) / "config.json"
             config.write_text(json.dumps(payload), encoding="utf-8")
             out = Path(tmp) / "out"
-            argv = [command, "--config", str(config), "--out", str(out)] + ["--svg"] * svg
+            argv = [command, "--config", str(config), "--out", str(out),
+                    *CONTRACT_ARGS.get(command, ()), *["--svg"] * svg]
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
                 warnings.simplefilter("always")

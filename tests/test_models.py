@@ -29,7 +29,6 @@ from wfl import (
     nap_coefficients,
     perceived_extrema,
     perceived_profile,
-    validate,
     wiggly_energy,
     wiggly_force,
 )
@@ -98,33 +97,29 @@ def test_mu_sign_pattern_random():
 # ---------------------------------------------------------------------------
 
 def test_vertical_always_admissible():
-    report = validate(VerticalBristle(1.0, 2.0, 1.0), derivative_extrema(CANONICAL))
-    assert report.admissible
-    assert report.conditions == ()
+    assert VerticalBristle(1.0, 2.0, 1.0).conditions(derivative_extrema(CANONICAL)) == ()
 
 
 def test_slanted_admissibility_margin():
     ex = derivative_extrema(CANONICAL)
-    ok = validate(SlantedBristle(1.0, 20.0, 1.0, 0.5), ex)
-    assert ok.admissible
-    (cond,) = ok.conditions
+    (cond,) = SlantedBristle(1.0, 20.0, 1.0, 0.5).conditions(ex)
+    assert cond.satisfied
     assert cond.margin == pytest.approx(1.0 / math.tan(0.5) - 0.1, rel=1e-12)
     # steep mounting angle: cot(theta) < omega_plus
-    steep = validate(SlantedBristle(1.0, 20.0, 1.0, math.atan(1.0 / 0.05)), ex)
-    assert not steep.admissible
-    assert steep.conditions[0].margin < 0.0
+    (steep,) = SlantedBristle(1.0, 20.0, 1.0, math.atan(1.0 / 0.05)).conditions(ex)
+    assert not steep.satisfied
+    assert steep.margin < 0.0
 
 
 def test_angular_admissibility_two_sided():
     ex = derivative_extrema(CANONICAL)
-    good = validate(AngularBristle(1.0, math.sqrt(2.0), 1.0, 0.0), ex)
-    assert good.admissible
-    assert len(good.conditions) == 2
+    good = AngularBristle(1.0, math.sqrt(2.0), 1.0, 0.0).conditions(ex)
+    assert all(c.satisfied for c in good)
+    assert len(good) == 2
     # nearly flat rod: theta_lim close to 0, cot(theta_lim) huge, tan tiny
     flat = AngularBristle(1.0, 1.0005, 1.0, -0.5)
-    report = validate(flat, ex)
-    assert not report.admissible
-    labels = [c for c in report.conditions if not c.satisfied]
+    labels = [c for c in flat.conditions(ex) if not c.satisfied]
+    assert labels
     assert any("omega_minus" in c.label for c in labels)
 
 
@@ -590,9 +585,9 @@ def test_margins_and_epsilon_limit_match_the_written_out_formulas(model):
     else:
         margins = []
         limit = 0.5 * model.h / bound
-    report = validate(model, extrema)
-    assert [c.margin for c in report.conditions] == margins
-    assert all(c.satisfied for c in report.conditions)
+    conditions = model.conditions(extrema)
+    assert [c.margin for c in conditions] == margins
+    assert all(c.satisfied for c in conditions)
     assert epsilon_limit(model, TWO_MODE) == limit
 
 
@@ -610,6 +605,20 @@ SCALAR_MODELS = [
     SlantedBristle(1.0, 1.0, 0.05, 0.5),
     AngularBristle(1.0, 1.0, math.cos(0.6), 0.0),
 ]
+
+
+@pytest.mark.parametrize("route", ["vertical", "slanted", "angular", "invert"])
+def test_empty_array_gives_an_empty_array(route):
+    # the contact solve reduces over the points: none is no error
+    empty = np.array([])
+    if route == "invert":
+        results = [invert_contact_map(CANONICAL, 0.7, empty)]
+    else:
+        model = {m.name: m for m in SCALAR_MODELS}[route]
+        results = [wiggly_force(model, CANONICAL, 0.05, empty),
+                   wiggly_energy(model, CANONICAL, 0.05, empty)]
+    for result in results:
+        assert isinstance(result, np.ndarray) and result.shape == (0,)
 
 
 def strip_boundaries(model, profile):

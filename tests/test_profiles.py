@@ -137,6 +137,10 @@ def test_derivatives_against_finite_differences():
         s_minus = eval_profile(p, xs - h, 1)
         fd2 = (s_plus - s_minus) / (2 * h)
         np.testing.assert_allclose(eval_profile(p, xs, 2), fd2, atol=1e-3)
+        c_plus = eval_profile(p, xs + h, 2)
+        c_minus = eval_profile(p, xs - h, 2)
+        fd3 = (c_plus - c_minus) / (2 * h)
+        np.testing.assert_allclose(eval_profile(p, xs, 3), fd3, atol=1e-3)
 
 
 def test_periodicity():
@@ -155,7 +159,7 @@ def test_periodicity():
 def test_eval_rejects_bad_order():
     p = SurfaceProfile.sinusoid()
     with pytest.raises(ValueError):
-        eval_profile(p, 0.0, 3)
+        eval_profile(p, 0.0, 4)
 
 
 def test_bounds_dominate_samples():

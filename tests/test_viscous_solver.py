@@ -36,6 +36,7 @@ from wfl.viscous_solver import (
     integrate,
     rhs,
     scalar_rhs,
+    step_cap,
 )
 
 CANONICAL = SurfaceProfile.sinusoid(slope=0.1)
@@ -293,7 +294,7 @@ class TestIntegration:
         sol = viscous_solver.solve_ivp(
             lambda t, z: float(system.force(t, z)) / tau,
             (0.0, 0.5), 0.0, rtol=1e-9, atol=1e-11,
-            max_step=IntegratorConfig().effective_max_step(tau),
+            max_step=step_cap(system, IntegratorConfig(), 0.5),
         )
         np.testing.assert_allclose(traj.states, sol.sample(traj.times), rtol=0.0, atol=1e-12)
         assert scalar.nfev == sol.nfev
@@ -326,7 +327,7 @@ class TestStepper:
         sol = solve_ivp(
             fun,
             (0.0, 2.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11,
-            max_step=IntegratorConfig().effective_max_step(tau), dense_output=True,
+            max_step=step_cap(system, IntegratorConfig(), 2.0), dense_output=True,
         )
         assert sol.status == 0
         np.testing.assert_allclose(traj.states, sol.sol(traj.times)[0], rtol=0.0, atol=1e-7)
@@ -530,7 +531,7 @@ class TestFailureModes:
         # 2 / 1e-6 = 2e6 steps at the user cap, refused before the first step
         with pytest.raises(ConfigError, match="needs more than 1000000 steps"):
             integrate(system, 0.0, config=IntegratorConfig(max_step=1e-6))
-        assert 2.0 / IntegratorConfig().effective_max_step(0.1) <= viscous_solver.MAX_STEPS
+        assert 2.0 / step_cap(system, IntegratorConfig(), 2.0) <= viscous_solver.MAX_STEPS
         # a run that takes the whole budget without reaching its end stops there
         monkeypatch.setattr(viscous_solver, "MAX_STEPS", 50)
         kwargs = {"rtol": 1e-10, "atol": 1e-12}
@@ -582,10 +583,11 @@ class TestFailureModes:
         with pytest.raises(ConfigError):
             IntegratorConfig(max_step=0.0)
 
-    def test_effective_max_step_caps_at_half_time_scale(self):
-        assert IntegratorConfig().effective_max_step(0.1) == 0.05
-        assert IntegratorConfig(max_step=1e-3).effective_max_step(0.1) == 1e-3
-        assert IntegratorConfig(max_step=1.0).effective_max_step(0.1) == 0.05
+    def test_step_cap_caps_at_half_time_scale(self):
+        system = canonical_system(0.1)
+        assert step_cap(system, IntegratorConfig(), 2.0) == 0.05
+        assert step_cap(system, IntegratorConfig(max_step=1e-3), 2.0) == 1e-3
+        assert step_cap(system, IntegratorConfig(max_step=1.0), 2.0) == 0.05
 
     def test_grid_and_horizon_validation(self):
         system = canonical_system(0.1)
