@@ -48,13 +48,17 @@ def _as_array(t):
 def overflow_raises(error: type, what: str):
     """Run NumPy code in which overflow, division by zero or an invalid result raises ``error``.
 
-    NumPy would otherwise warn and carry an inf or a nan on.
+    NumPy would otherwise warn and carry an inf or a nan on.  The message
+    names the kind of error, taken from the start of NumPy's message.
     """
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
             yield
         except FloatingPointError as exc:
-            raise error(f"{what} overflowed ({exc})") from exc
+            kind = {"overflow": "overflowed", "divide by zero": "divided by zero",
+                    "underflow": "underflowed", "invalid value": "gave an invalid value"}
+            raise error(f"{what} {kind.get(str(exc).split(' encountered')[0], 'failed')} "
+                        f"({exc})") from exc
 
 
 class LoadingProgram(ABC):

@@ -54,11 +54,11 @@ geometry is one more class.
     flat.
 
 The closures use Python's arithmetic operators and the ``sqrt``/``acos``
-passed in, so one formula set serves both routes: :func:`wiggly_force` and
-:func:`wiggly_energy` pass ``np.sqrt`` and libm's ``acos`` taken
-elementwise and call them on arrays; :func:`scalar_force` (the
-integrator's right-hand side) passes ``math.sqrt`` and ``math.acos`` and
-calls them on floats.  ``sqrt`` is correctly rounded in both, and the
+passed in, so one formula set serves both routes: :func:`wiggly_force`,
+:func:`wiggly_energy` and :func:`at_contact` pass ``np.sqrt`` and libm's
+``acos`` taken elementwise and call them on arrays; :func:`scalar_force`
+(the integrator's right-hand side) passes ``math.sqrt`` and ``math.acos``
+and calls them on floats.  ``sqrt`` is correctly rounded in both, and the
 ``acos`` is libm's in both, so the two routes agree bitwise and neither
 depends on NumPy's SIMD ``arccos``.
 """
@@ -389,8 +389,7 @@ def invert_contact_map(profile: SurfaceProfile, slope_factor: float, z):
     extrema = derivative_extrema(profile)
     mu_from_omega(extrema.omega_plus, extrema.omega_minus, slope_factor)
     a = slope_factor
-    p, _ = _contact(profile, 1.0, z, lambda y: (a * y, a), tol=1e-12, bound=1e-12)
-    return like_input(z, p)
+    return like_input(z, _contact(profile, 1.0, z, lambda y: (a * y, a), tol=1e-12, bound=1e-12))
 
 
 @dataclass(frozen=True)
@@ -493,19 +492,18 @@ def _require_valid_epsilon(model: BristleModel, profile: SurfaceProfile, epsilon
 
 
 def _contact(profile: SurfaceProfile, epsilon: float, z, shift, tol=None, bound=1e-10):
-    """Contact point ``p`` and tip height ``y = eps w(p / eps)`` for root position ``z``.
+    """Contact point ``p`` for root position ``z``.
 
-    ``p`` solves the root-tip relation ``p + shift(y) = z`` by safeguarded
-    Newton (the relation is strictly monotone inside the validity region),
-    stopped at ``tol`` (by default 1e-13 of ``max(1, |z|)``), with a
-    bisection sweep for points whose residual is still above 1e-12; a
-    residual above ``bound`` after the sweep raises
-    :class:`InversionFailureError`.  A tip under its root (``shift`` is
-    ``None``) solves nothing.
+    ``p`` solves ``p + shift(eps w(p / eps)) = z`` by safeguarded Newton
+    (the relation is strictly monotone inside the validity region), stopped
+    at ``tol`` (by default 1e-13 of ``max(1, |z|)``), with a bisection sweep
+    for points whose residual is still above 1e-12; a residual above
+    ``bound`` after the sweep raises :class:`InversionFailureError`.  A tip
+    under its root (``shift`` is ``None``) solves nothing.
     """
     zs = np.array(z, dtype=float, ndmin=1)
     if shift is None:
-        return zs, epsilon * eval_profile(profile, zs / epsilon, 0)
+        return zs
     ymax = epsilon * profile.amplitude_bound
     radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
     lo, hi = zs - radius, zs + radius
@@ -518,7 +516,7 @@ def _contact(profile: SurfaceProfile, epsilon: float, z, shift, tol=None, bound=
         s, ds = shift(y)
         r = p + s - zs
         if np.max(np.abs(r), initial=0.0) <= tol:
-            return p, y
+            return p
         p = np.clip(p - r / (1.0 + ds * eval_profile(profile, x, 1)), lo, hi)
 
     def residual(q):
@@ -535,7 +533,7 @@ def _contact(profile: SurfaceProfile, epsilon: float, z, shift, tol=None, bound=
         worst = float(np.max(np.abs(residual(p))))
         if worst > bound:
             raise InversionFailureError(f"contact iteration stalled at residual {worst:.3e}")
-    return p, epsilon * eval_profile(profile, p / epsilon, 0)
+    return p
 
 
 def _libm_acos(x):
@@ -551,74 +549,69 @@ def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z
     contact point, then differentiate the stored elastic energy through the
     root-tip relation.
     """
+    return like_input(z, at_contact(model, profile, epsilon,
+                                    contact_point(model, profile, epsilon, z))[1])
+
+
+def contact_point(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
+    """Tip abscissa ``p`` of root position ``z``, the inverse of :func:`at_contact`'s ``z``."""
     _require_valid_epsilon(model, profile, epsilon)
-    shift, force, _ = model.formulas(np.sqrt, _libm_acos)
-    p, y = _contact(profile, epsilon, z, shift)
-    return like_input(z, force(y, eval_profile(profile, p / epsilon, 1)))
+    shift, _, _ = model.formulas(np.sqrt, _libm_acos)
+    return like_input(z, _contact(profile, epsilon, z, shift))
+
+
+def at_contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, p):
+    """``z``, ``V_eps'(z)``, ``V_eps(z)`` and ``g'(p)`` with the tip at abscissa ``p``, as arrays.
+
+    No Newton: the root position ``z = g(p) = p + shift(y)``, ``y = eps w(p / eps)``,
+    is explicit, and so is the slope ``g'(p) = 1 + ds(y) w'(p / eps)`` of the contact map.
+    """
+    _require_valid_epsilon(model, profile, epsilon)
+    shift, force, energy = model.formulas(np.sqrt, _libm_acos)
+    ps = np.array(p, dtype=float, ndmin=1)
+    x = ps / epsilon
+    y = epsilon * eval_profile(profile, x, 0)
+    wp = eval_profile(profile, x, 1)
+    if shift is None:
+        return ps, force(y, wp), energy(y), 1.0
+    s, ds = shift(y)
+    return ps + s, force(y, wp), energy(y), 1.0 + ds * wp
 
 
 def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
-    """``V_eps'`` as a function of one Python float ``z``, with no NumPy call.
+    """:func:`at_contact`'s ``(z, V_eps'(z), g'(p))`` as a function of one Python float ``p``.
 
-    The viscous integrator's right-hand side, built once per run from the
-    geometry's ``formulas`` on ``math``.  Each call sums w and w' over the
-    Fourier terms in the order :func:`eval_profile` does, solves the
-    root-tip relation by the Newton iteration of :func:`wiggly_force` (same
-    tolerance, clip radius and iteration cap) and applies the geometry's
-    force, so it agrees bitwise with :func:`wiggly_force`.  ``epsilon`` is
-    checked here, once.  A point where Newton does not converge is handed
-    to :func:`wiggly_force`, whose bisection and
-    :class:`InversionFailureError` apply.  A non-finite ``z`` may raise
-    ``ValueError`` from ``math``.
+    The viscous integrator's, built once per run from ``formulas`` on
+    ``math``: no NumPy call, w and w' summed as :func:`eval_profile` sums
+    them, so bitwise :func:`at_contact`; ``V_eps'(z)`` alone for a tip under
+    its root (``z = p``).  ``epsilon`` is checked here, once.  A non-finite
+    ``p`` may raise ``ValueError`` from ``math``.
     """
     _require_valid_epsilon(model, profile, epsilon)
     shift, force, _ = model.formulas(math.sqrt, math.acos)
     terms = scalar_terms(profile)
     sin, cos = math.sin, math.cos
 
-    if shift is None:
-        # the tip sits under the root: the contact sum and the force are one function
-        def at(z: float) -> float:
-            x = z / epsilon
-            w = wp = 0.0
-            for rate, phase, amplitude, slope, _ in terms:
-                u = rate * x + phase
-                w += amplitude * sin(u)
-                wp += slope * cos(u)
+    def at(p: float):
+        x = p / epsilon
+        w = wp = 0.0
+        for rate, phase, amplitude, slope, _ in terms:
+            u = rate * x + phase
+            w += amplitude * sin(u)
+            wp += slope * cos(u)
+        if shift is None:
             return force(epsilon * w, wp)
-
-        return at
-
-    ymax = epsilon * profile.amplitude_bound
-    radius = max(abs(shift(ymax)[0]), abs(shift(-ymax)[0]))
-
-    def at(z: float) -> float:
-        tol = 1e-13 * max(1.0, abs(z))
-        lo, hi = z - radius, z + radius
-        p = z
-        for _ in range(100):
-            x = p / epsilon
-            w = wp = 0.0
-            for rate, phase, amplitude, slope, _ in terms:
-                u = rate * x + phase
-                w += amplitude * sin(u)
-                wp += slope * cos(u)
-            y = epsilon * w
-            s, ds = shift(y)
-            r = p + s - z
-            if abs(r) <= tol:
-                return force(y, wp)
-            p = min(max(p - r / (1.0 + ds * wp), lo), hi)
-        return wiggly_force(model, profile, epsilon, z)
+        y = epsilon * w
+        s, ds = shift(y)
+        return p + s, force(y, wp), 1.0 + ds * wp
 
     return at
 
 
 def wiggly_energy(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
     """Microscale bristle potential at root position ``z``, zeroed on the flat."""
-    _require_valid_epsilon(model, profile, epsilon)
-    shift, _, energy = model.formulas(np.sqrt, _libm_acos)
-    return like_input(z, energy(_contact(profile, epsilon, z, shift)[1]))
+    return like_input(z, at_contact(model, profile, epsilon,
+                                    contact_point(model, profile, epsilon, z))[2])
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class _Canvas:
 
 
 def _polyline_points(canvas: _Canvas, xs: np.ndarray, ys: np.ndarray) -> str:
-    return " ".join(f"{canvas.x(x):.2f},{canvas.y(y):.2f}" for x, y in zip(xs, ys))
+    return " ".join(map("{:.2f},{:.2f}".format, canvas.x(xs).tolist(), canvas.y(ys).tolist()))
 
 
 def line_plot(

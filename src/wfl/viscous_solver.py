@@ -18,42 +18,47 @@ controller, so it takes SciPy's steps to rounding.  Each accepted step keeps
 its quartic dense-output coefficients, and the whole post-processing mesh is
 evaluated from them in one vectorised pass.
 
-The stepper calls :func:`scalar_rhs`: one closure over plain floats, built
-once per run from the loading's ``scalar_q`` and the models'
-``scalar_force``, with Phi'(z) = k_h z inlined.  A call makes no attribute
-lookup and no NumPy call.  :func:`rhs` is the array route; post-processing
-evaluates it on the whole mesh, and the tests use it as the scalar route's
-oracle.
+The stepper advances the tip abscissa ``p`` by :func:`scalar_rhs`: the root
+position ``z = g(p) = p + shift(eps w(p / eps))`` is explicit and strictly
+increasing inside the validity region, so ``eps^gamma g'(p) pdot =
+-Phi'(z) - V_eps'(z) + ell(t)`` needs no contact Newton (``p = z`` for a
+tip under its root), and post-processing evaluates ``z``, ``zdot``, ``xi``
+and the energy from ``p`` (:meth:`WigglySystem.at_contact`).
 
 Dissipation is accumulated as ``int eps^gamma zdot^2 dt`` with a composite
 Simpson rule over the union of accepted integrator steps and requested
 output times, evaluating the dense-output interpolant at segment endpoints
 and midpoints.  That keeps the quadrature aligned with the time scales the
 integrator actually resolved, including fast slip bursts between output
-samples.
+samples, and for a tilted bristle each segment is first split in
+``TILTED_SPLIT`` panels.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, StiffnessFailureError
+from .errors import ConfigError, InversionFailureError, StiffnessFailureError
 from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raises, time_grid
-from .models import (
-    BristleModel, _require_valid_epsilon, scalar_force, wiggly_energy, wiggly_force,
-)
-from .models import epsilon_limit  # unused here; perfbench's tracer wraps this binding
+from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point, scalar_force
+# unused here; perfbench's tracer wraps these bindings
+from .models import epsilon_limit, wiggly_energy, wiggly_force
 from .profiles import SurfaceProfile
 
 
 #: Most steps a run may take: :func:`integrate` refuses a run whose step cap
 #: needs more, and :func:`solve_ivp` stops one that takes as many short of its end.
 MAX_STEPS = 10**6
+
+#: Simpson panels per mesh segment for a tilted bristle: with one, the dissipation's
+#: quadrature error reaches 2e-6 of the energy scale at eps = 0.01; with three, 3e-8.
+TILTED_SPLIT = 3
 
 
 @dataclass(frozen=True)
@@ -97,59 +102,56 @@ class WigglySystem:
         """Relaxation time eps^gamma of the viscous term."""
         return self.epsilon ** self.gamma
 
-    def force(self, t, z):
-        """Total force ell(t) - Phi'(z) - V_eps'(z); also -D_z of the energy."""
-        return (
-            self.base.ell(t)
-            - self.base.phi_force(z)
-            - wiggly_force(self.model, self.profile, self.epsilon, z)
-        )
-
-    def energy(self, t, z):
-        """E_eps(t, z) = Phi(z) + V_eps(z) - ell(t) z."""
-        return (
-            self.base.phi_value(z)
-            + wiggly_energy(self.model, self.profile, self.epsilon, z)
-            - self.base.ell(t) * z
-        )
-
-
-def rhs(system: WigglySystem, t, z):
-    """zdot = (ell(t) - Phi'(z) - V_eps'(z)) / eps^gamma."""
-    return system.force(t, z) / system.time_scale
+    def at_contact(self, t, p):
+        """z, xi = ell(t) - Phi'(z) - V_eps'(z), E_eps(t, z) and g'(p) at tip ``p``."""
+        z, micro_force, micro_energy, slope = at_contact(self.model, self.profile, self.epsilon, p)
+        ell = self.base.ell(t)
+        return (z, ell - self.base.phi_force(z) - micro_force,
+                self.base.phi_value(z) + micro_energy - ell * z, slope)
 
 
 def scalar_rhs(system: WigglySystem):
-    """:func:`rhs` as one function of two Python floats, built once per run.
+    """pdot = (ell(t) - Phi'(z) - V_eps'(z)) / (eps^gamma g'(p)) as one function of two floats.
 
-    It closes over plain floats and the float routes of the loading
-    (``LoadingProgram.scalar_q``) and the microscale force
-    (:func:`scalar_force`), and inlines Phi'(z) = k_h z, so a call makes no
-    attribute lookup and no NumPy call.  It takes the operations of
-    :func:`rhs` in the same order.  A math error in the microscale force,
-    or a non-finite result, means the state ran away and raises
-    :class:`StiffnessFailureError`.
+    Built once per run over plain floats, the loading's ``scalar_q`` and
+    :func:`~wfl.models.scalar_force`, with Phi'(z) = k_h z inlined: no attribute
+    lookup, NumPy call or contact Newton per call (``p = z``, g' = 1 for a tip
+    under its root).  A math error or a non-finite result means the state ran
+    away (:class:`StiffnessFailureError`); a fold, g' <= 0, is an :class:`InversionFailureError`.
     """
     base = system.base
     q = base.loading.scalar_q()
     k_h, rest, tau = base.k_h, base.L_h_rest, system.time_scale
-    micro_force = scalar_force(system.model, system.profile, system.epsilon)
+    contact = scalar_force(system.model, system.profile, system.epsilon)
     isfinite, nan = math.isfinite, math.nan
+
+    def failure(t: float, p: float, slope: float = 1.0):
+        if slope <= 0.0:
+            return InversionFailureError(f"the contact map folds at t = {t:.6g}, p = {p:.6g}")
+        return StiffnessFailureError(f"force evaluation overflowed at t = {t:.6g}, p = {p:.6g}; "
+                                     f"the state has left the integrable range")
 
     def fun(t: float, z: float) -> float:
         try:
-            f = micro_force(z)
+            f = contact(z)
         except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
             f = nan
         v = (k_h * (q(t) - rest) - k_h * z - f) / tau
         if not isfinite(v):
-            raise StiffnessFailureError(
-                f"force evaluation overflowed at t = {t:.6g}, z = {z:.6g}; "
-                f"the state has left the integrable range"
-            )
+            raise failure(t, z)
         return v
 
-    return fun
+    def tilted(t: float, p: float) -> float:
+        try:
+            z, f, slope = contact(p)
+        except (ArithmeticError, ValueError):
+            z = f = slope = nan
+        v = (k_h * (q(t) - rest) - k_h * z - f) / (tau * slope)
+        if not (isfinite(v) and slope > 0.0):
+            raise failure(t, p, slope)
+        return v
+
+    return tilted if system.model.formulas(math.sqrt, math.acos)[0] else fun
 
 
 # Dormand-Prince 5(4) tableau: nodes C, stages A, 5th-order weights B and
@@ -242,7 +244,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
     nfev = 2
 
     min_step = 10.0 * math.ulp(t_end)
-    times, states, stages = [t], [y], []
+    # flat buffers, read back without a copy: 72 B a step (a tuple a step took 377 B)
+    times, states, stages = array("d", (t,)), array("d", (y,)), array("d")
     while t < t_end:
         h = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
@@ -278,18 +281,18 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
                 break
             h *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
             rejected = True
-        stages.append((k1, k2, k3, k4, k5, k6, k7))
+        stages.extend((k1, k2, k3, k4, k5, k6, k7))
         t, y, k1 = t_new, y_new, k7
         times.append(t)
         states.append(y)
-        if len(stages) == MAX_STEPS and t < t_end:
+        if len(times) > MAX_STEPS and t < t_end:
             raise StiffnessFailureError(
                 f"viscous integration took {MAX_STEPS} steps to reach t = {t:.6g} of {t_end:.6g}"
             )
 
     return StepperResult(
-        t=np.array(times), y=np.array(states), q=np.array(stages).reshape(-1, 7) @ _P,
-        nfev=nfev,
+        t=np.frombuffer(times), y=np.frombuffer(states),
+        q=np.frombuffer(stages).reshape(-1, 7) @ _P, nfev=nfev,
     )
 
 
@@ -338,10 +341,11 @@ def integrate(
     """Integrate the viscous flow from ``z0`` to the end of ``grid`` and sample it there.
 
     ``grid`` is a :func:`~wfl.limit_solver.time_grid` of the loading.  The
-    stepper advances :func:`scalar_rhs`, built once here; the samples, the
-    dissipation and the power integral come from the dense output and the
-    array route :func:`rhs` on the whole quadrature mesh.  A run whose
-    :func:`step_cap` needs more than ``MAX_STEPS`` steps is refused with
+    stepper advances :func:`scalar_rhs`, built once here, from the contact
+    point of ``z0``; the samples, the dissipation and the power integral
+    come from the dense output and :meth:`WigglySystem.at_contact` on the
+    whole quadrature mesh.  A run whose :func:`step_cap` needs more than
+    ``MAX_STEPS`` steps is refused with
     :class:`ConfigError`.  Raises :class:`StiffnessFailureError` when the
     adaptive integrator drives its step below the floating-point spacing
     (the problem is stiffer than the explicit pair can handle at these
@@ -358,51 +362,50 @@ def integrate(
     sol = solve_ivp(
         scalar_rhs(system),
         (0.0, float(grid[-1])),
-        float(z0),
+        contact_point(system.model, system.profile, system.epsilon, float(z0)),
         rtol=config.rtol,
         atol=config.atol,
         max_step=max_step,
     )
     with overflow_raises(StiffnessFailureError, "post-processing"):
-        # quadrature mesh: accepted steps refined by the output grid, plus
-        # segment midpoints for Simpson weights; the dense output fills in
-        # everything but the accepted steps, whose states are known
+        # accepted steps refined by the output grid: the dense output fills in the rest
         nodes = np.union1d(sol.t, grid)
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        z_nodes = sol.sample(nodes)
-        z_nodes[np.searchsorted(nodes, sol.t)] = sol.y
-        z_mids = sol.sample(mids)
-        zdot_nodes = rhs(system, nodes, z_nodes)
-        zdot_mids = rhs(system, mids, z_mids)
+        p_nodes = sol.sample(nodes)
+        p_nodes[np.searchsorted(nodes, sol.t)] = sol.y
+        z_nodes, xi_nodes, e_nodes, _ = system.at_contact(nodes, p_nodes)
+        # the run starts at z0 exactly; g(p0) meets it to the contact tolerance
+        z_nodes[0] = z0
+        zdot_nodes = xi_nodes / tau
 
-        widths = np.diff(nodes)
+        # dissipation int eps^gamma zdot^2 dt and power int dE/dt = -int ell'(t) z dt:
+        # composite Simpson, m / 2 panels a segment (TILTED_SPLIT for a tip with a
+        # shift), interior points weighted 4, 2, ..., 4 and taken one at a time
         g_nodes = tau * np.square(zdot_nodes)
-        g_mids = tau * np.square(zdot_mids)
-        diss_steps = (widths / 6.0) * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:])
-        diss_cum = np.concatenate(([0.0], np.cumsum(diss_steps)))
-
-        # external power int dE/dt = -int ell'(t) z dt, same Simpson mesh
-        p_nodes = -system.base.ell_rate(nodes) * z_nodes
-        p_mids = -system.base.ell_rate(mids) * z_mids
-        power_steps = (widths / 6.0) * (p_nodes[:-1] + 4.0 * p_mids + p_nodes[1:])
-        power_integral = float(np.sum(power_steps))
+        power_nodes = -system.base.ell_rate(nodes) * z_nodes
+        diss_steps, power_steps = g_nodes[:-1], power_nodes[:-1]
+        m = 2 * (TILTED_SPLIT if system.model.formulas(math.sqrt, math.acos)[0] else 1)
+        for j in range(1, m):
+            at = (1.0 - j / m) * nodes[:-1] + (j / m) * nodes[1:]
+            z_at, xi_at, _, _ = system.at_contact(at, sol.sample(at))
+            weight = 4.0 if j % 2 else 2.0
+            diss_steps = diss_steps + weight * (tau * np.square(xi_at / tau))
+            power_steps = power_steps + weight * (-system.base.ell_rate(at) * z_at)
+        weights = np.diff(nodes) / (3.0 * m)
+        diss_cum = np.concatenate(([0.0], np.cumsum(weights * (diss_steps + g_nodes[1:]))))
+        power_integral = float(np.sum(weights * (power_steps + power_nodes[1:])))
 
         grid_idx = np.searchsorted(nodes, grid)
         states = z_nodes[grid_idx]
-        velocities = zdot_nodes[grid_idx]
-        dissipation = diss_cum[grid_idx]
-        xi = system.force(grid, states)
-        energies = system.energy(grid, states)
         lower, upper = elastic_strip(system.base, grid)
         delta = np.maximum(np.maximum(states - upper, lower - states), 0.0)
 
         return ViscousTrajectory(
             times=grid,
             states=states,
-            velocities=velocities,
-            energies=energies,
-            dissipation=dissipation,
-            xi=xi,
+            velocities=zdot_nodes[grid_idx],
+            energies=e_nodes[grid_idx],
+            dissipation=diss_cum[grid_idx],
+            xi=xi_nodes[grid_idx],
             delta=delta,
             power_integral=power_integral,
         )

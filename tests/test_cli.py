@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfl import cli
+from wfl import cli, svg
 from wfl.errors import ConfigError
 from wfl.limit_solver import LimitSystem, Ramp
-from wfl.models import VerticalBristle, coefficients, perceived_extrema
+from wfl.models import VerticalBristle, coefficients, epsilon_limit, perceived_extrema
 from wfl.profiles import SurfaceProfile
 from wfl.viscous_solver import IntegratorConfig, WigglySystem, integrate
 
@@ -65,6 +65,20 @@ def test_float_columns_write_the_bytes_of_numpy_scalars(tmp_path):
     cli._write_csv(tmp_path / "scalars.csv", ("a", "b", "c"), zip(*columns))
     assert type(next(cli._columns(*columns))[0]) is float
     assert (tmp_path / "floats.csv").read_bytes() == (tmp_path / "scalars.csv").read_bytes()
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["linear", "loglog"])
+def test_polyline_points_are_the_per_point_text(log):
+    # the canvas maps whole arrays and the text comes from Python floats:
+    # the same bytes as formatting each NumPy point on its own
+    rng = np.random.default_rng(5)
+    xs = np.sort(rng.uniform(1e-3, 2.0, 4097))
+    ys = rng.standard_normal(4097) * 10.0 ** rng.integers(-8, 8, 4097)
+    if log:
+        xs, ys = np.log10(xs), np.log10(np.abs(ys))
+    canvas = svg._Canvas(float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max()))
+    per_point = " ".join(f"{canvas.x(x):.2f},{canvas.y(y):.2f}" for x, y in zip(xs, ys))
+    assert svg._polyline_points(canvas, xs, ys) == per_point
 
 
 class TestCoeffs:
@@ -701,3 +715,97 @@ class TestContractProperty:
                 parse(_replaced(block, path, leaf))
             except ConfigError:
                 pass
+
+
+def _dict_paths(tree, prefix=()):
+    if isinstance(tree, dict):
+        yield prefix
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, value in items:
+            yield from _dict_paths(value, prefix + (key,))
+
+
+def _node(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _main(command, payload, *extra):
+    """Exit code, stderr lines (warnings included) and whether ``--out`` exists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
+        return code, err.getvalue().splitlines() + [str(w.message) for w in caught], out.exists()
+
+
+# k-table and perceived read no loading or system block, so their configs'
+# copies of those blocks are not theirs to check
+UNREAD = {"k-table": ("loading", "system"), "perceived": ("loading", "system")}
+DICT_NODES = [(c, path) for c, cfg in CONTRACT_CONFIGS.items() for path in _dict_paths(cfg)
+              if path[:1] not in [(block,) for block in UNREAD.get(c, ())]]
+TILTED = {
+    "slanted": {"kind": "slanted", "k": 1.0, "L_rest": 1.0, "h": 0.05, "theta": 0.5},
+    "angular": {"kind": "angular", "k": 1.0, "L": 1.0, "h": math.cos(0.6), "theta_rest": 0.0},
+}
+
+
+class TestContractDraws:
+    """Three more draws for the contract: an extra key, a harmonic above 64,
+    and eps at the geometric limit or one ulp above it on a whole tilted run."""
+
+    @settings(CONTRACT_SETTINGS, max_examples=100)
+    @given(node=st.sampled_from(DICT_NODES), key=st.text(min_size=1, max_size=12),
+           svg=st.booleans())
+    def test_an_extra_key_in_any_block_is_an_unknown_key(self, node, key, svg):
+        command, path = node
+        payload = copy.deepcopy(CONTRACT_CONFIGS[command])
+        block = _node(payload, path)
+        if key in block:
+            return
+        block[key] = 1.0
+        code, lines, wrote = _main(command, payload, *CONTRACT_ARGS.get(command, ()),
+                                   *["--svg"] * svg)
+        assert code == 1 and not wrote
+        assert len(lines) == 1 and "unknown keys" in lines[0], lines
+
+    @settings(CONTRACT_SETTINGS, max_examples=50)
+    @given(command=st.sampled_from(["simulate", "converge", "k-table", "perceived"]),
+           harmonic=st.integers(65, 10**6), terms=st.booleans())
+    def test_a_harmonic_above_64_is_a_config_error(self, command, harmonic, terms):
+        profile = ({"terms": [{"amplitude": 0.001, "harmonic": harmonic}]} if terms
+                   else {"sinusoid": {"slope": 0.1, "harmonic": harmonic}})
+        payload = dict(CONTRACT_CONFIGS[command], profile=profile)
+        code, lines, wrote = _main(command, payload, *CONTRACT_ARGS.get(command, ()))
+        assert code == 1 and not wrote
+        assert lines == ["error: harmonic must lie in [1, 64]"], lines
+
+    @CONTRACT_SETTINGS
+    @given(command=st.sampled_from(["simulate", "converge"]),
+           kind=st.sampled_from(list(TILTED)), above=st.booleans(), svg=st.booleans())
+    def test_eps_at_the_geometric_limit_runs_and_one_ulp_above_is_refused(
+        self, command, kind, above, svg
+    ):
+        # at the limit g'(p) is smallest, so the run steps the tilted bristle
+        # where its contact coordinate is least benign
+        payload = dict(CONTRACT_CONFIGS[command], model=TILTED[kind])
+        eps = epsilon_limit(cli.build_model(TILTED[kind]), cli.build_profile(payload["profile"]))
+        if above:
+            eps = math.nextafter(eps, math.inf)
+        if command == "simulate":
+            extra = ("--epsilon", repr(eps), "--limit")
+        else:
+            payload["simulation"] = dict(payload["simulation"], epsilons=[eps, 0.5 * eps])
+            extra = ()
+        code, lines, wrote = _main(command, payload, *extra, *["--svg"] * svg)
+        if above:
+            assert code == 1 and not wrote
+            assert len(lines) == 1 and "exceeds the geometric validity limit" in lines[0], lines
+        else:
+            assert code == 0 and wrote and not lines, lines

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wfl.errors import ConfigError, InvalidInitialStateError
+from wfl.errors import ConfigError, InvalidInitialStateError, SolverError
 from wfl.limit_solver import (
     LimitSystem,
     LoadingProgram,
@@ -14,6 +14,7 @@ from wfl.limit_solver import (
     SmoothedPiecewiseLinear,
     default_grid,
     elastic_strip,
+    overflow_raises,
     solve_limit,
 )
 
@@ -340,3 +341,21 @@ def test_bad_grid_rejected():
         solve_limit(system, 0.0, grid=np.array([0.1, 1.0]))
     with pytest.raises(ConfigError):
         solve_limit(system, 0.0, grid=np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize("compute, kind", [
+    (lambda: np.array([1e300]) * 1e300, "overflowed"),
+    (lambda: np.array([1.0]) / 0.0, "divided by zero"),
+    (lambda: np.array([0.0]) / 0.0, "gave an invalid value"),
+])
+def test_float_error_message_names_its_kind(compute, kind):
+    with pytest.raises(SolverError, match=rf"^post-processing {kind} \(\w"):
+        with overflow_raises(SolverError, "post-processing"):
+            compute()
+
+
+def test_underflowed_grid_spacing_is_a_division_by_zero():
+    # a 1e-300 horizon over 4096 steps spaces the grid below the smallest float
+    system = LimitSystem(1.0, 0.0, Ramp(duration=1e-300), 0.1, -0.1)
+    with pytest.raises(SolverError, match=r"^limit solution divided by zero \(divide by zero"):
+        solve_limit(system, 0.0)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import z_route
+
 from wfl import (
     AngularBristle,
     FourierTerm,
@@ -34,7 +36,7 @@ from wfl import (
 )
 from wfl import models
 from wfl.limit_solver import LimitSystem, Ramp, elastic_strip
-from wfl.models import scalar_force
+from wfl.models import at_contact, contact_point, scalar_force
 from wfl.profiles import derivative_extrema
 
 TWO_PI = 2.0 * math.pi
@@ -633,15 +635,35 @@ def strip_boundaries(model, profile):
 @pytest.mark.parametrize("profile", [README_PROFILE, TWO_HARMONIC], ids=["sinusoid", "two-harmonic"])
 @pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
 def test_scalar_force_matches_the_array_route(model, profile, limit):
-    # one formula set on both routes, libm's acos on both: bitwise
+    # the integrator's force in the contact coordinate p: one formula set on
+    # both routes, libm's acos on both, so z = g(p), V_eps' and g' bitwise
     eps = epsilon_limit(model, profile) if limit else 0.05
     rng = np.random.default_rng(11)
-    zs = [*rng.uniform(-2.0, 3.0, 300).tolist(), *strip_boundaries(model, profile)]
+    ps = [*rng.uniform(-2.0, 3.0, 300).tolist(), *strip_boundaries(model, profile)]
     force = scalar_force(model, profile, eps)
-    got = np.array([force(z) for z in zs])
-    want = np.array([wiggly_force(model, profile, eps, np.array([z]))[0] for z in zs])
-    assert all(type(f) is float for f in map(force, zs[:5]))
-    np.testing.assert_array_equal(got, want)
+    z, f, _, slope = at_contact(model, profile, eps, np.array(ps))
+    # the z route at g(p): its contact Newton recovers p, so the same force,
+    # bitwise for a tip under its root (z = p) and otherwise up to the Newton
+    # tolerance 1e-13 max(1, |z|) times dV'/dp (measured 3.4e-12 at most here)
+    want = np.array([wiggly_force(model, profile, eps, np.array([zi]))[0] for zi in z])
+    if model.name == "vertical":
+        # there the scalar route returns the force alone, and g' = 1
+        assert type(force(ps[0])) is float
+        np.testing.assert_array_equal([force(p) for p in ps], f)
+        np.testing.assert_array_equal(z, ps)
+        np.testing.assert_array_equal(f, want)
+        assert slope == 1.0
+        return
+    got = np.array([force(p) for p in ps])
+    assert all(type(v) is float for v in force(ps[0]))
+    np.testing.assert_array_equal(got, np.column_stack([z, f, slope]))
+    np.testing.assert_allclose(f, want, rtol=0.0, atol=1e-11)
+    # g' is the slope of the contact map, and positive at the eps limit too
+    step = 1e-7
+    central = (at_contact(model, profile, eps, np.array(ps) + step)[0]
+               - at_contact(model, profile, eps, np.array(ps) - step)[0]) / (2.0 * step)
+    np.testing.assert_allclose(slope, central, rtol=1e-6)
+    assert np.min(slope) > 0.0
 
 
 @pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
@@ -666,13 +688,39 @@ def test_scalar_force_checks_epsilon_when_built():
 
 
 def test_scalar_force_hands_a_stalled_newton_to_the_array_route(monkeypatch):
-    # a NaN root never meets the Newton tolerance, so it takes the fallback
+    # the z-route oracle keeps the Newton that the integrator no longer
+    # runs: a NaN root never meets its tolerance, so it takes the fallback
     calls = []
     monkeypatch.setattr(models, "wiggly_force", lambda *args: calls.append(args) or 7.0)
-    force = scalar_force(SlantedBristle(1.0, 3.0, 1.0, math.pi / 6), CANONICAL, 0.05)
+    force = z_route.scalar_force(SlantedBristle(1.0, 3.0, 1.0, math.pi / 6), CANONICAL, 0.05)
     assert force(0.3) != 7.0 and not calls
     assert force(math.nan) == 7.0
     assert len(calls) == 1 and math.isnan(calls[0][3])
+
+
+@pytest.mark.parametrize("limit", [False, True], ids=["eps0.05", "eps-limit"])
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
+def test_z_route_oracle_matches_the_array_route(model, limit):
+    # the oracle's Newton is wiggly_force's, point by point: bitwise
+    eps = epsilon_limit(model, TWO_HARMONIC) if limit else 0.05
+    zs = [*np.random.default_rng(12).uniform(-2.0, 3.0, 100).tolist(),
+          *strip_boundaries(model, TWO_HARMONIC)]
+    force = z_route.scalar_force(model, TWO_HARMONIC, eps)
+    want = [wiggly_force(model, TWO_HARMONIC, eps, np.array([z]))[0] for z in zs]
+    np.testing.assert_array_equal([force(z) for z in zs], want)
+
+
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
+def test_contact_point_inverts_the_contact_map(model):
+    zs = np.linspace(-1.0, 2.0, 301)
+    ps = contact_point(model, TWO_HARMONIC, 0.05, zs)
+    z, _, energy, _ = at_contact(model, TWO_HARMONIC, 0.05, ps)
+    np.testing.assert_allclose(z, zs, rtol=0.0, atol=2e-13)
+    np.testing.assert_allclose(energy, wiggly_energy(model, TWO_HARMONIC, 0.05, zs),
+                               rtol=0.0, atol=1e-13)
+    if model.name == "vertical":
+        np.testing.assert_array_equal(ps, zs)
+    assert type(contact_point(model, TWO_HARMONIC, 0.05, 0.3)) is float
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Tests for the singularly perturbed viscous flow and its diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import z_route
 from wfl import limit_solver, models, profiles, viscous_solver
-from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError
+from wfl.errors import (
+    ConfigError, InversionFailureError, ScaleValidityError, StiffnessFailureError,
+)
 from wfl.limit_solver import (
     LimitSystem,
     LoadingProgram,
@@ -24,9 +31,8 @@ from wfl.models import (
     VerticalBristle,
     coefficients,
     epsilon_limit,
-    scalar_force,
 )
-from wfl.profiles import SurfaceProfile
+from wfl.profiles import FourierTerm, SurfaceProfile
 from wfl.variational import de_giorgi_certificate, limit_density
 from wfl.viscous_solver import (
     IntegratorConfig,
@@ -34,7 +40,6 @@ from wfl.viscous_solver import (
     WigglySystem,
     energy_balance_residual,
     integrate,
-    rhs,
     scalar_rhs,
     step_cap,
 )
@@ -108,7 +113,7 @@ class TestRightHandSide:
         # at t = z = 0 only the corrugation force k*(L_rest - h)*w'(0) = 0.1
         # acts, so zdot = -0.1 / eps
         system = canonical_system(0.1)
-        assert rhs(system, 0.0, 0.0) == pytest.approx(-1.0, rel=1e-13)
+        assert scalar_rhs(system)(0.0, 0.0) == pytest.approx(-1.0, rel=1e-13)
 
     def test_doubling_time_scale_halves_velocity(self):
         # eps = 1/4: gamma 1 vs 1/2 gives time scales 0.25 and 0.5 exactly,
@@ -118,14 +123,14 @@ class TestRightHandSide:
         assert fast.time_scale == 0.25
         assert slow.time_scale == 0.5
         for t, z in [(0.0, 0.0), (0.7, 0.3), (1.9, 1.6)]:
-            assert rhs(slow, t, z) == 0.5 * rhs(fast, t, z)
+            assert scalar_rhs(slow)(t, z) == 0.5 * scalar_rhs(fast)(t, z)
 
     def test_force_is_minus_energy_gradient(self):
         system = canonical_system(0.1)
-        h = 1e-6
+        h, energy = 1e-6, z_route.energy
         for t, z in [(0.5, 0.2), (1.5, 1.3)]:
-            fd = -(system.energy(t, z + h) - system.energy(t, z - h)) / (2.0 * h)
-            assert system.force(t, z) == pytest.approx(fd, rel=1e-7, abs=1e-8)
+            fd = -(energy(system, t, z + h) - energy(system, t, z - h)) / (2.0 * h)
+            assert z_route.force(system, t, z) == pytest.approx(fd, rel=1e-7, abs=1e-8)
 
 
 LOADINGS = {
@@ -197,13 +202,18 @@ class TestScalarRightHandSide:
     @pytest.mark.parametrize("loading", list(LOADINGS))
     @pytest.mark.parametrize("name", list(GEOMETRIES))
     def test_matches_the_array_route_bitwise(self, name, loading):
+        # pdot = xi / (eps^gamma g'(p)) from the explicit array route at the
+        # contact point p; a tip under its root has p = z and g' = 1, so
+        # there it is also rhs, the array route in z
         system = dressed_system(name, loading)
         fun = scalar_rhs(system)
-        points = rhs_sample(system)
-        got = [fun(t, z) for t, z in points]
+        ts, ps = np.array(rhs_sample(system)).T
+        got = [fun(t, p) for t, p in zip(ts.tolist(), ps.tolist())]
         assert all(type(v) is float for v in got)
-        want = np.array([rhs(system, t, z) for t, z in points], dtype=float)
-        np.testing.assert_array_equal(got, want)
+        _, xi, _, slope = system.at_contact(ts, ps)
+        np.testing.assert_array_equal(got, xi / (system.time_scale * slope))
+        if name == "vertical":
+            np.testing.assert_array_equal(got, z_route.rhs(system, ts, ps))
 
     @pytest.mark.parametrize("name", list(GEOMETRIES))
     def test_runaway_state_raises_stiffness_error(self, name):
@@ -281,8 +291,11 @@ class TestIntegration:
 
     @pytest.mark.parametrize("name", ["vertical", "slanted"])
     def test_matches_the_array_route_through_the_same_stepper(self, name, recorded_steps):
-        # the old right-hand side, WigglySystem.force on the array route, in
-        # the stepper integrate uses; tolerance 1e-12 on the sampled states
+        # the old right-hand side, the z route's array force, in the stepper
+        # integrate uses.  For the vertical bristle p = z, so
+        # the same steps and states to 1e-12; for the slanted one the states
+        # agree to the integration tolerance, 1e-7 (measured 1.2e-8), and the
+        # accepted step counts within 2 % (measured 649 and 658)
         base = LimitSystem(
             k_h=1.0, L_h_rest=0.0, rho_plus=0.1, rho_minus=-0.1,
             loading=SinusoidLoading(amplitude=0.5, frequency=1.0, duration=0.5),
@@ -292,13 +305,17 @@ class TestIntegration:
         traj = integrate(system, 0.0)
         ((scalar, _),) = recorded_steps
         sol = viscous_solver.solve_ivp(
-            lambda t, z: float(system.force(t, z)) / tau,
+            lambda t, z: float(z_route.force(system, t, z)) / tau,
             (0.0, 0.5), 0.0, rtol=1e-9, atol=1e-11,
             max_step=step_cap(system, IntegratorConfig(), 0.5),
         )
-        np.testing.assert_allclose(traj.states, sol.sample(traj.times), rtol=0.0, atol=1e-12)
-        assert scalar.nfev == sol.nfev
-        np.testing.assert_array_equal(scalar.t, sol.t)
+        if name == "vertical":
+            np.testing.assert_allclose(traj.states, sol.sample(traj.times), rtol=0.0, atol=1e-12)
+            assert scalar.nfev == sol.nfev
+            np.testing.assert_array_equal(scalar.t, sol.t)
+        else:
+            np.testing.assert_allclose(traj.states, sol.sample(traj.times), rtol=0.0, atol=1e-7)
+            assert abs(scalar.t.size - sol.t.size) <= 0.02 * sol.t.size
 
 
 class TestStepper:
@@ -307,30 +324,25 @@ class TestStepper:
     @pytest.mark.parametrize("name", list(GEOMETRIES))
     def test_matches_scipy_rk45(self, name, recorded_steps):
         # differential oracle: SciPy's RK45 on the same scalar right-hand
-        # side.  The controllers are the same, so the step sequences agree
-        # up to rounding in the stage sums: sampled states within 1e-7
-        # (measured <= 3e-8 here, and 8e-8 at eps = 0.01), accepted step
+        # side in p.  The controllers are the same, so the step sequences
+        # agree up to rounding in the stage sums: sampled states within 1e-7
+        # (measured <= 3e-8 here, and 7e-8 at eps = 0.01), accepted step
         # counts within 0.1 % (measured: equal, or one apart)
         system = WigglySystem(
             base=canonical_base(), model=GEOMETRIES[name], profile=CANONICAL, epsilon=0.05
         )
-        tau = system.time_scale
         traj = integrate(system, 0.0)
         ((ours, _),) = recorded_steps
-        ell, phi_force = system.base.ell, system.base.phi_force
-        micro = scalar_force(system.model, system.profile, system.epsilon)
-
-        def fun(t, y):
-            z = float(y[0])
-            return ((ell(float(t)) - phi_force(z) - micro(z)) / tau,)
-
+        fun = scalar_rhs(system)
         sol = solve_ivp(
-            fun,
+            lambda t, y: (fun(float(t), float(y[0])),),
             (0.0, 2.0), [0.0], method="RK45", rtol=1e-9, atol=1e-11,
             max_step=step_cap(system, IntegratorConfig(), 2.0), dense_output=True,
         )
         assert sol.status == 0
-        np.testing.assert_allclose(traj.states, sol.sol(traj.times)[0], rtol=0.0, atol=1e-7)
+        states = system.at_contact(traj.times, sol.sol(traj.times)[0])[0]
+        states[0] = 0.0  # integrate reports z0 itself, which g(p0) meets to 1e-13
+        np.testing.assert_allclose(traj.states, states, rtol=0.0, atol=1e-7)
         assert abs(ours.t.size - sol.t.size) <= max(1, 1e-3 * sol.t.size)
         assert ours.t[-1] == sol.t[-1] == 2.0
 
@@ -380,6 +392,94 @@ class TestStepper:
         for rate in (1e290, 1e300):
             with pytest.raises(StiffnessFailureError, match=r"stalled at t = 0\b"):
                 viscous_solver.solve_ivp(lambda t, y: -rate * y, (0.0, 2.0), 1.0, **kwargs)
+
+
+# a two-harmonic profile under a sinusoid loading, as in the simulate-slanted
+# benchmark workload (its seed-1 phases)
+TWO_TERM = SurfaceProfile((
+    FourierTerm(0.1 / (2.0 * math.pi), 1, 3.2158701122134374),
+    FourierTerm(0.03 / (6.0 * math.pi), 3, 5.971939531762716),
+))
+
+
+def tilted_system(name, epsilon):
+    model = GEOMETRIES[name]
+    c = coefficients(model, TWO_TERM)
+    base = LimitSystem(
+        k_h=1.0, L_h_rest=0.0, rho_plus=c.rho_plus, rho_minus=c.rho_minus,
+        loading=SinusoidLoading(amplitude=0.5, frequency=1.0, duration=2.0),
+    )
+    return WigglySystem(base=base, model=model, profile=TWO_TERM, epsilon=epsilon)
+
+
+class TestContactCoordinate:
+    """The tilted bristles stepped in p against the z route they replaced."""
+
+    @pytest.mark.parametrize("name, epsilon, tol", [("slanted", 0.05, 1e-7),
+                                                    ("angular", 0.01, 2e-7)])
+    def test_matches_the_z_route_oracle(self, name, epsilon, tol, recorded_steps):
+        # the z route, a contact Newton per call, through the same stepper:
+        # grid states within the stated tolerance (measured 5.4e-9 and
+        # 3.7e-8), accepted step counts within 2 %
+        system = tilted_system(name, epsilon)
+        traj = integrate(system, 0.0)
+        ((ours, _),) = recorded_steps
+        oracle = viscous_solver.solve_ivp(
+            z_route.scalar_rhs(system), (0.0, 2.0), 0.0, rtol=1e-9, atol=1e-11,
+            max_step=step_cap(system, IntegratorConfig(), 2.0),
+        )
+        np.testing.assert_allclose(traj.states, oracle.sample(traj.times), rtol=0.0, atol=tol)
+        assert abs(ours.t.size - oracle.t.size) <= 0.02 * oracle.t.size
+
+    @pytest.mark.parametrize("epsilon", ["0.05", "0.01", "limit"])
+    @pytest.mark.parametrize("name", ["slanted", "angular"])
+    def test_energy_balance(self, name, epsilon):
+        # the acceptance guarantee's bound; at the eps limit g'(p) is smallest
+        if epsilon == "limit":
+            epsilon = epsilon_limit(GEOMETRIES[name], TWO_TERM)
+        system = tilted_system(name, float(epsilon))
+        traj = integrate(system, 0.0)
+        scale = max(1.0, float(np.max(np.abs(traj.energies))))
+        assert energy_balance_residual(system, traj) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("name", ["slanted", "angular"])
+    def test_post_processing_matches_the_z_route(self, name):
+        # xi and the energy come from p with no Newton; the z route solves
+        # for the contact at the reported states: equal to its tolerance
+        # (measured 8.8e-14 and 1.1e-15 at most over a whole run)
+        system = tilted_system(name, 0.05)
+        traj = integrate(system, 0.0, grid=np.linspace(0.0, 0.5, 513))
+        xi = z_route.force(system, traj.times, traj.states)
+        energies = z_route.energy(system, traj.times, traj.states)
+        np.testing.assert_allclose(traj.xi, xi, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(traj.energies, energies, rtol=0.0, atol=1e-13)
+
+    def test_one_contact_newton_per_run(self, monkeypatch):
+        # the start's contact point is the only root-tip solve in a run
+        calls = []
+        contact = models._contact
+
+        def once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise AssertionError("a second contact Newton")
+            return contact(*args, **kwargs)
+
+        monkeypatch.setattr(models, "_contact", once)
+        for model in GEOMETRIES.values():
+            calls.clear()
+            integrate(WigglySystem(base=canonical_base(0.5), model=model, profile=CANONICAL,
+                                   epsilon=0.05), 0.1)
+            assert len(calls) == 1
+
+    def test_a_folding_contact_map_raises(self):
+        # slopes of +-1 are steeper than tan(theta_lim) = tan(0.6), so at
+        # w' = -1 (x = 1/2, where y = 0) g' = 1 - cot(0.6) < 0; the system
+        # checks eps only, and coefficients would refuse this profile
+        system = WigglySystem(base=canonical_base(), model=GEOMETRIES["angular"],
+                              profile=SurfaceProfile.sinusoid(slope=1.0), epsilon=0.05)
+        with pytest.raises(InversionFailureError, match="contact map folds"):
+            scalar_rhs(system)(0.0, 0.025)
 
 
 class TestEnergyBalance:
@@ -540,6 +640,31 @@ class TestFailureModes:
         with pytest.raises(StiffnessFailureError, match=r"took 50 steps to reach t = 0\.\d+ of 3"):
             viscous_solver.solve_ivp(lambda t, y: math.cos(t), (0.0, 3.0), 0.0,
                                      max_step=0.01, **kwargs)
+
+    def test_a_run_at_the_step_budget_keeps_under_150_bytes_a_step(self):
+        # the stepper keeps seven stages, a time and a state per accepted step
+        # in flat float buffers, 72 B a step (measured 72 B of peak RSS here);
+        # a tuple of seven floats a step peaked at 377 B.  A subprocess,
+        # so that the peak is this run's, at a budget patched down to 10^5
+        script = (
+            "import math, resource\n"
+            "from wfl import viscous_solver\n"
+            "from wfl.errors import StiffnessFailureError\n"
+            "viscous_solver.MAX_STEPS = 10**5\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    viscous_solver.solve_ivp(lambda t, y: math.cos(t), (0.0, 2.0), 0.0,\n"
+            "                             rtol=1e-10, atol=1e-12, max_step=1e-5)\n"
+            "except StiffnessFailureError as exc:\n"
+            "    assert 'took 100000 steps' in str(exc), exc\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * 1024 / 10**5)\n"
+        )
+        src = Path(viscous_solver.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=False)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 150.0
 
     def test_error_in_a_custom_loading_is_not_a_stiffness_error(self):
         with pytest.raises(ValueError, match="bad q"):
