@@ -41,7 +41,6 @@ from .models import (
     AngularBristle,
     BristleModel,
     FrictionCoefficients,
-    PerceivedProfile,
     SlantedBristle,
     VerticalBristle,
     axial_tension,

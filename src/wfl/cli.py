@@ -1,13 +1,15 @@
 """Command line surface: JSON config in, CSV (and optional SVG) out.
 
-One JSON file describes the experiment; each subcommand reads the blocks
-it needs, validates them strictly (here: unknown keys, types, finite
-numbers, the integer cap; every range and cross-field admissibility in the
-library class or function that takes the value, before any computation),
-computes in memory, and returns its tables and plots without writing.
-:func:`main` then draws every requested plot, and only then creates
-``--out`` and writes the files.  A config problem, a plot that cannot be
-drawn among them, therefore never leaves partial results behind.
+One JSON file describes the experiment; each subcommand builds every
+shared block the config holds (``profile``, ``model``, ``loading``,
+``system``, ``simulation``), read or not, and its own block, validating
+them strictly (here: unknown keys, types, finite numbers, the integer cap;
+every range and cross-field admissibility in the library class or function
+that takes the value, before any computation), computes in memory, and
+returns its tables and plots without writing.  :func:`main` then draws
+every requested plot, and only then creates ``--out`` and writes the
+files.  A config problem, a plot that cannot be drawn among them,
+therefore never leaves partial results behind.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver failure.
 """
@@ -251,23 +253,28 @@ def load_config(path) -> dict:
     return raw
 
 
-def _experiment(raw: dict, run: bool = False) -> tuple:
-    """The profile and model; for a run, also the system and simulation settings.
+def _experiment(raw: dict, *blocks: str) -> tuple:
+    """The named shared blocks, once every shared block the config holds is built.
 
-    A run (``simulate``, ``converge``) also needs the loading, and its
-    system takes its default thresholds from the model's coefficients.
+    Building checks a block, so a bad block fails every subcommand, read or
+    not.  Each named block is required but ``simulation``, which defaults
+    to ``{}``.  A system takes its loading, and its default thresholds from
+    the model's coefficients, so a config with one needs those blocks too.
     Every missing block is named in one message before anything is built.
     """
-    blocks = ("profile", "model", "loading", "system") if run else ("profile", "model")
-    missing = sorted(b for b in blocks if b not in raw)
+    needs = set(blocks) - {"simulation"}
+    if "system" in needs or "system" in raw:
+        needs |= {"profile", "model", "loading"}
+    missing = sorted(needs - set(raw))
     if missing:
         _fail("top level", f"this command needs the blocks {missing}")
-    profile, model = build_profile(raw["profile"]), build_model(raw["model"])
-    if not run:
-        return profile, model
-    loading = build_loading(raw["loading"])
-    system = build_system(raw["system"], loading, coefficients(model, profile))
-    return profile, model, system, build_simulation(raw.get("simulation", {}))
+    builders = {"profile": build_profile, "model": build_model, "loading": build_loading}
+    built = {name: build(raw[name]) for name, build in builders.items() if name in raw}
+    if "system" in raw:
+        coeffs = coefficients(built["model"], built["profile"])
+        built["system"] = build_system(raw["system"], built["loading"], coeffs)
+    built["simulation"] = build_simulation(raw.get("simulation", {}))
+    return tuple(built[name] for name in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +317,7 @@ def _coefficient_row(model, profile) -> tuple:
 
 
 def cmd_coeffs(raw: dict, args) -> tuple:
-    profile, model = _experiment(raw)
+    profile, model = _experiment(raw, "profile", "model")
     row = (model.name, *_coefficient_row(model, profile))
     return [("coeffs.csv", ("model", *_COEFFICIENT_COLUMNS), [row])], []
 
@@ -322,6 +329,7 @@ def _sweep_theta_bounds(kind: str, slope: float):
 
 
 def cmd_sweep_theta(raw: dict, args) -> tuple:
+    _experiment(raw)
     block = raw.get("sweep_theta", {})
     path = "sweep_theta"
     _check_keys(
@@ -364,7 +372,7 @@ def cmd_sweep_theta(raw: dict, args) -> tuple:
 
 
 def cmd_simulate(raw: dict, args) -> tuple:
-    profile, model, system, sim = _experiment(raw, run=True)
+    profile, model, system, sim = _experiment(raw, "profile", "model", "system", "simulation")
     wiggly = WigglySystem(
         base=system, model=model, profile=profile, epsilon=args.epsilon, gamma=sim["gamma"]
     )
@@ -407,7 +415,7 @@ def cmd_simulate(raw: dict, args) -> tuple:
 
 
 def cmd_converge(raw: dict, args) -> tuple:
-    profile, model, system, sim = _experiment(raw, run=True)
+    profile, model, system, sim = _experiment(raw, "profile", "model", "system", "simulation")
     if not sim["epsilons"]:
         _fail("simulation", "converge needs a non-empty 'epsilons' list")
 
@@ -437,6 +445,7 @@ def cmd_converge(raw: dict, args) -> tuple:
 
 
 def cmd_nap(raw: dict, args) -> tuple:
+    _experiment(raw)
     block = raw.get("nap", {})
     path = "nap"
     _check_keys(
@@ -473,26 +482,19 @@ def cmd_nap(raw: dict, args) -> tuple:
 
 
 def cmd_perceived(raw: dict, args) -> tuple:
-    profile, model = _experiment(raw)
+    profile, model = _experiment(raw, "profile", "model")
     block = raw.get("perceived", {})
     _check_keys(block, "perceived", optional=("samples",))
     samples = _integer(block, "samples", "perceived", default=512, minimum=8)
-    perceived = perceived_profile(profile, model.slope_factor, samples=samples)
-    table = (
-        "perceived.csv",
-        ("z", "height", "slope"),
-        _columns(perceived.grid, perceived.heights, perceived.slopes),
-    )
-    series = [
-        (perceived.grid, perceived.heights, "height"),
-        (perceived.grid, perceived.slopes, "slope"),
-    ]
+    grid, heights, slopes = perceived_profile(profile, model.slope_factor, samples=samples)
+    table = ("perceived.csv", ("z", "height", "slope"), _columns(grid, heights, slopes))
+    series = [(grid, heights, "height"), (grid, slopes, "slope")]
     plot = dict(title="perceived corrugation over one period", xlabel="z", ylabel="value")
     return [table], [("perceived.svg", series, plot)]
 
 
 def cmd_k_table(raw: dict, args) -> tuple:
-    profile, model = _experiment(raw)
+    profile, model = _experiment(raw, "profile", "model")
     block = raw.get("k_table", {})
     path = "k_table"
     _check_keys(block, path, optional=("xi_min", "xi_max", "count"))

@@ -14,7 +14,6 @@ twice its peak memory.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -47,17 +46,6 @@ class SweepReport:
     limit_dissipation: tuple
     fitted_order: Optional[float]
     runtimes: tuple
-
-    def __post_init__(self) -> None:
-        n = len(self.epsilons)
-        if len(self.sup_errors) != n or len(self.dissipation_gaps) != n:
-            raise ConfigError("sweep report rows must align with epsilons")
-        if len(self.runtimes) != n:
-            raise ConfigError("sweep report needs one runtime per epsilon")
-        if any(e2 >= e1 for e1, e2 in zip(self.epsilons, self.epsilons[1:])):
-            raise ConfigError("sweep scales must be strictly decreasing")
-        if not all(math.isfinite(s) for s in self.sup_errors):
-            raise ConfigError("sup errors must all be finite")
 
     @property
     def rows(self):
@@ -92,9 +80,9 @@ def run_sweep(
 
     All scales are validated up front, their range and their step budget
     (:func:`~wfl.viscous_solver.step_cap`), so an inadmissible epsilon
-    aborts with :class:`ConfigError` before any integration starts.  If an
-    integration fails midway, the rows of the scales before it are wrapped
-    in a partial report attached to the raised :class:`SweepError`.
+    aborts with :class:`ConfigError` before any integration starts.  The
+    first integration that fails stops the sweep with a :class:`SweepError`
+    that names its epsilon and has the solver error as its cause.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -111,7 +99,7 @@ def run_sweep(
 
     grid = time_grid(system.loading, grid)
     for wiggly in systems:
-        step_cap(wiggly, config or IntegratorConfig(), grid[-1])
+        step_cap(wiggly, grid[-1])
     if windows is None:
         windows = ((0.0, float(grid[-1])),)
     windows = tuple((float(t1), float(t2)) for t1, t2 in windows)
@@ -122,21 +110,18 @@ def run_sweep(
     limit = solve_limit(system, z0, grid=grid)
     limit_diss = tuple(limit.dissipated(t1, t2) for t1, t2 in windows)
 
-    runs: list = []  # (trajectory, runtime) per scale, up to the first failure
-    failure: Optional[SolverError] = None
+    runs: list = []  # (trajectory, runtime) per scale
     for wiggly in systems:
         start = time.perf_counter()
         try:
             trajectory = integrate(wiggly, float(z0), config=config, grid=grid)
         except SolverError as exc:
-            failure = exc
-            break
+            raise SweepError(f"sweep aborted at eps = {wiggly.epsilon}: {exc}") from exc
         runs.append((trajectory, time.perf_counter() - start))
 
-    done = eps[:len(runs)]
     sup_errors = [float(np.max(np.abs(tr.states - limit.states))) for tr, _ in runs]
-    report = SweepReport(
-        epsilons=tuple(done),
+    return SweepReport(
+        epsilons=tuple(eps),
         sup_errors=tuple(sup_errors),
         windows=windows,
         dissipation_gaps=tuple(
@@ -144,11 +129,6 @@ def run_sweep(
             for tr, _ in runs
         ),
         limit_dissipation=limit_diss,
-        fitted_order=_fit_order(done, sup_errors),
+        fitted_order=_fit_order(eps, sup_errors),
         runtimes=tuple(runtime for _, runtime in runs),
     )
-    if failure is not None:
-        raise SweepError(
-            f"sweep aborted: {failure}", partial=report if runs else None
-        ) from failure
-    return report

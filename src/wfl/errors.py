@@ -65,14 +65,4 @@ class StiffnessFailureError(SolverError):
 
 
 class SweepError(SolverError):
-    """A convergence sweep aborted; carries the partial report.
-
-    Attributes
-    ----------
-    partial : SweepReport | None
-        Results for the epsilon values that completed before the failure.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A convergence sweep aborted at the scale it names; the solver error is its cause."""

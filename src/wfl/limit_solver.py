@@ -145,8 +145,8 @@ class SinusoidLoading(LoadingProgram):
     def __post_init__(self) -> None:
         if self.duration <= 0.0 or not math.isfinite(self.duration):
             raise ConfigError(f"loading horizon must be positive, got {self.duration}")
-        if self.frequency <= 0.0:
-            raise ConfigError(f"frequency must be positive, got {self.frequency}")
+        if not 0.0 < self.frequency < math.inf:
+            raise ConfigError(f"frequency must be positive and finite, got {self.frequency}")
         for name in ("q0", "amplitude", "phase"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -197,6 +197,8 @@ class SmoothedPiecewiseLinear(LoadingProgram):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.times) < 2 or len(self.times) != len(self.values):
             raise ConfigError("need matching times/values with at least two knots")
+        if not all(map(math.isfinite, self.times + self.values)):
+            raise ConfigError("knot times and values must be finite")
         diffs = np.diff(self.times)
         if np.any(diffs <= 0.0):
             raise ConfigError("knot times must be strictly increasing")

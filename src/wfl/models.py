@@ -392,43 +392,12 @@ def invert_contact_map(profile: SurfaceProfile, slope_factor: float, z):
     return like_input(z, _contact(profile, 1.0, z, lambda y: (a * y, a), tol=1e-12, bound=1e-12))
 
 
-@dataclass(frozen=True)
-class PerceivedProfile:
-    """Profile seen by the bristle root: ``W(z) = w(g^{-1}(z))``.
-
-    Holds a one-period tabulation plus the data needed for pointwise exact
-    evaluation by Newton inversion.
-    """
-
-    base: SurfaceProfile
-    slope_factor: float
-    grid: np.ndarray
-    heights: np.ndarray
-    slopes: np.ndarray
-
-    def slope(self, z) -> float:
-        """Exact W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z)."""
-        p = invert_contact_map(self.base, self.slope_factor, z)
-        wp = eval_profile(self.base, p, 1)
-        return wp / (1.0 + self.slope_factor * wp)
-
-
-def perceived_profile(
-    profile: SurfaceProfile, slope_factor: float, samples: int = 4096
-) -> PerceivedProfile:
-    """Tabulate the perceived profile over one period of the root coordinate."""
+def perceived_profile(profile: SurfaceProfile, slope_factor: float, samples: int = 4096):
+    """One period of the perceived profile: grid ``z``, heights W(z) and slopes W'(z)."""
     zs = np.arange(samples, dtype=float) / samples
     ps = invert_contact_map(profile, slope_factor, zs)
-    heights = eval_profile(profile, ps, 0)
     wp = eval_profile(profile, ps, 1)
-    slopes = wp / (1.0 + slope_factor * wp)
-    return PerceivedProfile(
-        base=profile,
-        slope_factor=slope_factor,
-        grid=zs,
-        heights=heights,
-        slopes=slopes,
-    )
+    return zs, eval_profile(profile, ps, 0), wp / (1.0 + slope_factor * wp)
 
 
 def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[float, float]:
@@ -442,14 +411,18 @@ def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[flo
     """
     from scipy.optimize import minimize_scalar
 
-    perceived = perceived_profile(profile, slope_factor)
-    slopes = perceived.slopes
-    step = 1.0 / perceived.grid.size
+    grid, _, slopes = perceived_profile(profile, slope_factor)
+    step = 1.0 / grid.size
+
+    def slope(z):
+        """Exact W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z)."""
+        wp = eval_profile(profile, invert_contact_map(profile, slope_factor, z), 1)
+        return wp / (1.0 + slope_factor * wp)
 
     def refine(idx: int, sign: float) -> float:
-        z0 = perceived.grid[idx]
+        z0 = grid[idx]
         res = minimize_scalar(
-            lambda z: -sign * perceived.slope(z),
+            lambda z: -sign * slope(z),
             bounds=(z0 - step, z0 + step),
             method="bounded",
             options={"xatol": 1e-12},

@@ -29,7 +29,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .limit_solver import LimitSystem, Trajectory
-from .models import BristleModel, coefficients, invert_contact_map
+from .models import BristleModel, coefficients
+# unused here; perfbench's tracer wraps this binding
+from .models import invert_contact_map
 from .profiles import SurfaceProfile, curvature_roots, eval_profile, like_input, scalar_terms
 
 __all__ = [
@@ -178,12 +180,6 @@ class LimitWithK:
         order = np.concatenate([i if slopes[i[-1]] >= slopes[i[0]] else i[::-1] for i in pieces])
         last = np.cumsum([i.size for i in pieces]) - 1
         return nodes[order], slopes[order], np.r_[0, last[:-1] + 1], last
-
-    def wprime(self, y):
-        """W'(y) through the contact-map inversion: the sampled route, for oracles."""
-        p = invert_contact_map(self.profile, self.slope_factor, y)
-        wp = eval_profile(self.profile, p, 1)
-        return self.alpha * wp / (1.0 + self.slope_factor * wp)
 
     @cached_property
     def _scalar_table(self) -> tuple:

@@ -67,13 +67,10 @@ class IntegratorConfig:
 
     rtol: float = 1e-9
     atol: float = 1e-11
-    max_step: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.rtol <= 0.0 or self.atol <= 0.0:
             raise ConfigError("integrator tolerances must be positive")
-        if self.max_step is not None and self.max_step <= 0.0:
-            raise ConfigError("max_step must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -306,26 +303,19 @@ class ViscousTrajectory(Trajectory):
     term ``int dE/dt dt = -int ell' z dt`` over the whole run.
     """
 
-    xi: np.ndarray = None
-    delta: np.ndarray = None
-    power_integral: float = 0.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.xi is None or self.delta is None:
-            raise ConfigError("viscous trajectory requires xi and delta columns")
+    xi: np.ndarray
+    delta: np.ndarray
+    power_integral: float
 
 
-def step_cap(system: WigglySystem, config: IntegratorConfig, horizon: float) -> float:
-    """The run's largest step, min(``max_step``, eps^gamma / 2).
+def step_cap(system: WigglySystem, horizon: float) -> float:
+    """The run's largest step, eps^gamma / 2.
 
     Raises :class:`ConfigError` when that cap alone needs more than
     ``MAX_STEPS`` steps to reach ``horizon``, so such a run is refused
     before it starts.
     """
     max_step = 0.5 * system.time_scale
-    if config.max_step is not None:
-        max_step = min(config.max_step, max_step)
     if horizon / max_step > MAX_STEPS:
         raise ConfigError(f"the step cap {max_step:.3g} needs more than {MAX_STEPS} steps "
                           f"to reach t = {horizon:.6g}")
@@ -358,7 +348,7 @@ def integrate(
     if not math.isfinite(z0):
         raise ConfigError(f"initial state must be finite, got {z0}")
     tau = system.time_scale
-    max_step = step_cap(system, config, grid[-1])
+    max_step = step_cap(system, grid[-1])
     sol = solve_ivp(
         scalar_rhs(system),
         (0.0, float(grid[-1])),

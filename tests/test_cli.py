@@ -513,6 +513,41 @@ class TestErrorReporting:
         assert err == f"error: config {block}: unknown keys ['{key}']\n"
         assert not out.exists()
 
+    def test_max_step_is_an_unknown_key(self, tmp_path, capsys):
+        # the step cap is eps^gamma / 2, worked out from the inputs alone
+        payload = dict(CANONICAL, simulation={"tolerances": {"max_step": 0.1}})
+        code, out = run(tmp_path, "simulate", payload, "--epsilon", "0.1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: config simulation.tolerances: unknown keys ['max_step']\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["coeffs", "k-table", "perceived"])
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"loading": "garbage"}, "config loading: needs a 'kind'"),
+            ({"loading": dict(CANONICAL["loading"], extra=1.0)},
+             "config loading: unknown keys ['extra']"),
+            ({"system": dict(CANONICAL["system"], extra=1.0)},
+             "config system: unknown keys ['extra']"),
+            ({"loading": None}, "this command needs the blocks ['loading']"),
+        ],
+        ids=["loading-garbage", "loading-extra-key", "system-extra-key", "system-no-loading"],
+    )
+    def test_a_shared_block_the_command_does_not_read_is_checked(
+        self, tmp_path, capsys, command, changes, named
+    ):
+        payload = {key: value for key, value in dict(CANONICAL, **changes).items()
+                   if value is not None}
+        code, out = run(tmp_path, command, payload)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
 
 class _Overtime(BaseException):
     """Raised by the alarm; a BaseException, so ``cli.main`` cannot report it."""
@@ -619,7 +654,7 @@ CONTRACT_CONFIGS = {
     # whole runs, kept short: a 0.2-s ramp on an 11-point grid
     "simulate": dict(CANONICAL, loading={"kind": "ramp", "q0": 0.0, "rate": 1.0, "duration": 0.2},
                      simulation={"gamma": 1.0, "z0": 0.0, "grid_points": 11,
-                                 "tolerances": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.1}}),
+                                 "tolerances": {"rtol": 1e-9, "atol": 1e-11}}),
     "converge": dict(CANONICAL, loading={"kind": "ramp", "rate": 1.0, "duration": 0.2},
                      simulation={"epsilons": [0.1, 0.05], "grid_points": 11,
                                  "windows": [[0.0, 0.2]]}),
@@ -634,7 +669,7 @@ BLOCK_CASES = [
                          "values": [0.0, 0.1, 0.0], "blend": 0.1}),
     (cli.build_simulation, {"epsilons": [0.1, 0.05], "gamma": 1.0, "z0": 0.0,
                             "grid_points": 11, "windows": [[0.0, 1.0]],
-                            "tolerances": {"rtol": 1e-9, "atol": 1e-11, "max_step": 0.1}}),
+                            "tolerances": {"rtol": 1e-9, "atol": 1e-11}}),
 ]
 
 # the zeros, signs and extreme magnitudes reach the classes' own range checks
@@ -745,11 +780,7 @@ def _main(command, payload, *extra):
         return code, err.getvalue().splitlines() + [str(w.message) for w in caught], out.exists()
 
 
-# k-table and perceived read no loading or system block, so their configs'
-# copies of those blocks are not theirs to check
-UNREAD = {"k-table": ("loading", "system"), "perceived": ("loading", "system")}
-DICT_NODES = [(c, path) for c, cfg in CONTRACT_CONFIGS.items() for path in _dict_paths(cfg)
-              if path[:1] not in [(block,) for block in UNREAD.get(c, ())]]
+DICT_NODES = [(c, path) for c, cfg in CONTRACT_CONFIGS.items() for path in _dict_paths(cfg)]
 TILTED = {
     "slanted": {"kind": "slanted", "k": 1.0, "L_rest": 1.0, "h": 0.05, "theta": 0.5},
     "angular": {"kind": "angular", "k": 1.0, "L": 1.0, "h": math.cos(0.6), "theta_rest": 0.0},

@@ -3,7 +3,7 @@
 import pytest
 
 import wfl.convergence as convergence
-from wfl.convergence import SweepReport, run_sweep
+from wfl.convergence import run_sweep
 from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError, SweepError
 from wfl.limit_solver import LimitSystem, Ramp
 from wfl.models import VerticalBristle
@@ -79,38 +79,19 @@ class TestRunSweep:
             run_sweep(canonical_system(), PROFILE, MODEL, epsilons=[0.1, 1e-9])
         assert calls == []
 
-    def test_midway_failure_carries_partial_report(self, monkeypatch):
+    def test_midway_failure_names_its_scale_and_stops_the_sweep(self, monkeypatch):
+        # a stiffness failure in the middle of a sweep aborts it at that scale
         real_integrate = convergence.integrate
+        calls = []
 
         def flaky(system, z0, config=None, grid=None):
-            if system.epsilon == 0.05:
-                raise StiffnessFailureError("synthetic failure for testing")
-            return real_integrate(system, z0, config=config, grid=grid)
-
-        monkeypatch.setattr(convergence, "integrate", flaky)
-        with pytest.raises(SweepError) as exc_info:
-            run_sweep(
-                canonical_system(0.5),
-                PROFILE,
-                MODEL,
-                epsilons=[0.1, 0.05],
-            )
-        partial = exc_info.value.partial
-        assert isinstance(partial, SweepReport)
-        assert partial.epsilons == (0.1,)
-        assert partial.fitted_order is None
-
-    def test_partial_report_stops_at_the_first_failure(self, monkeypatch):
-        # a stiffness failure in the middle of a sweep keeps the rows before it
-        real_integrate = convergence.integrate
-
-        def flaky(system, z0, config=None, grid=None):
+            calls.append(system.epsilon)
             if system.epsilon == 0.07:
                 raise StiffnessFailureError("synthetic failure for testing")
             return real_integrate(system, z0, config=config, grid=grid)
 
         monkeypatch.setattr(convergence, "integrate", flaky)
-        with pytest.raises(SweepError) as exc_info:
+        with pytest.raises(SweepError, match="sweep aborted at eps = 0.07: synthetic") as exc_info:
             run_sweep(
                 canonical_system(0.5),
                 PROFILE,
@@ -118,7 +99,4 @@ class TestRunSweep:
                 epsilons=[0.1, 0.07, 0.05],
             )
         assert isinstance(exc_info.value.__cause__, StiffnessFailureError)
-        partial = exc_info.value.partial
-        assert partial.epsilons == (0.1,)
-        assert len(partial.sup_errors) == len(partial.runtimes) == 1
-        assert partial.fitted_order is None
+        assert calls == [0.1, 0.07]

@@ -148,6 +148,28 @@ def test_ramp_validation():
         SinusoidLoading(frequency=-1.0)
 
 
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: SinusoidLoading(frequency=math.nan), "frequency must be positive and finite"),
+        (lambda: SinusoidLoading(frequency=math.inf), "frequency must be positive and finite"),
+        (lambda: SmoothedPiecewiseLinear(times=(0.0, 1.0, 2.0), values=(0.0, math.nan, 0.0),
+                                         blend=0.1), "knot times and values must be finite"),
+        (lambda: SmoothedPiecewiseLinear(times=(0.0, 1.0, 2.0), values=(0.0, math.inf, 0.0),
+                                         blend=0.1), "knot times and values must be finite"),
+        (lambda: SmoothedPiecewiseLinear(times=(0.0, 1.0, math.inf), values=(0.0, 1.0, 0.0),
+                                         blend=0.1), "knot times and values must be finite"),
+    ],
+    ids=["sinusoid-frequency-nan", "sinusoid-frequency-inf", "piecewise-value-nan",
+         "piecewise-value-inf", "piecewise-time-inf"],
+)
+def test_non_finite_loading_parameter_is_refused_when_built(build, named):
+    # accepted, these once gave nan loads, a bare math domain error, or a
+    # failure far from the cause (a "[nan, nan]" strip, an infinite horizon)
+    with pytest.raises(ConfigError, match=named):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # elastic strip
 # ---------------------------------------------------------------------------

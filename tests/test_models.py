@@ -275,18 +275,23 @@ def test_perceived_extrema_match_closed_form_asymmetric():
 
 
 def test_perceived_profile_periodic_and_consistent():
-    pp = perceived_profile(CANONICAL, -1.0, samples=512)
-    assert pp.grid.size == 512
+    grid, heights, slopes = perceived_profile(CANONICAL, -1.0, samples=512)
+    assert grid.size == heights.size == slopes.size == 512
 
     def height(z):
         # W(z) = w(g^{-1}(z)), evaluated pointwise
         return eval_profile(CANONICAL, invert_contact_map(CANONICAL, -1.0, z), 0)
 
-    # height by tabulation agrees with pointwise evaluation
+    def slope(z):
+        # W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z), evaluated pointwise
+        wp = eval_profile(CANONICAL, invert_contact_map(CANONICAL, -1.0, z), 1)
+        return wp / (1.0 - wp)
+
+    # height and slope by tabulation agree with pointwise evaluation
     for idx in (0, 100, 350):
-        z = float(pp.grid[idx])
-        assert height(z) == pytest.approx(pp.heights[idx], abs=1e-12)
-        assert pp.slope(z) == pytest.approx(pp.slopes[idx], abs=1e-12)
+        z = float(grid[idx])
+        assert height(z) == pytest.approx(heights[idx], abs=1e-12)
+        assert slope(z) == pytest.approx(slopes[idx], abs=1e-12)
     assert height(1.25) == pytest.approx(height(0.25), abs=1e-11)
 
 
