@@ -7,23 +7,7 @@ checking trajectories against energy-dissipation certificates.
 """
 
 from .convergence import SweepReport, run_sweep
-from .errors import (
-    ConfigError,
-    DegenerateProfileError,
-    GeometryError,
-    InadmissibleModelError,
-    InadmissibleSlopeFactorError,
-    InvalidInitialStateError,
-    InvalidScaleError,
-    InversionFailureError,
-    ParameterDomainError,
-    ScaleValidityError,
-    SolverError,
-    StiffnessFailureError,
-    SweepError,
-    WflError,
-    ZeroTensionError,
-)
+from .errors import ConfigError, SolverError, WflError
 from .limit_solver import (
     LimitSystem,
     LoadingProgram,

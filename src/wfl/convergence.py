@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SolverError, SweepError
+from .errors import ConfigError, SolverError
 from .limit_solver import LimitSystem, solve_limit, time_grid
 from .models import BristleModel
 from .profiles import SurfaceProfile
@@ -81,7 +81,7 @@ def run_sweep(
     All scales are validated up front, their range and their step budget
     (:func:`~wfl.viscous_solver.step_cap`), so an inadmissible epsilon
     aborts with :class:`ConfigError` before any integration starts.  The
-    first integration that fails stops the sweep with a :class:`SweepError`
+    first integration that fails stops the sweep with a :class:`SolverError`
     that names its epsilon and has the solver error as its cause.
     """
     eps = [float(e) for e in epsilons]
@@ -116,7 +116,7 @@ def run_sweep(
         try:
             trajectory = integrate(wiggly, float(z0), config=config, grid=grid)
         except SolverError as exc:
-            raise SweepError(f"sweep aborted at eps = {wiggly.epsilon}: {exc}") from exc
+            raise SolverError(f"sweep aborted at eps = {wiggly.epsilon}: {exc}") from exc
         runs.append((trajectory, time.perf_counter() - start))
 
     sup_errors = [float(np.max(np.abs(tr.states - limit.states))) for tr, _ in runs]

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInitialStateError, SolverError
+from .errors import ConfigError, SolverError
 from .profiles import like_input
 
 DEFAULT_GRID_POINTS = 4097  # horizon / 4096 steps
@@ -45,8 +45,8 @@ def _as_array(t):
 
 
 @contextmanager
-def overflow_raises(error: type, what: str):
-    """Run NumPy code in which overflow, division by zero or an invalid result raises ``error``.
+def overflow_raises(what: str):
+    """Run NumPy code in which overflow, division by zero or an invalid result is a solver error.
 
     NumPy would otherwise warn and carry an inf or a nan on.  The message
     names the kind of error, taken from the start of NumPy's message.
@@ -57,8 +57,8 @@ def overflow_raises(error: type, what: str):
         except FloatingPointError as exc:
             kind = {"overflow": "overflowed", "divide by zero": "divided by zero",
                     "underflow": "underflowed", "invalid value": "gave an invalid value"}
-            raise error(f"{what} {kind.get(str(exc).split(' encountered')[0], 'failed')} "
-                        f"({exc})") from exc
+            raise SolverError(f"{what} {kind.get(str(exc).split(' encountered')[0], 'failed')} "
+                              f"({exc})") from exc
 
 
 class LoadingProgram(ABC):
@@ -313,7 +313,7 @@ class LimitSystem:
             raise ConfigError(f"hauling stiffness must be positive, got {self.k_h}")
         if not math.isfinite(self.L_h_rest):
             raise ConfigError("hauling spring rest length must be finite")
-        if not self.rho_minus < 0.0 < self.rho_plus:
+        if not -math.inf < self.rho_minus < 0.0 < self.rho_plus < math.inf:
             raise ConfigError(
                 f"thresholds must satisfy rho_minus < 0 < rho_plus, got "
                 f"({self.rho_minus}, {self.rho_plus})"
@@ -405,16 +405,15 @@ def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
 
     ``z0`` must lie inside the elastic strip at the initial time (up to a
     1e-12 slack for roundoff); otherwise the quasistatic problem has no
-    solution starting there and :class:`InvalidInitialStateError` is
-    raised.
+    solution starting there and :class:`ConfigError` is raised.
     """
     grid = time_grid(system.loading, grid)
-    with overflow_raises(SolverError, "limit solution"):
+    with overflow_raises("limit solution"):
         lower, upper = elastic_strip(system, grid)
         scale = max(1.0, abs(z0), float(np.max(np.abs(upper))))
         slack = 1e-12 * scale
         if not lower[0] - slack <= z0 <= upper[0] + slack:
-            raise InvalidInitialStateError(
+            raise ConfigError(
                 f"initial state {z0} outside the elastic strip "
                 f"[{lower[0]}, {upper[0]}] at t = {grid[0]}"
             )

@@ -71,15 +71,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    GeometryError,
-    InadmissibleModelError,
-    InadmissibleSlopeFactorError,
-    InversionFailureError,
-    ParameterDomainError,
-    ScaleValidityError,
-    ZeroTensionError,
-)
+from .errors import ConfigError, SolverError
 from .profiles import (
     DerivativeExtrema,
     SurfaceProfile,
@@ -93,18 +85,18 @@ from .profiles import (
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
-            raise GeometryError(f"{name} must be finite, got {value}")
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def _require_spring(model, **more: float) -> None:
     """Every value finite, then a linear spring's ``k > 0``, ``h > 0`` and ``L_rest >= 0``."""
     _require_finite(k=model.k, L_rest=model.L_rest, h=model.h, **more)
     if model.k <= 0.0:
-        raise GeometryError(f"stiffness must be positive, got {model.k}")
+        raise ConfigError(f"stiffness must be positive, got {model.k}")
     if model.h <= 0.0:
-        raise GeometryError(f"stand-off height must be positive, got {model.h}")
+        raise ConfigError(f"stand-off height must be positive, got {model.h}")
     if model.L_rest < 0.0:
-        raise GeometryError(f"rest length must be nonnegative, got {model.L_rest}")
+        raise ConfigError(f"rest length must be nonnegative, got {model.L_rest}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +110,7 @@ class VerticalBristle:
     def __post_init__(self) -> None:
         _require_spring(self)
         if self.L_rest == self.h:
-            raise ZeroTensionError(
+            raise ConfigError(
                 "rest length equals stand-off: spring is unloaded on the flat "
                 "and the friction thresholds vanish"
             )
@@ -160,11 +152,11 @@ class SlantedBristle:
     def __post_init__(self) -> None:
         _require_spring(self, theta=self.theta)
         if not 0.0 < self.theta < 0.5 * math.pi:
-            raise GeometryError(
+            raise ConfigError(
                 f"mounting angle must lie in (0, pi/2), got {self.theta}"
             )
         if self.L_rest == self.h / math.cos(self.theta):
-            raise ZeroTensionError(
+            raise ConfigError(
                 "spring is exactly at rest length on the flat; friction degenerates"
             )
 
@@ -181,7 +173,7 @@ class SlantedBristle:
 
     def conditions(self, extrema: DerivativeExtrema) -> tuple[AdmissibilityCondition, ...]:
         margin = 1.0 / math.tan(self.theta) - extrema.omega_plus
-        return (AdmissibilityCondition("omega_plus < cot(theta)", margin > 0.0, margin),)
+        return (AdmissibilityCondition("omega_plus < cot(theta)", margin),)
 
     def clearance(self, profile: SurfaceProfile) -> float:
         omega_plus = derivative_extrema(profile).omega_plus
@@ -222,14 +214,14 @@ class AngularBristle:
     def __post_init__(self) -> None:
         _require_finite(k=self.k, L=self.L, h=self.h, theta_rest=self.theta_rest)
         if self.k <= 0.0:
-            raise GeometryError(f"torsional stiffness must be positive, got {self.k}")
+            raise ConfigError(f"torsional stiffness must be positive, got {self.k}")
         # L^2 - h^2 enters as a positive float: under- or overflow would divide by 0 or inf
         if not (0.0 < self.h < self.L and 0.0 < self.L * self.L - self.h * self.h < math.inf):
-            raise GeometryError(
+            raise ConfigError(
                 f"need 0 < h < L and a finite L^2 - h^2 > 0, got h={self.h}, L={self.L}"
             )
         if not -0.5 * math.pi < self.theta_rest < self.theta_lim:
-            raise GeometryError(
+            raise ConfigError(
                 f"rest angle must lie in (-pi/2, theta_lim={self.theta_lim:.6f}), "
                 f"got {self.theta_rest}"
             )
@@ -255,8 +247,8 @@ class AngularBristle:
         margin_lo = extrema.omega_minus + math.tan(self.theta_lim)
         margin_hi = self.slope_factor - extrema.omega_plus
         return (
-            AdmissibilityCondition("-tan(theta_lim) < omega_minus", margin_lo > 0.0, margin_lo),
-            AdmissibilityCondition("omega_plus < cot(theta_lim)", margin_hi > 0.0, margin_hi),
+            AdmissibilityCondition("-tan(theta_lim) < omega_minus", margin_lo),
+            AdmissibilityCondition("omega_plus < cot(theta_lim)", margin_hi),
         )
 
     def clearance(self, profile: SurfaceProfile) -> float:
@@ -300,7 +292,7 @@ class FrictionCoefficients:
 
     def __post_init__(self) -> None:
         if not self.rho_minus < 0.0 < self.rho_plus:
-            raise ParameterDomainError(
+            raise ConfigError(
                 f"friction thresholds must straddle zero: "
                 f"rho_minus={self.rho_minus}, rho_plus={self.rho_plus}"
             )
@@ -309,7 +301,6 @@ class FrictionCoefficients:
 @dataclass(frozen=True)
 class AdmissibilityCondition:
     label: str
-    satisfied: bool
     margin: float
 
 
@@ -320,16 +311,16 @@ def mu_from_omega(
 
     Requires ``omega_minus < 0 < omega_plus`` and ``1 + a * omega_pm > 0``;
     the latter is the invertibility of the tip-to-root map and fails with
-    :class:`InadmissibleSlopeFactorError`.
+    :class:`ConfigError`.
     """
     if not omega_minus < 0.0 < omega_plus:
-        raise ParameterDomainError(
+        raise ConfigError(
             f"extreme slopes must straddle zero, got ({omega_minus}, {omega_plus})"
         )
     den_plus = 1.0 + slope_factor * omega_plus
     den_minus = 1.0 + slope_factor * omega_minus
     if den_plus <= 0.0 or den_minus <= 0.0:
-        raise InadmissibleSlopeFactorError(
+        raise ConfigError(
             f"slope factor a={slope_factor} gives nonpositive 1 + a*omega "
             f"({den_plus}, {den_minus}); contact map not invertible"
         )
@@ -339,20 +330,19 @@ def mu_from_omega(
 def coefficients(model: BristleModel, profile: SurfaceProfile) -> FrictionCoefficients:
     """Friction coefficients of a bristle model on a given profile.
 
-    Raises :class:`InadmissibleModelError` when the profile slopes violate
-    the model's admissibility inequalities (``model.conditions``, one per
-    inequality with its margin, positive when satisfied; none for the
-    vertical bristle), and :class:`ZeroTensionError` when the contact
-    carries no force on the flat.
+    Raises :class:`ConfigError` when the profile slopes violate the model's
+    admissibility inequalities (``model.conditions``, one per inequality with
+    its margin, positive when satisfied; none for the vertical bristle) or
+    when the contact carries no force on the flat.
     """
     extrema = derivative_extrema(profile)
-    failing = [c for c in model.conditions(extrema) if not c.satisfied]
+    failing = [c for c in model.conditions(extrema) if not c.margin > 0.0]
     if failing:
         detail = "; ".join(f"{c.label} (margin {c.margin:.3e})" for c in failing)
-        raise InadmissibleModelError(f"model inadmissible for this profile: {detail}")
+        raise ConfigError(f"model inadmissible for this profile: {detail}")
     alpha = model.alpha
     if alpha == 0.0:
-        raise ZeroTensionError("contact tension scale alpha is zero")
+        raise ConfigError("contact tension scale alpha is zero")
     mu_plus, mu_minus = mu_from_omega(
         extrema.omega_plus, extrema.omega_minus, model.slope_factor
     )
@@ -383,8 +373,7 @@ def invert_contact_map(profile: SurfaceProfile, slope_factor: float, z):
     the contact iteration of :func:`wiggly_force` for the shift ``a * y`` at
     eps = 1, where ``1.0 * w(p / 1.0)`` is exact, with Newton stopped and
     the result checked at a residual of 1e-12.  :func:`mu_from_omega`
-    raises :class:`InadmissibleSlopeFactorError` where the map is not
-    invertible.
+    raises :class:`ConfigError` where the map is not invertible.
     """
     extrema = derivative_extrema(profile)
     mu_from_omega(extrema.omega_plus, extrema.omega_minus, slope_factor)
@@ -455,10 +444,10 @@ def epsilon_limit(model: BristleModel, profile: SurfaceProfile) -> float:
 
 def _require_valid_epsilon(model: BristleModel, profile: SurfaceProfile, epsilon: float) -> None:
     if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise ScaleValidityError(f"epsilon must be positive and finite, got {epsilon}")
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
     limit = epsilon_limit(model, profile)
     if epsilon > limit:
-        raise ScaleValidityError(
+        raise ConfigError(
             f"epsilon {epsilon} exceeds the geometric validity limit {limit:.6g} "
             f"for this {model.name} bristle"
         )
@@ -471,7 +460,7 @@ def _contact(profile: SurfaceProfile, epsilon: float, z, shift, tol=None, bound=
     (the relation is strictly monotone inside the validity region), stopped
     at ``tol`` (by default 1e-13 of ``max(1, |z|)``), with a bisection sweep
     for points whose residual is still above 1e-12; a residual above
-    ``bound`` after the sweep raises :class:`InversionFailureError`.  A tip
+    ``bound`` after the sweep raises :class:`SolverError`.  A tip
     under its root (``shift`` is ``None``) solves nothing.
     """
     zs = np.array(z, dtype=float, ndmin=1)
@@ -505,7 +494,7 @@ def _contact(profile: SurfaceProfile, epsilon: float, z, shift, tol=None, bound=
         p = np.where(bad, 0.5 * (lo + hi), p)
         worst = float(np.max(np.abs(residual(p))))
         if worst > bound:
-            raise InversionFailureError(f"contact iteration stalled at residual {worst:.3e}")
+            raise SolverError(f"contact iteration stalled at residual {worst:.3e}")
     return p
 
 
@@ -607,12 +596,12 @@ def nap_coefficients(
     ``theta_with = 0`` recovers the direction-symmetric contact.
     """
     if not 0.0 <= theta_with < theta_lim < 0.5 * math.pi:
-        raise ParameterDomainError(
+        raise ConfigError(
             f"need 0 <= theta_with < theta_lim < pi/2, got "
             f"theta_with={theta_with}, theta_lim={theta_lim}"
         )
-    if mu_plus <= 0.0:
-        raise ParameterDomainError(f"mu_plus must be positive, got {mu_plus}")
+    if not 0.0 < mu_plus < math.inf:
+        raise ConfigError(f"mu_plus must be positive, got {mu_plus}")
     factor = mu_plus / math.tan(theta_lim)
     return factor * (theta_lim - theta_with), factor * (theta_lim + theta_with)
 
@@ -625,7 +614,7 @@ def axial_tension(model: AngularBristle, rho: float) -> float:
     rightward sliding or ``rho_minus`` for leftward sliding.
     """
     if not isinstance(model, AngularBristle):
-        raise ParameterDomainError("axial tension is defined for angular bristles only")
+        raise ConfigError("axial tension is defined for angular bristles only")
     s = math.sqrt(model.L ** 2 - model.h ** 2)
     spring_part = -(model.k / model.L) * (model.theta_lim - model.theta_rest) * (model.h / s)
     return spring_part + rho * model.L / s

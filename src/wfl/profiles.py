@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateProfileError, InvalidScaleError
+from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,14 +43,14 @@ class FourierTerm:
     def __post_init__(self) -> None:
         _check_harmonic(self.harmonic)
         if not math.isfinite(self.amplitude) or not math.isfinite(self.phase):
-            raise InvalidScaleError("amplitude and phase must be finite")
+            raise ConfigError("amplitude and phase must be finite")
 
 
 def _check_harmonic(harmonic) -> None:
     if not isinstance(harmonic, (int, np.integer)) or isinstance(harmonic, bool):
-        raise InvalidScaleError(f"harmonic must be an integer, got {type(harmonic).__name__}")
+        raise ConfigError(f"harmonic must be an integer, got {type(harmonic).__name__}")
     if not 1 <= int(harmonic) <= MAX_HARMONIC:
-        raise InvalidScaleError(f"harmonic must lie in [1, {MAX_HARMONIC}]")
+        raise ConfigError(f"harmonic must lie in [1, {MAX_HARMONIC}]")
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ class SurfaceProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
-            raise InvalidScaleError("profile needs at least one Fourier term")
+            raise ConfigError("profile needs at least one Fourier term")
         if all(term.amplitude == 0.0 for term in self.terms):
-            raise InvalidScaleError("profile needs at least one nonzero amplitude")
+            raise ConfigError("profile needs at least one nonzero amplitude")
 
     @classmethod
     def sinusoid(cls, slope: float = 0.1, harmonic: int = 1, phase: float = 0.0) -> "SurfaceProfile":
@@ -74,7 +74,7 @@ class SurfaceProfile:
         derivative oscillates between -s and +s.
         """
         if slope <= 0.0:
-            raise InvalidScaleError(f"slope amplitude must be positive, got {slope}")
+            raise ConfigError(f"slope amplitude must be positive, got {slope}")
         _check_harmonic(harmonic)  # before it divides
         amplitude = slope / (TWO_PI * harmonic)
         return cls(terms=(FourierTerm(amplitude, harmonic, phase),))
@@ -210,18 +210,18 @@ def derivative_extrema(profile: SurfaceProfile) -> DerivativeExtrema:
 
     Every extremum of w' is a root of w'', so these are the largest and the
     smallest w' over :func:`curvature_roots`.  Raises
-    :class:`DegenerateProfileError` unless ``omega_minus < 0 < omega_plus``,
+    :class:`ConfigError` unless ``omega_minus < 0 < omega_plus``,
     also when the terms cancel to a flat profile.  Results are cached per
     profile since parameter sweeps ask for the same extrema many times.
     """
     roots = curvature_roots(profile)
     if roots.size == 0:
-        raise DegenerateProfileError("profile terms cancel: the slope vanishes everywhere")
+        raise ConfigError("profile terms cancel: the slope vanishes everywhere")
     slopes = eval_profile(profile, roots, 1)
     top, bottom = int(np.argmax(slopes)), int(np.argmin(slopes))
     omega_plus, omega_minus = float(slopes[top]), float(slopes[bottom])
     if not (omega_minus < 0.0 < omega_plus):
-        raise DegenerateProfileError(
+        raise ConfigError(
             f"slope extrema do not straddle zero: min {omega_minus}, max {omega_plus}"
         )
     return DerivativeExtrema(

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InversionFailureError, StiffnessFailureError
+from .errors import ConfigError, SolverError
 from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raises, time_grid
 from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point, scalar_force
 # unused here; perfbench's tracer wraps these bindings
@@ -69,7 +69,7 @@ class IntegratorConfig:
     atol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0.0 or self.atol <= 0.0:
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ConfigError("integrator tolerances must be positive")
 
 
@@ -113,8 +113,8 @@ def scalar_rhs(system: WigglySystem):
     Built once per run over plain floats, the loading's ``scalar_q`` and
     :func:`~wfl.models.scalar_force`, with Phi'(z) = k_h z inlined: no attribute
     lookup, NumPy call or contact Newton per call (``p = z``, g' = 1 for a tip
-    under its root).  A math error or a non-finite result means the state ran
-    away (:class:`StiffnessFailureError`); a fold, g' <= 0, is an :class:`InversionFailureError`.
+    under its root).  A math error or a non-finite result (the state ran
+    away) and a fold, g' <= 0, raise :class:`SolverError`.
     """
     base = system.base
     q = base.loading.scalar_q()
@@ -124,9 +124,9 @@ def scalar_rhs(system: WigglySystem):
 
     def failure(t: float, p: float, slope: float = 1.0):
         if slope <= 0.0:
-            return InversionFailureError(f"the contact map folds at t = {t:.6g}, p = {p:.6g}")
-        return StiffnessFailureError(f"force evaluation overflowed at t = {t:.6g}, p = {p:.6g}; "
-                                     f"the state has left the integrable range")
+            return SolverError(f"the contact map folds at t = {t:.6g}, p = {p:.6g}")
+        return SolverError(f"force evaluation overflowed at t = {t:.6g}, p = {p:.6g}; "
+                           f"the state has left the integrable range")
 
     def fun(t: float, z: float) -> float:
         try:
@@ -220,8 +220,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
     right after a rejection) are those of SciPy's RK45.  The minimum step is
     10 ulp of the end time, where SciPy takes 10 ulp(t): near t = 0 that
     would be a subnormal step, so a stiff run would crawl instead of
-    failing.  A step forced below it raises :class:`StiffnessFailureError`,
-    and so does a run that takes ``MAX_STEPS`` steps without reaching the end.
+    failing.  A step forced below it raises :class:`SolverError`, and so
+    does a run that takes ``MAX_STEPS`` steps without reaching the end.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     y = float(y0)
@@ -248,7 +248,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
         rejected = False
         while True:
             if h < min_step:
-                raise StiffnessFailureError(
+                raise SolverError(
                     f"viscous integration stalled at t = {t:.6g}: the step size "
                     f"fell below the floating-point spacing"
                 )
@@ -283,7 +283,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
         times.append(t)
         states.append(y)
         if len(times) > MAX_STEPS and t < t_end:
-            raise StiffnessFailureError(
+            raise SolverError(
                 f"viscous integration took {MAX_STEPS} steps to reach t = {t:.6g} of {t_end:.6g}"
             )
 
@@ -335,12 +335,12 @@ def integrate(
     point of ``z0``; the samples, the dissipation and the power integral
     come from the dense output and :meth:`WigglySystem.at_contact` on the
     whole quadrature mesh.  A run whose :func:`step_cap` needs more than
-    ``MAX_STEPS`` steps is refused with
-    :class:`ConfigError`.  Raises :class:`StiffnessFailureError` when the
-    adaptive integrator drives its step below the floating-point spacing
-    (the problem is stiffer than the explicit pair can handle at these
-    tolerances) or takes ``MAX_STEPS`` steps, or when the state runs away so
-    that the force, or any post-processed quantity, overflows.
+    ``MAX_STEPS`` steps is refused with :class:`ConfigError`.  Raises
+    :class:`SolverError` when the adaptive integrator drives its step below
+    the floating-point spacing (the problem is stiffer than the explicit pair
+    can handle at these tolerances) or takes ``MAX_STEPS`` steps, or when the
+    state runs away so that the force, or any post-processed quantity,
+    overflows.
     """
     if config is None:
         config = IntegratorConfig()
@@ -357,7 +357,7 @@ def integrate(
         atol=config.atol,
         max_step=max_step,
     )
-    with overflow_raises(StiffnessFailureError, "post-processing"):
+    with overflow_raises("post-processing"):
         # accepted steps refined by the output grid: the dense output fills in the rest
         nodes = np.union1d(sol.t, grid)
         p_nodes = sol.sample(nodes)

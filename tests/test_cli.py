@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wfl
 from wfl import cli, svg
-from wfl.errors import ConfigError
+from wfl.errors import ConfigError, SolverError, WflError
 from wfl.limit_solver import LimitSystem, Ramp
 from wfl.models import VerticalBristle, coefficients, epsilon_limit, perceived_extrema
 from wfl.profiles import SurfaceProfile
@@ -334,6 +335,12 @@ class TestKTable:
 
 
 class TestErrorReporting:
+    def test_one_error_kind_per_exit_code(self):
+        # exit 1 is a ConfigError, exit 2 a SolverError; the message names the cause
+        exported = {value for value in vars(wfl).values()
+                    if isinstance(value, type) and issubclass(value, BaseException)}
+        assert exported == {WflError, ConfigError, SolverError}
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(
             ["coeffs", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]

@@ -4,7 +4,7 @@ import pytest
 
 import wfl.convergence as convergence
 from wfl.convergence import run_sweep
-from wfl.errors import ConfigError, ScaleValidityError, StiffnessFailureError, SweepError
+from wfl.errors import ConfigError, SolverError
 from wfl.limit_solver import LimitSystem, Ramp
 from wfl.models import VerticalBristle
 from wfl.profiles import SurfaceProfile
@@ -68,7 +68,7 @@ class TestRunSweep:
             )
 
     def test_inadmissible_scale_aborts_before_any_run(self):
-        with pytest.raises(ScaleValidityError):
+        with pytest.raises(ConfigError, match="exceeds the geometric validity limit"):
             run_sweep(canonical_system(), PROFILE, MODEL, epsilons=[0.1, 1e9])
 
     def test_step_budget_is_checked_before_any_run(self, monkeypatch):
@@ -87,16 +87,18 @@ class TestRunSweep:
         def flaky(system, z0, config=None, grid=None):
             calls.append(system.epsilon)
             if system.epsilon == 0.07:
-                raise StiffnessFailureError("synthetic failure for testing")
+                raise SolverError("synthetic failure for testing")
             return real_integrate(system, z0, config=config, grid=grid)
 
         monkeypatch.setattr(convergence, "integrate", flaky)
-        with pytest.raises(SweepError, match="sweep aborted at eps = 0.07: synthetic") as exc_info:
+        with pytest.raises(SolverError, match="sweep aborted at eps = 0.07: synthetic") as exc_info:
             run_sweep(
                 canonical_system(0.5),
                 PROFILE,
                 MODEL,
                 epsilons=[0.1, 0.07, 0.05],
             )
-        assert isinstance(exc_info.value.__cause__, StiffnessFailureError)
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, SolverError)
+        assert str(cause) == "synthetic failure for testing"
         assert calls == [0.1, 0.07]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wfl.errors import ConfigError, InvalidInitialStateError, SolverError
+from wfl.errors import ConfigError, SolverError
 from wfl.limit_solver import (
     LimitSystem,
     LoadingProgram,
@@ -193,6 +193,10 @@ def test_strip_rejects_bad_thresholds():
         LimitSystem(1.0, 0.0, Ramp(), rho_plus=-0.1, rho_minus=-0.2)
     with pytest.raises(ConfigError):
         LimitSystem(-1.0, 0.0, Ramp(), rho_plus=0.1, rho_minus=-0.1)
+    # an infinite threshold is a config error, not a failed limit solution
+    for rho_plus, rho_minus in ((math.inf, -0.1), (0.1, -math.inf), (math.nan, -0.1)):
+        with pytest.raises(ConfigError, match="rho_minus < 0 < rho_plus"):
+            LimitSystem(1.0, 0.0, Ramp(), rho_plus=rho_plus, rho_minus=rho_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +241,9 @@ def test_dissipated_window_validation():
 
 def test_initial_state_outside_strip_rejected():
     system = canonical_system()
-    with pytest.raises(InvalidInitialStateError):
+    with pytest.raises(ConfigError, match="outside the elastic strip"):
         solve_limit(system, 0.11)
-    with pytest.raises(InvalidInitialStateError):
+    with pytest.raises(ConfigError, match="outside the elastic strip"):
         solve_limit(system, -0.11)
     # boundary is admissible
     traj = solve_limit(system, 0.1)
@@ -372,7 +376,7 @@ def test_bad_grid_rejected():
 ])
 def test_float_error_message_names_its_kind(compute, kind):
     with pytest.raises(SolverError, match=rf"^post-processing {kind} \(\w"):
-        with overflow_raises(SolverError, "post-processing"):
+        with overflow_raises("post-processing"):
             compute()
 
 

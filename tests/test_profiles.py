@@ -12,9 +12,8 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from wfl import (
-    DegenerateProfileError,
+    ConfigError,
     FourierTerm,
-    InvalidScaleError,
     SurfaceProfile,
     derivative_extrema,
     eval_profile,
@@ -48,32 +47,32 @@ def test_sinusoid_constructor_slope_amplitude():
 
 
 def test_sinusoid_rejects_nonpositive_slope():
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(ConfigError, match="slope amplitude must be positive"):
         SurfaceProfile.sinusoid(0.0)
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(ConfigError, match="slope amplitude must be positive"):
         SurfaceProfile.sinusoid(-0.1)
 
 
 @pytest.mark.parametrize("harmonic", [0, -1, 65, 1.5, True])
 def test_bad_harmonics_rejected(harmonic):
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(ConfigError, match="harmonic must"):
         FourierTerm(0.01, harmonic)
     # the sinusoid checks the harmonic before it divides by it
-    with pytest.raises(InvalidScaleError, match="harmonic must"):
+    with pytest.raises(ConfigError, match="harmonic must"):
         SurfaceProfile.sinusoid(0.1, harmonic)
 
 
 def test_zero_profile_rejected():
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(ConfigError, match="at least one nonzero amplitude"):
         SurfaceProfile((FourierTerm(0.0, 1), FourierTerm(0.0, 2)))
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(ConfigError, match="at least one Fourier term"):
         SurfaceProfile(())
 
 
 def test_nonfinite_amplitude_rejected():
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(ConfigError, match="amplitude and phase must be finite"):
         FourierTerm(math.nan, 1)
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(ConfigError, match="amplitude and phase must be finite"):
         FourierTerm(math.inf, 2)
 
 
@@ -324,7 +323,7 @@ CANCELLING = (FourierTerm(1e-3, 3, 0.2), FourierTerm(-1e-3, 3, 0.2))
 def test_cancelling_terms_are_degenerate():
     p = SurfaceProfile(CANCELLING)
     assert curvature_roots(p).size == 0
-    with pytest.raises(DegenerateProfileError):
+    with pytest.raises(ConfigError, match="profile terms cancel"):
         derivative_extrema(p)
 
 

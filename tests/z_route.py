@@ -23,7 +23,7 @@ def scalar_force(model, profile, epsilon):
     iteration of ``models.wiggly_force`` (same tolerance, clip radius and
     iteration cap) and applies the geometry's force, so it agrees bitwise
     with ``wiggly_force``.  A point where Newton does not converge is handed
-    to ``wiggly_force``, whose bisection and ``InversionFailureError`` apply.
+    to ``wiggly_force``, whose bisection and ``SolverError`` apply.
     """
     models._require_valid_epsilon(model, profile, epsilon)
     shift, bristle_force, _ = model.formulas(math.sqrt, math.acos)
