@@ -30,6 +30,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -209,40 +210,44 @@ class SmoothedPiecewiseLinear(LoadingProgram):
                 "blend half-width must be positive and at most half the "
                 "shortest segment"
             )
+        if not np.all(np.isfinite(self._table[1])):
+            raise ConfigError("knot values change too fast: a loading slope overflows")
 
-    def _slopes(self) -> np.ndarray:
-        ts = np.asarray(self.times)
-        vs = np.asarray(self.values)
-        return np.diff(vs) / np.diff(ts)
+    @cached_property
+    def _table(self) -> tuple:
+        """Sorted piece starts and, for each piece, ``(anchor, value, slope, change)``.
+
+        A piece holds ``value + slope u + change u^2 / (4 blend)`` at ``u = t - anchor``.
+        Blend zones are closed at both ends; of two touching zones the later owns the point.
+        An equal-slope zone is linear, at the rate ``s0 + ds`` (bitwise its ``s0 + ds u``).
+        """
+        knots, values, blend = self.times, self.values, self.blend
+        slopes = [(v1 - v0) / (t1 - t0)
+                  for t0, t1, v0, v1 in zip(knots, knots[1:], values, values[1:])]
+        starts, pieces = [-math.inf], [(knots[0], values[0], slopes[0], 0.0)]
+        for i in range(1, len(slopes)):
+            s0, ds = slopes[i - 1], slopes[i] - slopes[i - 1]
+            lo = knots[i] - blend
+            if starts[-1] >= lo:  # zones touch: the segment between them is empty
+                del starts[-1], pieces[-1]
+            starts += [lo, math.nextafter(knots[i] + blend, math.inf)]
+            pieces += [(lo, values[i] - s0 * blend, s0 if ds else s0 + ds, ds),
+                       (knots[i], values[i], slopes[i], 0.0)]
+        return starts, pieces
+
+    def _pieces_at(self, ts: np.ndarray) -> np.ndarray:
+        """Columns anchor, value, slope and change of the piece that holds each time."""
+        starts, pieces = self._table
+        return np.array(pieces).T[:, np.searchsorted(starts, ts, side="right") - 1]
 
     def scalar_q(self) -> Callable[[float], float]:
-        knots, values, blend = self.times, self.values, self.blend
-        slopes = [
-            (v1 - v0) / (t1 - t0)
-            for t0, t1, v0, v1 in zip(knots, knots[1:], values, values[1:])
-        ]
-        last = len(slopes) - 1
-        # blend zone around interior knot i: from starts[i - 1] to its end in
-        # zones[i - 1].  In the array q a later zone overwrites an earlier one;
-        # both bounds grow with i, so the last zone starting at or before t
-        # wins if it holds t, and no earlier zone holds t if it does not
-        starts = [knots[i] - blend for i in range(1, last + 1)]
-        zones = [
-            (knots[i] + blend, values[i] - slopes[i - 1] * blend, slopes[i - 1],
-             slopes[i] - slopes[i - 1])
-            for i in range(1, last + 1)
-        ]
-        width = 4.0 * blend
+        starts, pieces = self._table
+        width = 4.0 * self.blend
 
         def q(t):
-            j = bisect_right(starts, t)
-            if j:
-                end, q_lo, s0, ds = zones[j - 1]
-                if t <= end:
-                    u = t - starts[j - 1]
-                    return q_lo + s0 * u + ds * u * u / width
-            seg = min(max(bisect_right(knots, t) - 1, 0), last)
-            return values[seg] + slopes[seg] * (t - knots[seg])
+            anchor, value, slope, change = pieces[bisect_right(starts, t) - 1]
+            u = t - anchor
+            return value + slope * u + change * u * u / width if change else value + slope * u
 
         return q
 
@@ -250,39 +255,18 @@ class SmoothedPiecewiseLinear(LoadingProgram):
         if isinstance(t, float):
             return self.scalar_q()(t)
         ts = _as_array(t)
-        knots = np.asarray(self.times)
-        vals = np.asarray(self.values)
-        slopes = self._slopes()
-        seg = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(slopes) - 1)
-        out = vals[seg] + slopes[seg] * (ts - knots[seg])
-        # overwrite the blend zones around interior knots
-        for i in range(1, len(knots) - 1):
-            lo = knots[i] - self.blend
-            hi = knots[i] + self.blend
-            mask = (ts >= lo) & (ts <= hi)
-            if not np.any(mask):
-                continue
-            s0, s1 = slopes[i - 1], slopes[i]
-            u = ts[mask] - lo
-            q_lo = vals[i] - s0 * self.blend
-            out[mask] = q_lo + s0 * u + (s1 - s0) * u * u / (4.0 * self.blend)
+        anchor, value, slope, change = self._pieces_at(ts)
+        u = ts - anchor
+        out = value + slope * u
+        bent = change != 0.0
+        out[bent] += change[bent] * u[bent] * u[bent] / (4.0 * self.blend)
         return like_input(t, out)
 
     def qdot(self, t):
         ts = _as_array(t)
-        knots = np.asarray(self.times)
-        slopes = self._slopes()
-        seg = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(slopes) - 1)
-        out = slopes[seg].astype(float)
-        for i in range(1, len(knots) - 1):
-            lo = knots[i] - self.blend
-            hi = knots[i] + self.blend
-            mask = (ts >= lo) & (ts <= hi)
-            if not np.any(mask):
-                continue
-            s0, s1 = slopes[i - 1], slopes[i]
-            u = (ts[mask] - lo) / (2.0 * self.blend)
-            out[mask] = s0 + (s1 - s0) * u
+        anchor, _, out, change = self._pieces_at(ts)
+        bent = change != 0.0
+        out[bent] += change[bent] * ((ts[bent] - anchor[bent]) / (2.0 * self.blend))
         return like_input(t, out)
 
     @property
@@ -291,7 +275,7 @@ class SmoothedPiecewiseLinear(LoadingProgram):
 
     @property
     def max_rate(self) -> float:
-        return float(np.max(np.abs(self._slopes())))
+        return max(abs(slope) for _, _, slope, _ in self._table[1])
 
 
 @dataclass(frozen=True)
@@ -352,17 +336,16 @@ def elastic_strip(system: LimitSystem, t):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: states, velocities, energies, running dissipation."""
+    """Sampled evolution: states, energies, running dissipation."""
 
     times: np.ndarray
     states: np.ndarray
-    velocities: np.ndarray
     energies: np.ndarray
     dissipation: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.times.size
-        for name in ("states", "velocities", "energies", "dissipation"):
+        for name in ("states", "energies", "dissipation"):
             if getattr(self, name).size != n:
                 raise ConfigError(f"trajectory field {name} has mismatched length")
         if n < 2 or np.any(np.diff(self.times) <= 0.0):
@@ -433,12 +416,10 @@ def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
                 + system.rho_minus * np.minimum(increments, 0.0)
             ),
         ))
-        velocities = np.gradient(states, grid)
         energies = system.phi_value(states) - system.ell(grid) * states
         return Trajectory(
             times=grid,
             states=states,
-            velocities=velocities,
             energies=energies,
             dissipation=dissipation,
         )

@@ -291,9 +291,9 @@ class FrictionCoefficients:
     rho_minus: float
 
     def __post_init__(self) -> None:
-        if not self.rho_minus < 0.0 < self.rho_plus:
+        if not -math.inf < self.rho_minus < 0.0 < self.rho_plus < math.inf:
             raise ConfigError(
-                f"friction thresholds must straddle zero: "
+                f"friction thresholds must straddle zero and be finite: alpha={self.alpha}, "
                 f"rho_minus={self.rho_minus}, rho_plus={self.rho_plus}"
             )
 

@@ -295,14 +295,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
 
 @dataclass(frozen=True)
 class ViscousTrajectory(Trajectory):
-    """Viscous run sampled on a grid, with force and strip diagnostics.
+    """Viscous run sampled on a grid, with velocity, force and strip diagnostics.
 
-    ``xi`` is the total configurational force (equal to eps^gamma * zdot
-    along exact solutions), ``delta`` the distance to the quasistatic
-    elastic strip, and ``power_integral`` the accumulated external power
-    term ``int dE/dt dt = -int ell' z dt`` over the whole run.
+    ``velocities`` is the root velocity zdot, ``xi`` the total configurational
+    force (equal to eps^gamma * zdot along exact solutions), ``delta`` the
+    distance to the quasistatic elastic strip, and ``power_integral`` the
+    accumulated external power term ``int dE/dt dt = -int ell' z dt`` over the
+    whole run.
     """
 
+    velocities: np.ndarray
     xi: np.ndarray
     delta: np.ndarray
     power_integral: float

@@ -204,6 +204,9 @@ def test_angular_mu_decreases_with_cot_theta_lim():
 def test_coefficient_invariant_enforced():
     with pytest.raises(ConfigError, match="friction thresholds must straddle zero"):
         FrictionCoefficients(1.0, 0.1, -0.1, -0.2, -0.3)
+    # k = L_rest = 1e308 overflows alpha, and with it both thresholds, to inf
+    with pytest.raises(ConfigError, match="be finite: alpha=inf, rho_minus=-inf, rho_plus=inf"):
+        coefficients(VerticalBristle(1e308, 1e308, 1.0), SurfaceProfile.sinusoid(slope=0.1))
 
 
 def test_geometry_validation():
