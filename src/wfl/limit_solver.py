@@ -353,7 +353,7 @@ class Trajectory:
 
     def dissipated(self, t1: float, t2: float) -> float:
         """Energy dissipated on [t1, t2], additive across adjacent windows."""
-        if t1 > t2:
+        if not t1 <= t2:
             raise ConfigError(f"window must have t1 <= t2, got ({t1}, {t2})")
         lo, hi = self.times[0], self.times[-1]
         if t1 < lo - 1e-12 or t2 > hi + 1e-12:
@@ -364,6 +364,11 @@ class Trajectory:
 
 
 def default_grid(horizon: float, steps: int = DEFAULT_GRID_POINTS - 1) -> np.ndarray:
+    """``steps + 1`` equally spaced times from 0 to ``horizon``."""
+    if not 0.0 < horizon < math.inf:
+        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or not steps > 0:
+        raise ConfigError(f"a time grid needs a positive integer number of steps, got {steps!r}")
     return np.linspace(0.0, horizon, steps + 1)
 
 

@@ -319,7 +319,7 @@ def mu_from_omega(
         )
     den_plus = 1.0 + slope_factor * omega_plus
     den_minus = 1.0 + slope_factor * omega_minus
-    if den_plus <= 0.0 or den_minus <= 0.0:
+    if not (den_plus > 0.0 and den_minus > 0.0):
         raise ConfigError(
             f"slope factor a={slope_factor} gives nonpositive 1 + a*omega "
             f"({den_plus}, {den_minus}); contact map not invertible"
@@ -389,17 +389,83 @@ def perceived_profile(profile: SurfaceProfile, slope_factor: float, samples: int
     return zs, eval_profile(profile, ps, 0), wp / (1.0 + slope_factor * wp)
 
 
+def _bounded_brent(func, a: float, b: float, xatol: float) -> float:
+    """Least value of ``func`` found on ``[a, b]`` by Brent's bounded minimisation.
+
+    Golden-section search with parabolic steps (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5), stopped when the best
+    point lies within ``2 tol - (b - a) / 2`` of the bracket's midpoint, with
+    ``tol = sqrt(2.2e-16) |x| + xatol / 3``, or after 500 evaluations.  The
+    operations run in the order of SciPy's ``minimize_scalar(method="bounded")``,
+    so the two agree bit for bit, evaluation by evaluation.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf: best point so far; nfc: second best; fulc: the point before nfc
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        stride = max(abs(rat), tol1)
+        x = xf - stride if rat < 0.0 else xf + stride
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return fx
+
+
 def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[float, float]:
     """Extreme slopes of the perceived profile, by direct numerical search.
 
     This is the oracle counterpart of :func:`mu_from_omega`: it never uses
-    the closed form, only tabulation of ``W'`` and bounded refinement of
-    every local maximum and minimum of the table, so the two routes
-    cross-check each other even where two extrema of ``W'`` nearly tie.
-    SciPy is imported here, so only this oracle needs it.
+    the closed form, only tabulation of ``W'`` and bounded refinement
+    (:func:`_bounded_brent`) of every local maximum and minimum of the
+    table, so the two routes cross-check each other even where two extrema
+    of ``W'`` nearly tie.
     """
-    from scipy.optimize import minimize_scalar
-
     grid, _, slopes = perceived_profile(profile, slope_factor)
     step = 1.0 / grid.size
 
@@ -409,15 +475,10 @@ def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[flo
         return wp / (1.0 + slope_factor * wp)
 
     def refine(idx: int, sign: float) -> float:
-        z0 = grid[idx]
-        res = minimize_scalar(
-            lambda z: -sign * slope(z),
-            bounds=(z0 - step, z0 + step),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
+        z0 = float(grid[idx])
+        least = _bounded_brent(lambda z: -sign * slope(z), z0 - step, z0 + step, 1e-12)
         # never return something worse than the raw grid sample
-        return max(-res.fun, sign * slopes[idx])
+        return max(-least, sign * slopes[idx])
 
     # local extrema of the periodic table, ties included
     before, after = np.roll(slopes, 1), np.roll(slopes, -1)

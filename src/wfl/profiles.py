@@ -107,7 +107,7 @@ def eval_profile(profile: SurfaceProfile, x, order: int = 0):
         Value with the same shape as ``x`` (a float for scalar input).
     """
     if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0, 1, 2 or 3, got {order}")
+        raise ConfigError(f"order must be 0, 1, 2 or 3, got {order}")
     xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
     for term in profile.terms:
@@ -150,6 +150,16 @@ def like_input(x, values: np.ndarray):
         return values if x.ndim else values.item()
     # a Python float is the common scalar, and testing for it is cheaper than isscalar
     return values.item() if type(x) is float or np.isscalar(x) else values
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, bit for bit, without its import of ``numpy.ma``.
+
+    Sort, then keep each value that differs from its left neighbour: the
+    mask ``np.unique`` itself applies after the same sort.
+    """
+    s = np.sort(values)
+    return s[np.r_[True, s[1:] != s[:-1]]] if s.size else s
 
 
 @lru_cache(maxsize=256)
@@ -199,7 +209,7 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
                 x = np.where(np.isfinite(step), x - step, x)
         x %= 1.0
         # a tiny negative x wraps to exactly 1.0
-        roots = np.unique(np.where(x < 1.0, x, 0.0))
+        roots = sorted_distinct(np.where(x < 1.0, x, 0.0))
     roots.flags.writeable = False
     return roots
 

@@ -32,7 +32,14 @@ from .limit_solver import LimitSystem, Trajectory
 from .models import BristleModel, coefficients
 # unused here; perfbench's tracer wraps this binding
 from .models import invert_contact_map
-from .profiles import SurfaceProfile, curvature_roots, eval_profile, like_input, scalar_terms
+from .profiles import (
+    SurfaceProfile,
+    curvature_roots,
+    eval_profile,
+    like_input,
+    scalar_terms,
+    sorted_distinct,
+)
 
 __all__ = [
     "ElasticInterval",
@@ -174,7 +181,7 @@ class LimitWithK:
         grid = np.linspace(0.0, 1.0, 1025)
         at = np.searchsorted(grid, turns)
         nodes = np.insert(grid, at, turns)
-        bounds = np.unique(np.r_[0, at + np.arange(turns.size), nodes.size - 1])
+        bounds = sorted_distinct(np.r_[0, at + np.arange(turns.size), nodes.size - 1])
         slopes = eval_profile(self.profile, nodes, 1)
         pieces = [np.arange(lo, hi + 1) for lo, hi in zip(bounds[:-1], bounds[1:])]
         order = np.concatenate([i if slopes[i[-1]] >= slopes[i[0]] else i[::-1] for i in pieces])

@@ -49,7 +49,7 @@ from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raise
 from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point, scalar_force
 # unused here; perfbench's tracer wraps these bindings
 from .models import epsilon_limit, wiggly_energy, wiggly_force
-from .profiles import SurfaceProfile
+from .profiles import SurfaceProfile, sorted_distinct
 
 
 #: Most steps a run may take: :func:`integrate` refuses a run whose step cap
@@ -361,7 +361,7 @@ def integrate(
     )
     with overflow_raises("post-processing"):
         # accepted steps refined by the output grid: the dense output fills in the rest
-        nodes = np.union1d(sol.t, grid)
+        nodes = sorted_distinct(np.concatenate((sol.t, grid)))
         p_nodes = sol.sample(nodes)
         p_nodes[np.searchsorted(nodes, sol.t)] = sol.y
         z_nodes, xi_nodes, e_nodes, _ = system.at_contact(nodes, p_nodes)

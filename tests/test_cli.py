@@ -627,25 +627,50 @@ def test_extreme_value_keeps_the_exit_contract_within_seconds(
         assert not out.exists()
 
 
-def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
-    # only the oracles (perceived_extrema, k_of_xi) import SciPy, inside the function
-    config = write_config(tmp_path, dict(CANONICAL, simulation={"grid_points": 21}))
-    argv = ["simulate", "--config", config, "--out", str(tmp_path / "out"),
-            "--epsilon", "0.1", "--limit", "--svg"]
+def modules_loaded_by(tmp_path, runs, modules):
+    """Run ``cli.main`` on each ``(command, payload, *extra)`` in one fresh process.
+
+    Returns, after ``import wfl`` and after each run, the exit code (None after
+    the import) and whether each of ``modules`` is in ``sys.modules``.
+    """
+    argvs = []
+    for i, (command, payload, *extra) in enumerate(runs):
+        config = write_config(tmp_path, payload, name=f"config{i}.json")
+        argvs.append([command, "--config", config, "--out", str(tmp_path / f"out{i}"), *extra])
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import wfl\n"
-        "after_import = 'scipy' in sys.modules\n"
         "from wfl import cli\n"
-        f"code = cli.main({argv!r})\n"
-        "print(code, after_import, 'scipy' in sys.modules)\n"
+        f"modules = {modules!r}\n"
+        "seen = [[None] + [m in sys.modules for m in modules]]\n"
+        f"for argv in {argvs!r}:\n"
+        "    seen.append([cli.main(argv)] + [m in sys.modules for m in modules])\n"
+        "print(json.dumps(seen))\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=False)
-    assert done.stdout.split() == ["0", "False", "False"], done.stderr
-    assert (tmp_path / "out" / "overlay.svg").exists()
+    assert done.returncode == 0, done.stderr
+    return [tuple(row) for row in json.loads(done.stdout)]
+
+
+def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
+    # only the test-only quadrature oracle k_of_xi imports SciPy, inside the function;
+    # coeffs and sweep-theta run the perceived_extrema oracle, which does not
+    runs = [("simulate", dict(CANONICAL, simulation={"grid_points": 21}),
+             "--epsilon", "0.1", "--limit", "--svg")]
+    runs += [(c, cfg, *CONTRACT_ARGS.get(c, [])) for c, cfg in CONTRACT_CONFIGS.items()]
+    loaded = modules_loaded_by(tmp_path, runs, ["scipy"])
+    assert loaded == [(None, False)] + [(0, False)] * len(runs)
+    assert (tmp_path / "out0" / "overlay.svg").exists()
+
+
+def test_converge_and_coeffs_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique and np.union1d import numpy.ma on first call; the package sorts instead
+    runs = [("converge", CONTRACT_CONFIGS["converge"]), ("coeffs", CANONICAL)]
+    assert modules_loaded_by(tmp_path, runs, ["numpy.ma"]) == [
+        (None, False), (0, False), (0, False)]
 
 
 # ---------------------------------------------------------------------------

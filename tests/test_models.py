@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 import z_route
 
@@ -30,7 +30,7 @@ from wfl import (
     wiggly_force,
 )
 from wfl import models
-from wfl.limit_solver import LimitSystem, Ramp, elastic_strip
+from wfl.limit_solver import LimitSystem, Ramp, default_grid, elastic_strip, solve_limit
 from wfl.models import at_contact, contact_point, scalar_force
 from wfl.profiles import derivative_extrema
 
@@ -372,6 +372,76 @@ def test_perceived_extrema_match_closed_form_on_nearly_tied_extrema():
     assert mu_oracle[1] == pytest.approx(coeffs.mu_minus, abs=1e-8)
     # the minimum of a 2^22-point scan, not the local one at -0.1877693721
     assert mu_oracle[1] == pytest.approx(-0.1878011394, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's search: the math-only Brent port against SciPy's bounded method
+# ---------------------------------------------------------------------------
+
+def refine_objective(profile, slope_factor, sign):
+    """The objective ``perceived_extrema`` hands the search: -sign * W'(z)."""
+    def objective(z):
+        wp = eval_profile(profile, invert_contact_map(profile, slope_factor, z), 1)
+        return -sign * (wp / (1.0 + slope_factor * wp))
+    return objective
+
+
+def brent_cases(count=240):
+    """Seeded refine objectives on random profiles (1-4 modes up to harmonic 16)
+    and slope factors, each on a bracket two table steps wide: half of them
+    near the perceived extremum g(p*), with the minimum inside, and half at a
+    random z, with the minimum mostly at a bound."""
+    rng = np.random.default_rng(23)
+    step = 1.0 / 4096
+    cases = []
+    while len(cases) < count:
+        terms = tuple(FourierTerm(float(rng.uniform(-0.02, 0.02)), int(rng.integers(1, 17)),
+                                  float(rng.uniform(0.0, TWO_PI)))
+                      for _ in range(int(rng.integers(1, 5))))
+        profile, a = SurfaceProfile(terms), float(rng.choice([-0.5, 0.0, 0.3, 1.0]))
+        ex = derivative_extrema(profile)
+        try:
+            mu_from_omega(ex.omega_plus, ex.omega_minus, a)
+        except ConfigError:
+            continue
+        sign = float(rng.choice([1.0, -1.0]))
+        p = ex.location_plus if sign > 0.0 else ex.location_minus
+        z0 = p + a * eval_profile(profile, p) if len(cases) % 2 else float(rng.uniform(0.0, 1.0))
+        z0 += float(rng.uniform(-step, step))
+        cases.append((refine_objective(profile, a, sign), z0 - step, z0 + step))
+    return cases
+
+
+def traced(func):
+    """``func`` and the list of the points it is called at."""
+    points = []
+
+    def wrapped(x):
+        points.append(float(x).hex())
+        return func(x)
+    return wrapped, points
+
+
+BRENT_CASES = brent_cases() + [
+    (lambda z: 0.0, 0.2, 0.7),  # flat: every parabola degenerates
+    (lambda z: z, 0.0, 1.0),  # minimum at the lower bound
+    (lambda z: -z, -1.0, 3.0),  # at the upper bound
+    (lambda z: np.float64((z - 0.3) ** 2), 0.0, 1.0),  # NumPy float64 values
+    (lambda z: np.float64(math.cos(7.0 * z)), 0.0, 2.0),  # several local minima
+    (lambda z: abs(z - 0.3), 0.0, 1.0),  # a kink, where parabolas keep failing
+]
+
+
+def test_bounded_brent_matches_scipy_bitwise():
+    for func, lo, hi in BRENT_CASES:
+        ours, our_points = traced(func)
+        theirs, their_points = traced(func)
+        least = models._bounded_brent(ours, lo, hi, 1e-12)
+        res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        assert float(least).hex() == float(res.fun).hex()
+        assert len(our_points) == res.nfev
+        assert our_points == their_points
 
 
 # ---------------------------------------------------------------------------
@@ -777,3 +847,33 @@ def test_axial_tension_example():
 def test_axial_tension_requires_angular():
     with pytest.raises(ConfigError, match="defined for angular bristles only"):
         axial_tension(VerticalBristle(1.0, 2.0, 1.0), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the library contract: a scalar argument out of range is a ConfigError
+# ---------------------------------------------------------------------------
+
+def ramp_trajectory():
+    loading = Ramp(q0=0.0, rate=1.0, duration=2.0)
+    system = LimitSystem(k_h=1.0, L_h_rest=0.0, loading=loading, rho_plus=0.1, rho_minus=-0.1)
+    return solve_limit(system, 0.0)
+
+
+# each of these returned nan, a one-point grid or raised a bare ValueError
+CONTRACT_HOLES = {
+    "mu_from_omega-nan-factor": (lambda: mu_from_omega(0.1, -0.1, math.nan),
+                                 "contact map not invertible"),
+    "default_grid-nan-horizon": (lambda: default_grid(math.nan), "horizon must be positive"),
+    "default_grid-zero-steps": (lambda: default_grid(1.0, 0), "positive integer number of steps"),
+    "dissipated-nan-window": (lambda: ramp_trajectory().dissipated(math.nan, 1.0),
+                              "window must have t1 <= t2"),
+    "eval_profile-order-4": (lambda: eval_profile(CANONICAL, np.zeros(3), 4),
+                             "order must be 0, 1, 2 or 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT_HOLES))
+def test_out_of_range_argument_is_a_config_error(case):
+    call, message = CONTRACT_HOLES[case]
+    with pytest.raises(ConfigError, match=message):
+        call()

@@ -18,7 +18,7 @@ from wfl import (
     derivative_extrema,
     eval_profile,
 )
-from wfl.profiles import MAX_HARMONIC, curvature_roots, scalar_terms
+from wfl.profiles import MAX_HARMONIC, curvature_roots, scalar_terms, sorted_distinct
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,8 +157,9 @@ def test_periodicity():
 
 def test_eval_rejects_bad_order():
     p = SurfaceProfile.sinusoid()
-    with pytest.raises(ValueError):
-        eval_profile(p, 0.0, 4)
+    for order in (-1, 1.5, "1"):
+        with pytest.raises(ConfigError, match="order must be 0, 1, 2 or 3"):
+            eval_profile(p, 0.0, order)
 
 
 def test_bounds_dominate_samples():
@@ -330,6 +331,25 @@ def test_cancelling_terms_are_degenerate():
 def test_cancelling_highest_harmonic_leaves_the_lower_one():
     ex = derivative_extrema(SurfaceProfile((*CANCELLING, FourierTerm(0.1 / TWO_PI, 1))))
     assert ex == derivative_extrema(SurfaceProfile.sinusoid(0.1))
+
+
+# the sort and neighbour mask that stand in for np.unique, which imports numpy.ma
+DISTINCT_CASES = {
+    "root at -0.0": np.array([0.5, -0.0, 0.25]),
+    "-0.0 and 0.0": np.array([0.25, 0.0, -0.0, 0.5, -0.0]),
+    "duplicate roots": np.array([0.75, 0.25, 0.75, 0.5, 0.25, 0.75]),
+    "one root": np.array([0.5]),
+    "no root": np.empty(0),
+    "piece bounds": np.array([0, 3, 3, 9, 1024, 1027]),
+    "seeded draws": np.random.default_rng(5).choice([-0.0, 0.0, 1e-300, 0.5, 1.0 - 2**-53], 200),
+}
+
+
+@pytest.mark.parametrize("values", list(DISTINCT_CASES.values()), ids=list(DISTINCT_CASES))
+def test_sorted_distinct_is_np_unique_bitwise(values):
+    got, want = sorted_distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
