@@ -26,10 +26,13 @@ from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
-#: Largest harmonic index accepted in a profile.  It bounds the degree 2H of
-#: the polynomial whose roots :func:`curvature_roots` takes, so the companion
-#: eigenvalue problem is at most 128 x 128.
+#: Largest harmonic index accepted in a profile.  It bounds the 8H cells that
+#: :func:`curvature_roots` starts from, so at most 512.
 MAX_HARMONIC = 64
+
+#: Cells narrower than this are not split: a multiple root of w'' leaves a
+#: run of them that no test of :func:`curvature_roots` resolves.
+_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,17 +113,19 @@ def eval_profile(profile: SurfaceProfile, x, order: int = 0):
         raise ConfigError(f"order must be 0, 1, 2 or 3, got {order}")
     xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
-    for term in profile.terms:
-        u = TWO_PI * term.harmonic * xs + term.phase
-        rate = TWO_PI * term.harmonic
-        if order == 0:
-            out += term.amplitude * np.sin(u)
-        elif order == 1:
-            out += term.amplitude * rate * np.cos(u)
-        elif order == 2:
-            out -= term.amplitude * rate * rate * np.sin(u)
-        else:
-            out -= term.amplitude * rate * rate * rate * np.cos(u)
+    # sin and cos of +-inf are nan, which propagates without a warning
+    with np.errstate(invalid="ignore"):
+        for term in profile.terms:
+            u = TWO_PI * term.harmonic * xs + term.phase
+            rate = TWO_PI * term.harmonic
+            if order == 0:
+                out += term.amplitude * np.sin(u)
+            elif order == 1:
+                out += term.amplitude * rate * np.cos(u)
+            elif order == 2:
+                out -= term.amplitude * rate * rate * np.sin(u)
+            else:
+                out -= term.amplitude * rate * rate * rate * np.cos(u)
     return like_input(x, out)
 
 
@@ -166,43 +171,48 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
     """Every root of w'' in [0, 1), ascending, as a read-only array.
 
-    With ``z = exp(2 pi i x)``, ``z^H w''(x)`` is a polynomial of degree 2H in
-    ``z`` (H the highest harmonic left once cancelling terms are summed), so
-    the roots of w'' are the angles of its unit-circle roots, which
-    ``np.roots`` takes from the companion matrix (Boyd, J. Eng. Math. 56,
-    2006).  When every harmonic left is a multiple of some g > 1, that is a
-    polynomial of degree 2H/g in ``z^g``, and each of its unit-circle roots
-    gives g angles.  Three Newton steps on w'' with w''' polish each one.  A root
-    within 1e-4 of the unit circle counts: a triple root of w'' (a flat
-    extremum of w') leaves the eigenvalue solver some 1e-5 off the circle,
-    and a complex pair that close only adds a point where w'' nearly
-    vanishes.  Both callers take the roots as candidates (for the extrema of
-    w') or as breaks (between monotone pieces of w'), where an extra point is
-    harmless and a missing one is not.  Empty when the terms cancel to w = 0.
+    Certified subdivision (Moore, Kearfott & Cloud, *Introduction to Interval
+    Analysis*, SIAM 2009, ch. 8) on w'' summed by harmonic, so that terms
+    which cancel give no roots.  With ``c_n`` the coefficient of
+    ``exp(2 pi i n x)`` left in w'', H the highest harmonic left and
+    ``Mk = sum |c_n| (2 pi n)^(k - 2)``, w'' is M3-Lipschitz and w''' is
+    M4-Lipschitz.  Starting from 8H cells of [0, 1), a cell with midpoint m
+    and half-width r
+
+    - holds no root if ``|w''(m)| > M3 r + err``;
+    - holds at most one if ``|w'''(m)| > M4 r + err'``, since w''' keeps its
+      sign there: one exactly when w'' differs in sign at its ends, which
+      safeguarded Newton then polishes inside that bracket;
+    - is split in two otherwise.
+
+    ``err = 2^-46 (M3 + K M2)``, K the number of harmonics left, is 16 times a
+    bound on the rounding error of ``w''(m)`` summed from the ``c_n``: each
+    phase ``2 pi n m`` is off by at most ``2 u 2 pi n`` (u = 2^-53), which
+    costs at most ``2 u M3``, and the sines, cosines, 2K products and their
+    sum at most ``6 K u M2``.  ``err' = 2^-46 (M4 + K M3)`` is the same bound
+    one derivative up.
+
+    A multiple root of w'' leaves cells that neither test resolves, so cells
+    are not split below a width of about 1e-8, and each contiguous run of
+    such cells gives one candidate, the midpoint where ``|w''|`` is least.
+    Three Newton steps on w'' with w''' from :func:`eval_profile` polish
+    every root.  Both callers take the roots as candidates (for the extrema
+    of w') or as breaks (between monotone pieces of w'), where an extra point
+    is harmless and a missing one is not.  Empty when the terms cancel to
+    w = 0.
     """
-    # coefficient of exp(2 pi i n x) in w'', up to a common factor 1/(2i)
+    # w''(x) = sum_n Im(c_n exp(2 pi i n x)), the terms of each harmonic summed
     spectrum = np.zeros(MAX_HARMONIC + 1, dtype=complex)
     for term in profile.terms:
         rate = TWO_PI * term.harmonic
         spectrum[term.harmonic] -= term.amplitude * rate * rate * np.exp(1j * term.phase)
     size = np.abs(spectrum)
-    # a mode that cancels to rounding noise must not lead the polynomial
+    # a mode that cancels to rounding noise must not set the cell count
     present = np.flatnonzero(size > 1e-14 * size.max())
     if present.size == 0:
         roots = np.empty(0)
     else:
-        # every harmonic left a multiple of g: w'' is a polynomial in zeta = z^g
-        g = math.gcd(*present.tolist())
-        reduced = spectrum[::g]
-        top = int(present[-1]) // g
-        # zeta^top w'' has coefficient c_n at zeta^(top + n) and -conj(c_n) at zeta^(top - n)
-        coefficients = np.concatenate(
-            (reduced[top:0:-1], [0.0], -np.conj(reduced[1:top + 1]))
-        )
-        zeta = np.roots(coefficients)
-        turn = np.angle(zeta[np.abs(np.abs(zeta) - 1.0) <= 1e-4]) / TWO_PI
-        # z^g = zeta at the g angles (turn + k) / g, k = 0 .. g - 1
-        x = ((turn[:, None] + np.arange(g)) / g).ravel()
+        x = _subdivide(spectrum[present], TWO_PI * present, 8 * int(present[-1]))
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(3):
                 step = eval_profile(profile, x, 2) / eval_profile(profile, x, 3)
@@ -212,6 +222,62 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
         roots = sorted_distinct(np.where(x < 1.0, x, 0.0))
     roots.flags.writeable = False
     return roots
+
+
+def _subdivide(c: np.ndarray, rate: np.ndarray, count: int) -> np.ndarray:
+    """The cell search of :func:`curvature_roots` on ``count`` cells of [0, 1).
+
+    ``c`` holds the coefficients left in w'' and ``rate`` their ``2 pi n``.
+    Returns one point per root found and one per unresolved run of cells.
+    """
+
+    def curvature(x):
+        """w'' and w''' at ``x``, summed from ``c``."""
+        phase = np.multiply.outer(x, rate)
+        sin, cos = np.sin(phase), np.cos(phase)
+        return sin @ c.real + cos @ c.imag, cos @ (rate * c.real) - sin @ (rate * c.imag)
+
+    m2, m3, m4 = (float(np.sum(np.abs(c) * rate**k)) for k in (0, 1, 2))
+    err2, err3 = 2.0**-46 * (m3 + c.size * m2), 2.0**-46 * (m4 + c.size * m3)
+    cells = np.arange(count)
+    brackets = []  # per level: left ends, right ends, whether w'' < 0 at the left end
+    while True:
+        width = 1.0 / count
+        w2, w3 = curvature((cells + 0.5) * width)
+        live = np.abs(w2) <= m3 * 0.5 * width + err2
+        cells, w2, w3 = cells[live], w2[live], w3[live]
+        monotone = np.abs(w3) > m4 * 0.5 * width + err3
+        # the right end of the last cell is x = 0, so neighbours share each end bitwise
+        ends = np.stack((cells[monotone], (cells[monotone] + 1) % count)) * width
+        left, right = curvature(ends.ravel())[0].reshape(ends.shape)
+        change = np.sign(left) * np.sign(right) <= 0.0
+        brackets.append((ends[0, change], ends[0, change] + width, left[change] < 0.0))
+        cells, w2 = cells[~monotone], w2[~monotone]
+        if cells.size == 0 or width < _FLOOR:
+            break
+        cells, count = (2 * cells[:, None] + np.arange(2)).ravel(), 2 * count
+    # one candidate per run of adjacent unresolved cells: where |w''| is least
+    runs = np.split(np.arange(cells.size), np.flatnonzero(np.diff(cells) > 1) + 1)
+    unresolved = [(cells[run[np.argmin(np.abs(w2[run]))]] + 0.5) * width
+                  for run in runs if run.size]
+    a, b, a_negative = (np.concatenate(part) for part in zip(*brackets))
+    x = 0.5 * (a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            w2, w3 = curvature(x)
+            # the root lies past x where w''(x) has the sign of w''(a)
+            beyond = (w2 < 0.0) == a_negative
+            a, b = np.where(beyond, x, a), np.where(beyond, b, x)
+            step = np.where(w2 == 0.0, 0.0, w2 / w3)
+            newton = x - step
+            # a step just past the bracket stops at its end, where a root at a
+            # cell's end lies; a step further off bisects
+            inside = np.clip(newton, a, b)
+            near = np.abs(newton - inside) <= 0.25 * (b - a)
+            x, previous = np.where(near, inside, 0.5 * (a + b)), x
+            if np.all(np.abs(x - previous) <= 1e-15):
+                break
+    return np.concatenate((x, unresolved))
 
 
 @lru_cache(maxsize=256)

@@ -8,7 +8,6 @@ linear or log-log axes with a handful of ticks.  No plotting dependency.
 from __future__ import annotations
 
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -22,6 +21,11 @@ _MARGIN_LEFT = 72
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 56
+
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its import chain (``urllib``, ``ssl``, ...)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _transform(values: np.ndarray, log: bool) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for bristle models: coefficients, perceived slopes, microscale forces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -877,3 +878,24 @@ def test_out_of_range_argument_is_a_config_error(case):
     call, message = CONTRACT_HOLES[case]
     with pytest.raises(ConfigError, match=message):
         call()
+
+
+NONFINITE = np.array([math.inf, -math.inf, math.nan])
+ELEMENTWISE = {
+    "eval_profile": lambda: eval_profile(CANONICAL, NONFINITE, 1),
+    "invert_contact_map": lambda: invert_contact_map(CANONICAL, 0.5, NONFINITE),
+    **{f"wiggly_force-{model.name}": (lambda model=model: wiggly_force(model, CANONICAL, 0.05,
+                                                                        NONFINITE))
+       for model in (VerticalBristle(k=1.0, L_rest=2.0, h=1.0),
+                     SlantedBristle(k=1.0, L_rest=1.0, h=0.05, theta=0.5),
+                     AngularBristle(k=1.0, L=1.0, h=math.cos(0.6), theta_rest=0.0))},
+}
+
+
+@pytest.mark.parametrize("case", list(ELEMENTWISE))
+def test_nonfinite_points_give_nan_without_a_warning(case):
+    # an elementwise array function propagates nan, and sin or cos of +-inf warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = ELEMENTWISE[case]()
+    assert values.shape == (3,) and np.all(np.isnan(values))

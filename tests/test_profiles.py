@@ -6,6 +6,7 @@ slow route below (a dense scan refined with SciPy).
 """
 
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -276,9 +277,43 @@ def test_curvature_roots_are_every_root():
         assert set(flips) <= set(cells)
 
 
+def companion_curvature_roots(profile):
+    """Every root of w'' from the companion matrix of ``z^H w''`` (Boyd, J. Eng.
+    Math. 56, 2006), a polynomial of degree 2H in ``z = exp(2 pi i x)``, or of
+    degree 2H/g in ``z^g`` when every harmonic left is a multiple of g: the
+    oracle for the cell search of :func:`curvature_roots`.
+
+    A root within 1e-4 of the unit circle counts, since a triple root of w''
+    leaves the eigenvalue solver some 1e-5 off it; three Newton steps polish
+    each angle as :func:`curvature_roots` polishes its candidates.
+    """
+    spectrum = np.zeros(MAX_HARMONIC + 1, dtype=complex)
+    for term in profile.terms:
+        rate = TWO_PI * term.harmonic
+        spectrum[term.harmonic] -= term.amplitude * rate * rate * np.exp(1j * term.phase)
+    size = np.abs(spectrum)
+    present = np.flatnonzero(size > 1e-14 * size.max())
+    if present.size == 0:
+        return np.empty(0)
+    g = math.gcd(*present.tolist())
+    reduced = spectrum[::g]
+    top = int(present[-1]) // g
+    # zeta^top w'' has coefficient c_n at zeta^(top + n) and -conj(c_n) at zeta^(top - n)
+    zeta = np.roots(np.concatenate((reduced[top:0:-1], [0.0], -np.conj(reduced[1:top + 1]))))
+    turn = np.angle(zeta[np.abs(np.abs(zeta) - 1.0) <= 1e-4]) / TWO_PI
+    # z^g = zeta at the g angles (turn + k) / g, k = 0 .. g - 1
+    x = ((turn[:, None] + np.arange(g)) / g).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            step = eval_profile(profile, x, 2) / eval_profile(profile, x, 3)
+            x = np.where(np.isfinite(step), x - step, x)
+    x %= 1.0
+    return np.unique(np.where(x < 1.0, x, 0.0))
+
+
 def unreduced_curvature_roots(profile):
     """The full degree-2H companion route, with no reduction by the harmonics'
-    common divisor: the oracle for :func:`curvature_roots`."""
+    common divisor: the oracle for :func:`companion_curvature_roots`."""
     spectrum = np.zeros(MAX_HARMONIC + 1, dtype=complex)
     for term in profile.terms:
         rate = TWO_PI * term.harmonic
@@ -312,6 +347,51 @@ def test_common_divisor_reduction_matches_the_full_polynomial(profile):
     np.testing.assert_allclose(
         [ex.omega_plus, ex.omega_minus, ex.location_plus, ex.location_minus],
         [slopes[top], slopes[bottom], expected[top], expected[bottom]], rtol=0.0, atol=1e-12)
+    # the oracle's reduction to z^g
+    reduced = companion_curvature_roots(profile)
+    assert reduced.shape == expected.shape
+    np.testing.assert_allclose(reduced, expected, rtol=0.0, atol=1e-12)
+
+
+def circular_gap(found, roots):
+    """Distance on the period from each of ``roots`` to the nearest of ``found``."""
+    gap = np.abs(roots[:, None] - found[None, :])
+    return np.minimum(gap, 1.0 - gap).min(axis=1)
+
+
+def test_curvature_roots_find_every_companion_root():
+    rng = np.random.default_rng(2006)  # the profiles of the differential test below
+    for _ in range(200):
+        p = wide_random_profile(rng)
+        expected = companion_curvature_roots(p)
+        assert circular_gap(curvature_roots(p), expected).max() <= 1e-9
+
+
+# w'' = -2 pi sin u (1 + cos u) at u = 2 pi x, as in test_extrema_of_a_flat_extremum
+TRIPLE_ROOT = SurfaceProfile((FourierTerm(1.0 / TWO_PI, 1), FourierTerm(0.25 / (2 * TWO_PI), 2)))
+WORK_BOUND_CASES = {
+    # (profile, most roots, oracle tolerance): the companion route leaves the
+    # triple root's three copies up to 4e-7 apart
+    "triple root": (TRIPLE_ROOT, 4, 1e-6),
+    "terms that nearly cancel": (
+        SurfaceProfile((FourierTerm(1e-3, 3, 0.2), FourierTerm(-1e-3 * (1.0 - 2**-40), 3, 0.2))),
+        6, 1e-9),
+    "a nearly cancelled top harmonic": (
+        SurfaceProfile((FourierTerm(1e-3, 64, 0.2), FourierTerm(-1e-3 * (1.0 - 1e-12), 64, 0.2),
+                        FourierTerm(0.1 / TWO_PI, 1))), 2, 1e-9),
+    "harmonic 64": (SurfaceProfile.sinusoid(0.1, MAX_HARMONIC), 2 * MAX_HARMONIC, 1e-9),
+}
+
+
+@pytest.mark.parametrize("profile, most, tolerance", list(WORK_BOUND_CASES.values()),
+                         ids=list(WORK_BOUND_CASES))
+def test_curvature_roots_bound_their_work(profile, most, tolerance):
+    # a multiple root must not split cells down to rounding, nor noise lead the spectrum
+    uncached = curvature_roots.__wrapped__
+    assert min(timeit.repeat(lambda: uncached(profile), number=1, repeat=3)) < 0.05
+    roots = uncached(profile)
+    assert 0 < roots.size <= most
+    assert circular_gap(roots, companion_curvature_roots(profile)).max() <= tolerance
 
 
 # ---------------------------------------------------------------------------
