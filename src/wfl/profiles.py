@@ -34,6 +34,11 @@ MAX_HARMONIC = 64
 #: run of them that no test of :func:`curvature_roots` resolves.
 _FLOOR = 1e-8
 
+#: The bracketed Newton of :func:`curvature_roots` stops once no root moves
+#: by more than this: it converges quadratically, so the three Newton steps
+#: that follow take each root from there to rounding.
+_NEWTON_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FourierTerm:
@@ -181,8 +186,9 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
 
     - holds no root if ``|w''(m)| > M3 r + err``;
     - holds at most one if ``|w'''(m)| > M4 r + err'``, since w''' keeps its
-      sign there: one exactly when w'' differs in sign at its ends, which
-      safeguarded Newton then polishes inside that bracket;
+      sign there: one exactly when w'' vanishes at its left end or differs in
+      sign at its two ends, which safeguarded Newton then locates to 1e-9
+      inside that bracket;
     - is split in two otherwise.
 
     ``err = 2^-46 (M3 + K M2)``, K the number of harmonics left, is 16 times a
@@ -224,58 +230,59 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
     return roots
 
 
+def _curvature(x: np.ndarray, c: np.ndarray, rate: np.ndarray) -> tuple:
+    """w'' and w''' at ``x``, summed from the coefficients ``c`` at ``rate = 2 pi n``."""
+    phase = np.multiply.outer(x, rate)
+    sin, cos = np.sin(phase), np.cos(phase)
+    return sin @ c.real + cos @ c.imag, cos @ (rate * c.real) - sin @ (rate * c.imag)
+
+
 def _subdivide(c: np.ndarray, rate: np.ndarray, count: int) -> np.ndarray:
     """The cell search of :func:`curvature_roots` on ``count`` cells of [0, 1).
 
     ``c`` holds the coefficients left in w'' and ``rate`` their ``2 pi n``.
     Returns one point per root found and one per unresolved run of cells.
     """
-
-    def curvature(x):
-        """w'' and w''' at ``x``, summed from ``c``."""
-        phase = np.multiply.outer(x, rate)
-        sin, cos = np.sin(phase), np.cos(phase)
-        return sin @ c.real + cos @ c.imag, cos @ (rate * c.real) - sin @ (rate * c.imag)
-
     m2, m3, m4 = (float(np.sum(np.abs(c) * rate**k)) for k in (0, 1, 2))
     err2, err3 = 2.0**-46 * (m3 + c.size * m2), 2.0**-46 * (m4 + c.size * m3)
     cells = np.arange(count)
-    brackets = []  # per level: left ends, right ends, whether w'' < 0 at the left end
+    brackets = []  # per level: left ends, right ends, whether w'' rises across the cell
     while True:
         width = 1.0 / count
-        w2, w3 = curvature((cells + 0.5) * width)
-        live = np.abs(w2) <= m3 * 0.5 * width + err2
-        cells, w2, w3 = cells[live], w2[live], w3[live]
-        monotone = np.abs(w3) > m4 * 0.5 * width + err3
-        # the right end of the last cell is x = 0, so neighbours share each end bitwise
-        ends = np.stack((cells[monotone], (cells[monotone] + 1) % count)) * width
-        left, right = curvature(ends.ravel())[0].reshape(ends.shape)
-        change = np.sign(left) * np.sign(right) <= 0.0
-        brackets.append((ends[0, change], ends[0, change] + width, left[change] < 0.0))
-        cells, w2 = cells[~monotone], w2[~monotone]
+        # one evaluation at the midpoints, left ends and right ends; the right
+        # end of the last cell is x = 0, so neighbours share each end bitwise
+        w2, w3 = _curvature(np.concatenate(
+            ((cells + 0.5) * width, cells * width, (cells + 1) % count * width)), c, rate)
+        mid, left, right = w2.reshape(3, -1)
+        live = np.abs(mid) <= m3 * 0.5 * width + err2
+        monotone = live & (np.abs(w3[: cells.size]) > m4 * 0.5 * width + err3)
+        # a root at a shared end belongs to the cell it starts, so it is found once
+        change = monotone & ((left == 0.0) | (np.sign(left) * np.sign(right) < 0.0))
+        brackets.append((cells[change] * width, (cells[change] + 1) * width, right[change] > 0.0))
+        split = live & ~monotone
+        cells, mid = cells[split], mid[split]
         if cells.size == 0 or width < _FLOOR:
             break
         cells, count = (2 * cells[:, None] + np.arange(2)).ravel(), 2 * count
     # one candidate per run of adjacent unresolved cells: where |w''| is least
     runs = np.split(np.arange(cells.size), np.flatnonzero(np.diff(cells) > 1) + 1)
-    unresolved = [(cells[run[np.argmin(np.abs(w2[run]))]] + 0.5) * width
+    unresolved = [(cells[run[np.argmin(np.abs(mid[run]))]] + 0.5) * width
                   for run in runs if run.size]
-    a, b, a_negative = (np.concatenate(part) for part in zip(*brackets))
+    a, b, rising = (np.concatenate(part) for part in zip(*brackets))
     x = 0.5 * (a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
-            w2, w3 = curvature(x)
-            # the root lies past x where w''(x) has the sign of w''(a)
-            beyond = (w2 < 0.0) == a_negative
+            w2, w3 = _curvature(x, c, rate)
+            # the root lies past x where w''(x) is below zero and w'' rises
+            beyond = (w2 < 0.0) == rising
             a, b = np.where(beyond, x, a), np.where(beyond, b, x)
-            step = np.where(w2 == 0.0, 0.0, w2 / w3)
-            newton = x - step
+            newton = x - np.where(w2 == 0.0, 0.0, w2 / w3)
             # a step just past the bracket stops at its end, where a root at a
             # cell's end lies; a step further off bisects
             inside = np.clip(newton, a, b)
             near = np.abs(newton - inside) <= 0.25 * (b - a)
             x, previous = np.where(near, inside, 0.5 * (a + b)), x
-            if np.all(np.abs(x - previous) <= 1e-15):
+            if np.all(np.abs(x - previous) <= _NEWTON_TOL):
                 break
     return np.concatenate((x, unresolved))
 

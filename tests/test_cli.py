@@ -1,10 +1,9 @@
 """End-to-end checks of the command line: exit codes, CSV content, SVG output."""
 
-import ast
 import contextlib
 import copy
-import dataclasses
 import csv
+import functools
 import io
 import json
 import math
@@ -16,6 +15,7 @@ import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -842,14 +842,32 @@ def _main(command, payload, *extra):
 
 
 DICT_NODES = [(c, path) for c, cfg in CONTRACT_CONFIGS.items() for path in _dict_paths(cfg)]
-# every key name some block accepts: cli's string constants and the fields of
-# the classes it builds from a block; Hypothesis draws text from the package's
-# string constants, so a drawn key can be a valid one ("rho_plus" in "system")
-ACCEPTED_NAMES = {
-    node.value for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
-    if isinstance(node, ast.Constant) and isinstance(node.value, str)
-} | {f.name for table in cli._KINDS.values() for cls in table.values() for f in dataclasses.fields(cls)
-     } | {f.name for f in dataclasses.fields(IntegratorConfig)}
+
+
+@functools.cache
+def accepted_keys(command):
+    """The keys each block of ``command``'s contract config accepts, by the path
+    ``cli`` names it with: what a clean run passes to ``cli._check_keys``."""
+    accepted = {}
+    check_keys = cli._check_keys
+
+    def record(obj, path, required=(), optional=()):
+        accepted[path] = {*required, *optional}
+        check_keys(obj, path, required, optional)
+
+    with mock.patch.object(cli, "_check_keys", record):
+        code, lines, _ = _main(command, CONTRACT_CONFIGS[command], *CONTRACT_ARGS.get(command, ()))
+    assert code == 0, lines
+    return accepted
+
+
+def _cli_path(path):
+    """``("profile", "terms", 0)`` as ``cli`` names it: ``profile.terms[0]``."""
+    if not path:
+        return "top level"
+    return path[0] + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path[1:])
+
+
 TILTED = {
     "slanted": {"kind": "slanted", "k": 1.0, "L_rest": 1.0, "h": 0.05, "theta": 0.5},
     "angular": {"kind": "angular", "k": 1.0, "L": 1.0, "h": math.cos(0.6), "theta_rest": 0.0},
@@ -867,7 +885,9 @@ class TestContractDraws:
         command, path = node
         payload = copy.deepcopy(CONTRACT_CONFIGS[command])
         block = _node(payload, path)
-        if key in block or key in ACCEPTED_NAMES:
+        # Hypothesis draws text from the package's string constants, so a drawn
+        # key can be one this block accepts ("rho_plus" in "system")
+        if key in block or key in accepted_keys(command).get(_cli_path(path), ()):
             return
         block[key] = 1.0
         code, lines, wrote = _main(command, payload, *CONTRACT_ARGS.get(command, ()),

@@ -6,7 +6,6 @@ slow route below (a dense scan refined with SciPy).
 """
 
 import math
-import timeit
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from wfl import (
     derivative_extrema,
     eval_profile,
 )
+from wfl import profiles
 from wfl.profiles import MAX_HARMONIC, curvature_roots, scalar_terms, sorted_distinct
 
 TWO_PI = 2.0 * math.pi
@@ -370,26 +370,36 @@ def test_curvature_roots_find_every_companion_root():
 # w'' = -2 pi sin u (1 + cos u) at u = 2 pi x, as in test_extrema_of_a_flat_extremum
 TRIPLE_ROOT = SurfaceProfile((FourierTerm(1.0 / TWO_PI, 1), FourierTerm(0.25 / (2 * TWO_PI), 2)))
 WORK_BOUND_CASES = {
-    # (profile, most roots, oracle tolerance): the companion route leaves the
-    # triple root's three copies up to 4e-7 apart
-    "triple root": (TRIPLE_ROOT, 4, 1e-6),
+    # (profile, most roots, most points where w'' is evaluated, oracle
+    # tolerance): the companion route leaves the triple root's three copies up
+    # to 4e-7 apart; at a width floor of 1e-13 it gives over 2e6 candidates
+    "triple root": (TRIPLE_ROOT, 4, 200_000, 1e-6),
     "terms that nearly cancel": (
         SurfaceProfile((FourierTerm(1e-3, 3, 0.2), FourierTerm(-1e-3 * (1.0 - 2**-40), 3, 0.2))),
-        6, 1e-9),
+        6, 200, 1e-9),
     "a nearly cancelled top harmonic": (
         SurfaceProfile((FourierTerm(1e-3, 64, 0.2), FourierTerm(-1e-3 * (1.0 - 1e-12), 64, 0.2),
-                        FourierTerm(0.1 / TWO_PI, 1))), 2, 1e-9),
-    "harmonic 64": (SurfaceProfile.sinusoid(0.1, MAX_HARMONIC), 2 * MAX_HARMONIC, 1e-9),
+                        FourierTerm(0.1 / TWO_PI, 1))), 2, 2_000, 1e-9),
+    # the harmonic-64 terms cancel to rounding noise, 1e-15 of harmonic 1's:
+    # only harmonic 1 may set the cells
+    "a top harmonic cancelled to rounding": (
+        SurfaceProfile((FourierTerm(1e-3, 64, 0.2), FourierTerm(1e-3, 64, 0.2 + math.pi),
+                        FourierTerm(1.0 / TWO_PI, 1))), 2, 100, 1e-9),
+    "harmonic 64": (SurfaceProfile.sinusoid(0.1, MAX_HARMONIC), 2 * MAX_HARMONIC, 2_500, 1e-9),
 }
 
 
-@pytest.mark.parametrize("profile, most, tolerance", list(WORK_BOUND_CASES.values()),
+@pytest.mark.parametrize("profile, most, points, tolerance", list(WORK_BOUND_CASES.values()),
                          ids=list(WORK_BOUND_CASES))
-def test_curvature_roots_bound_their_work(profile, most, tolerance):
+def test_curvature_roots_bound_their_work(profile, most, points, tolerance, monkeypatch):
     # a multiple root must not split cells down to rounding, nor noise lead the spectrum
-    uncached = curvature_roots.__wrapped__
-    assert min(timeit.repeat(lambda: uncached(profile), number=1, repeat=3)) < 0.05
-    roots = uncached(profile)
+    evaluated = []
+    curvature = profiles._curvature
+    monkeypatch.setattr(profiles, "_curvature",
+                        lambda x, c, rate: (evaluated.append(x.size), curvature(x, c, rate))[1])
+    roots = curvature_roots.__wrapped__(profile)
+    # one evaluation per level of cells (8 to 1e-8 wide: 27 levels) and per Newton step
+    assert len(evaluated) <= 40 and sum(evaluated) <= points
     assert 0 < roots.size <= most
     assert circular_gap(roots, companion_curvature_roots(profile)).max() <= tolerance
 
