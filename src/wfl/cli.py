@@ -1,15 +1,15 @@
 """Command line surface: JSON config in, CSV (and optional SVG) out.
 
-One JSON file describes the experiment; each subcommand builds every
-shared block the config holds (``profile``, ``model``, ``loading``,
-``system``, ``simulation``), read or not, and its own block, validating
-them strictly (here: unknown keys, types, finite numbers, the integer cap;
-every range and cross-field admissibility in the library class or function
-that takes the value, before any computation), computes in memory, and
-returns its tables and plots without writing.  :func:`main` then draws
-every requested plot, and only then creates ``--out`` and writes the
-files.  A config problem, a plot that cannot be drawn among them,
-therefore never leaves partial results behind.
+One JSON file describes the experiment.  Every subcommand builds, and so
+checks, every block the config holds, read or not, from one table of
+builders (:data:`_BLOCKS`), validating them strictly (here: unknown keys,
+types, finite numbers, the integer cap; every range and cross-field
+admissibility in the library class or function that takes the value,
+before any computation); it then computes in memory and returns its
+tables and plots without writing.  :func:`main` draws every requested
+plot, and only then creates ``--out`` and writes the files.  A config
+problem, a plot that cannot be drawn among them, therefore never leaves
+partial results behind.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver failure.
 """
@@ -230,17 +230,69 @@ def build_simulation(block):
     }
 
 
-_TOP_LEVEL_BLOCKS = (
-    "profile",
-    "model",
-    "loading",
-    "system",
-    "simulation",
-    "sweep_theta",
-    "nap",
-    "perceived",
-    "k_table",
-)
+def _system(block, profile, model, loading) -> LimitSystem:
+    return build_system(block, loading, coefficients(model, profile))
+
+
+def _sweep_theta(block) -> tuple:
+    """The bristle kind, the sinusoid and the tilt angles of the sweep."""
+    path = "sweep_theta"
+    _check_keys(block, path, required=("model",),
+                optional=("count", "slope", "theta_min", "theta_max"))
+    kind = block["model"]
+    if kind not in ("slanted", "angular"):
+        _fail(path, f"model must be 'slanted' or 'angular', got {reprlib.repr(kind)}")
+    count = _integer(block, "count", path, default=50, minimum=1)
+    # the profile checks the slope before the default bounds divide by it
+    slope = _number(block, "slope", path, default=0.1)
+    profile = SurfaceProfile.sinusoid(slope=slope)
+    lo = _number(block, "theta_min", path,
+                 default=0.01 if kind == "slanted" else math.atan(slope) + 0.01)
+    hi = _number(block, "theta_max", path, default=math.atan(1.0 / slope) - 0.01)
+    if not 0.0 < lo < hi:
+        _fail(path, f"need 0 < theta_min < theta_max, got ({lo}, {hi})")
+    return kind, profile, np.linspace(lo, hi, count + 2)[1:-1]
+
+
+def _nap(block) -> tuple:
+    path = "nap"
+    _check_keys(block, path, required=("theta_lim", "theta_with"), optional=("mu_plus", "k", "L"))
+    return (
+        _number(block, "theta_lim", path),
+        _number(block, "theta_with", path),
+        _number(block, "mu_plus", path, default=0.1),
+        _number(block, "k", path, default=1.0),
+        _number(block, "L", path, default=1.0),
+    )
+
+
+def _perceived(block) -> int:
+    _check_keys(block, "perceived", optional=("samples",))
+    return _integer(block, "samples", "perceived", default=512, minimum=8)
+
+
+def _k_table(block) -> tuple:
+    """``xi_min`` and ``xi_max``, None where the density sets them, and ``count``."""
+    path = "k_table"
+    _check_keys(block, path, optional=("xi_min", "xi_max", "count"))
+    xi_min, xi_max = _number(block, "xi_min", path), _number(block, "xi_max", path)
+    return xi_min, xi_max, _integer(block, "count", path, default=201, minimum=2)
+
+
+#: Every top-level block in build order: its builder, the built blocks the
+#: builder takes after the block, and whether a command that reads the block
+#: needs it in the config (if not, a missing block is built from ``{}``).
+_BLOCKS = {
+    "profile": (build_profile, (), True),
+    "model": (build_model, (), True),
+    "loading": (build_loading, (), True),
+    "system": (_system, ("profile", "model", "loading"), True),
+    "simulation": (build_simulation, (), False),
+    "sweep_theta": (_sweep_theta, (), False),
+    "nap": (_nap, (), False),
+    "perceived": (_perceived, (), False),
+    "k_table": (_k_table, (), False),
+}
 
 
 def load_config(path) -> dict:
@@ -249,31 +301,28 @@ def load_config(path) -> dict:
             raw = json.load(handle)
     except ValueError as exc:  # malformed JSON, bad UTF-8, an integer over 4300 digits
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    _check_keys(raw, "top level", optional=_TOP_LEVEL_BLOCKS)
+    _check_keys(raw, "top level", optional=_BLOCKS)
     return raw
 
 
 def _experiment(raw: dict, *blocks: str) -> tuple:
-    """The named shared blocks, once every shared block the config holds is built.
+    """The named blocks, once every block the config holds is built.
 
     Building checks a block, so a bad block fails every subcommand, read or
-    not.  Each named block is required but ``simulation``, which defaults
-    to ``{}``.  A system takes its loading, and its default thresholds from
-    the model's coefficients, so a config with one needs those blocks too.
+    not.  A named block the config lacks is built from ``{}`` unless the
+    command needs it; a block that is built needs its builder's inputs.
     Every missing block is named in one message before anything is built.
     """
-    needs = set(blocks) - {"simulation"}
-    if "system" in needs or "system" in raw:
-        needs |= {"profile", "model", "loading"}
+    wanted = {*blocks, *raw}
+    needs = {name for name in blocks if _BLOCKS[name][2]}
+    needs.update(i for name in wanted for i in _BLOCKS[name][1])
     missing = sorted(needs - set(raw))
     if missing:
         _fail("top level", f"this command needs the blocks {missing}")
-    builders = {"profile": build_profile, "model": build_model, "loading": build_loading}
-    built = {name: build(raw[name]) for name, build in builders.items() if name in raw}
-    if "system" in raw:
-        coeffs = coefficients(built["model"], built["profile"])
-        built["system"] = build_system(raw["system"], built["loading"], coeffs)
-    built["simulation"] = build_simulation(raw.get("simulation", {}))
+    built = {}
+    for name, (build, inputs, _) in _BLOCKS.items():
+        if name in wanted:
+            built[name] = build(raw.get(name, {}), *(built[i] for i in inputs))
     return tuple(built[name] for name in blocks)
 
 
@@ -322,37 +371,8 @@ def cmd_coeffs(raw: dict, args) -> tuple:
     return [("coeffs.csv", ("model", *_COEFFICIENT_COLUMNS), [row])], []
 
 
-def _sweep_theta_bounds(kind: str, slope: float):
-    if kind == "slanted":
-        return 0.01, math.atan(1.0 / slope) - 0.01
-    return math.atan(slope) + 0.01, math.atan(1.0 / slope) - 0.01
-
-
 def cmd_sweep_theta(raw: dict, args) -> tuple:
-    _experiment(raw)
-    block = raw.get("sweep_theta", {})
-    path = "sweep_theta"
-    _check_keys(
-        block,
-        path,
-        required=("model",),
-        optional=("count", "slope", "theta_min", "theta_max"),
-    )
-    kind = block["model"]
-    if kind not in ("slanted", "angular"):
-        _fail(path, f"model must be 'slanted' or 'angular', got {reprlib.repr(kind)}")
-    count = _integer(block, "count", path, default=50, minimum=1)
-    # the profile checks the slope before the default bounds divide by it
-    slope = _number(block, "slope", path, default=0.1)
-    profile = SurfaceProfile.sinusoid(slope=slope)
-    lo, hi = _sweep_theta_bounds(kind, slope)
-    lo = _number(block, "theta_min", path, default=lo)
-    hi = _number(block, "theta_max", path, default=hi)
-    if not 0.0 < lo < hi:
-        _fail(path, f"need 0 < theta_min < theta_max, got ({lo}, {hi})")
-
-    thetas = np.linspace(lo, hi, count + 2)[1:-1]
-
+    ((kind, profile, thetas),) = _experiment(raw, "sweep_theta")
     rows = []
     for theta in thetas:
         theta = float(theta)
@@ -445,47 +465,21 @@ def cmd_converge(raw: dict, args) -> tuple:
 
 
 def cmd_nap(raw: dict, args) -> tuple:
-    _experiment(raw)
-    block = raw.get("nap", {})
-    path = "nap"
-    _check_keys(
-        block,
-        path,
-        required=("theta_lim", "theta_with"),
-        optional=("mu_plus", "k", "L"),
-    )
-    theta_lim = _number(block, "theta_lim", path)
-    theta_with = _number(block, "theta_with", path)
-    mu_plus = _number(block, "mu_plus", path, default=0.1)
-    k = _number(block, "k", path, default=1.0)
-    L = _number(block, "L", path, default=1.0)
-
+    ((theta_lim, theta_with, mu_plus, k, L),) = _experiment(raw, "nap")
     rho_with, rho_against = nap_coefficients(mu_plus, theta_lim, theta_with)
     rows = []
-    for direction, tilt, rho in (
-        ("with", theta_with, rho_with),
-        ("against", -theta_with, rho_against),
-    ):
+    for direction, tilt, rho in (("with", theta_with, rho_with),
+                                 ("against", -theta_with, rho_against)):
         # The rest configuration flips relative to the direction of motion;
         # that flip is what makes the two thresholds differ.
         model = AngularBristle(k=k, L=L, h=L * math.cos(theta_lim), theta_rest=tilt)
         tension = axial_tension(model, rho)
-        rows.append(
-            (direction, tilt, rho, tension, "true" if tension < 0.0 else "false")
-        )
-    table = (
-        "nap.csv",
-        ("direction", "rest_tilt", "rho", "tension", "compressed"),
-        rows,
-    )
-    return [table], []
+        rows.append((direction, tilt, rho, tension, "true" if tension < 0.0 else "false"))
+    return [("nap.csv", ("direction", "rest_tilt", "rho", "tension", "compressed"), rows)], []
 
 
 def cmd_perceived(raw: dict, args) -> tuple:
-    profile, model = _experiment(raw, "profile", "model")
-    block = raw.get("perceived", {})
-    _check_keys(block, "perceived", optional=("samples",))
-    samples = _integer(block, "samples", "perceived", default=512, minimum=8)
+    profile, model, samples = _experiment(raw, "profile", "model", "perceived")
     grid, heights, slopes = perceived_profile(profile, model.slope_factor, samples=samples)
     table = ("perceived.csv", ("z", "height", "slope"), _columns(grid, heights, slopes))
     series = [(grid, heights, "height"), (grid, slopes, "slope")]
@@ -494,18 +488,14 @@ def cmd_perceived(raw: dict, args) -> tuple:
 
 
 def cmd_k_table(raw: dict, args) -> tuple:
-    profile, model = _experiment(raw, "profile", "model")
-    block = raw.get("k_table", {})
-    path = "k_table"
-    _check_keys(block, path, optional=("xi_min", "xi_max", "count"))
+    profile, model, (xi_min, xi_max, count) = _experiment(raw, "profile", "model", "k_table")
     density = limit_density(model, profile)
-    xi_min = _number(block, "xi_min", path, default=2.0 * density.interval.lower)
-    xi_max = _number(block, "xi_max", path, default=2.0 * density.interval.upper)
-    count = _integer(block, "count", path, default=201, minimum=2)
+    xi_min = 2.0 * density.interval.lower if xi_min is None else xi_min
+    xi_max = 2.0 * density.interval.upper if xi_max is None else xi_max
     if xi_min >= xi_max:
-        _fail(path, f"need xi_min < xi_max, got ({xi_min}, {xi_max})")
+        _fail("k_table", f"need xi_min < xi_max, got ({xi_min}, {xi_max})")
     if not math.isfinite(xi_max - xi_min):  # linspace would write nan with warnings
-        _fail(path, f"xi_max - xi_min overflows, got ({xi_min}, {xi_max})")
+        _fail("k_table", f"xi_max - xi_min overflows, got ({xi_min}, {xi_max})")
     xis = np.linspace(xi_min, xi_max, count)
     values = density.k(xis)
     series = [(xis, values, "K(xi)"), (xis, np.abs(xis), "|xi|")]

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .profiles import like_input
+from .profiles import like_input, positive_integer
 
 DEFAULT_GRID_POINTS = 4097  # horizon / 4096 steps
 
@@ -367,7 +367,7 @@ def default_grid(horizon: float, steps: int = DEFAULT_GRID_POINTS - 1) -> np.nda
     """``steps + 1`` equally spaced times from 0 to ``horizon``."""
     if not 0.0 < horizon < math.inf:
         raise ConfigError(f"horizon must be positive and finite, got {horizon}")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or not steps > 0:
+    if not positive_integer(steps):
         raise ConfigError(f"a time grid needs a positive integer number of steps, got {steps!r}")
     return np.linspace(0.0, horizon, steps + 1)
 

@@ -78,6 +78,7 @@ from .profiles import (
     derivative_extrema,
     eval_profile,
     like_input,
+    positive_integer,
     scalar_terms,
 )
 
@@ -383,6 +384,8 @@ def invert_contact_map(profile: SurfaceProfile, slope_factor: float, z):
 
 def perceived_profile(profile: SurfaceProfile, slope_factor: float, samples: int = 4096):
     """One period of the perceived profile: grid ``z``, heights W(z) and slopes W'(z)."""
+    if not positive_integer(samples):
+        raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     zs = np.arange(samples, dtype=float) / samples
     ps = invert_contact_map(profile, slope_factor, zs)
     wp = eval_profile(profile, ps, 1)
@@ -676,6 +679,7 @@ def axial_tension(model: AngularBristle, rho: float) -> float:
     """
     if not isinstance(model, AngularBristle):
         raise ConfigError("axial tension is defined for angular bristles only")
+    _require_finite(rho=rho)
     s = math.sqrt(model.L ** 2 - model.h ** 2)
     spring_part = -(model.k / model.L) * (model.theta_lim - model.theta_rest) * (model.h / s)
     return spring_part + rho * model.L / s

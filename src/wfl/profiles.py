@@ -73,6 +73,10 @@ class SurfaceProfile:
             raise ConfigError("profile needs at least one Fourier term")
         if all(term.amplitude == 0.0 for term in self.terms):
             raise ConfigError("profile needs at least one nonzero amplitude")
+        # curvature_roots bounds w''' by this sum: at inf its certificate is void
+        m4 = sum(abs(float(t.amplitude)) * (TWO_PI * int(t.harmonic)) ** 4 for t in self.terms)
+        if not math.isfinite(m4):
+            raise ConfigError("profile curvature overflows: sum |A| (2 pi n)^4 is not finite")
 
     @classmethod
     def sinusoid(cls, slope: float = 0.1, harmonic: int = 1, phase: float = 0.0) -> "SurfaceProfile":
@@ -148,6 +152,11 @@ def scalar_terms(profile: SurfaceProfile) -> tuple:
         slope = amplitude * rate
         terms.append((rate, float(term.phase), amplitude, slope, slope * rate))
     return tuple(terms)
+
+
+def positive_integer(value) -> bool:
+    """Whether ``value`` is a positive ``int`` or NumPy integer (a bool is not)."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value > 0
 
 
 def like_input(x, values: np.ndarray):

@@ -403,6 +403,8 @@ def de_giorgi_certificate(
     (the indicator firing) fails the certificate immediately and reports
     the offending time.
     """
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ConfigError(f"tolerance must lie in [0, inf), got {tolerance}")
     interval = density.interval
     if (
         abs(interval.lower - system.rho_minus) > 1e-6 * interval.upper

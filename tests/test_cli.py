@@ -604,6 +604,9 @@ EDGE_CASES = [
     ("k-table", dict(CANONICAL, k_table={"xi_min": -1e308, "xi_max": 1e308}), ("--svg",), 1),
     ("coeffs", ALPHA_OVERFLOW, (), 1),
     ("k-table", ALPHA_OVERFLOW, (), 1),
+    # sum |A| (2 pi n)^4 overflows: once "terms cancel", or exit 0 with an overflow warning
+    ("coeffs", dict(CANONICAL, profile={"terms": [{"amplitude": 1e308, "harmonic": 64}]}), (), 1),
+    ("coeffs", dict(CANONICAL, profile={"terms": [{"amplitude": 1e300, "harmonic": 64}]}), (), 1),
 ]
 
 
@@ -612,7 +615,8 @@ EDGE_CASES = [
     EDGE_CASES,
     ids=["k-huge", "h-huge", "L_rest-huge", "epsilon-tiny", "duration-huge", "duration-tiny",
          "duration-tiny-converge", "gamma-huge", "rate-huge", "z0-huge", "nap-L-tiny",
-         "nap-L-huge", "k-table-span-huge", "alpha-overflow-coeffs", "alpha-overflow-k-table"],
+         "nap-L-huge", "k-table-span-huge", "alpha-overflow-coeffs", "alpha-overflow-k-table",
+         "curvature-overflow-1e308", "curvature-overflow-1e300"],
 )
 def test_extreme_value_keeps_the_exit_contract_within_seconds(
     tmp_path, capsys, command, payload, extra, expected
@@ -721,6 +725,34 @@ CONTRACT_CONFIGS = {
                                  "windows": [[0.0, 0.2]]}),
 }
 CONTRACT_ARGS = {"simulate": ["--epsilon", "0.05", "--limit"]}
+
+# each subcommand's own block: a valid value, and one bad leaf with its message
+OWN_BLOCKS = {
+    "sweep_theta": ({"model": "slanted", "count": 3}, ("count", True, "count must be an integer")),
+    "nap": (NAP, ("theta_with", "half", "theta_with must be a number")),
+    "perceived": ({"samples": 16}, ("samples", 1.5, "samples must be an integer")),
+    "k_table": ({"count": 5}, ("xi_max", math.inf, "xi_max must be finite")),
+}
+
+
+@pytest.mark.parametrize("variant", ["float", "extra-key", "bad-leaf"])
+@pytest.mark.parametrize("command, block", [
+    (command, block) for command in CONTRACT_CONFIGS for block in OWN_BLOCKS
+    if block not in CONTRACT_CONFIGS[command]
+])
+def test_another_commands_block_is_checked(tmp_path, capsys, command, block, variant):
+    # every subcommand builds every block the config holds, its own or another's
+    valid, (key, leaf, cause) = OWN_BLOCKS[block]
+    value = {"float": 1.0, "extra-key": dict(valid, extra=1.0),
+             "bad-leaf": dict(valid, **{key: leaf})}[variant]
+    cause = {"float": "expected an object, got float",
+             "extra-key": "unknown keys ['extra']", "bad-leaf": cause}[variant]
+    payload = dict(CONTRACT_CONFIGS[command], **{block: value})
+    code, out = run(tmp_path, command, payload, *CONTRACT_ARGS.get(command, ()))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config {block}: {cause}\n"
+    assert not out.exists()
+
 
 BLOCK_CASES = [
     (cli.build_loading, {"kind": "ramp", "duration": 1.0, "q0": 0.0, "rate": 1.0}),

@@ -860,7 +860,10 @@ def ramp_trajectory():
     return solve_limit(system, 0.0)
 
 
-# each of these returned nan, a one-point grid or raised a bare ValueError
+NAP_MODEL = AngularBristle(k=1.0, L=1.0, h=math.cos(1.0), theta_rest=0.5)
+
+# each of these returned nan, inf, a one-point grid, empty or two-point tables,
+# or raised a bare ValueError
 CONTRACT_HOLES = {
     "mu_from_omega-nan-factor": (lambda: mu_from_omega(0.1, -0.1, math.nan),
                                  "contact map not invertible"),
@@ -870,6 +873,11 @@ CONTRACT_HOLES = {
                               "window must have t1 <= t2"),
     "eval_profile-order-4": (lambda: eval_profile(CANONICAL, np.zeros(3), 4),
                              "order must be 0, 1, 2 or 3"),
+    **{f"axial_tension-{rho}": (lambda rho=rho: axial_tension(NAP_MODEL, rho), "rho must be finite")
+       for rho in (math.nan, math.inf)},
+    **{f"perceived_profile-samples-{samples}": (
+        lambda samples=samples: perceived_profile(CANONICAL, -0.5, samples=samples),
+        "samples must be a positive integer") for samples in (math.nan, 0, -3, 1.5)},
 }
 
 

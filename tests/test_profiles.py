@@ -6,6 +6,7 @@ slow route below (a dense scan refined with SciPy).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ def test_zero_profile_rejected():
         SurfaceProfile((FourierTerm(0.0, 1), FourierTerm(0.0, 2)))
     with pytest.raises(ConfigError, match="at least one Fourier term"):
         SurfaceProfile(())
+
+
+@pytest.mark.parametrize("amplitude", [1e308, 1e300])
+def test_curvature_bound_overflow_rejected(amplitude):
+    # curvature_roots bounds w''' by sum |A| (2 pi n)^4; at inf its monotone test
+    # never fires, and NumPy warned on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="profile curvature overflows"):
+            SurfaceProfile((FourierTerm(amplitude, 64),))
 
 
 def test_nonfinite_amplitude_rejected():

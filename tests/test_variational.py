@@ -418,6 +418,12 @@ class TestCertificate:
         with pytest.raises(ConfigError):
             de_giorgi_certificate(self.system, self.trajectory, wrong)
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0])
+    def test_explicit_tolerance_outside_zero_to_inf_is_refused(self, tolerance):
+        # inf certified any trajectory inside the strip; nan and -1 failed every one silently
+        with pytest.raises(ConfigError, match=r"tolerance must lie in \[0, inf\)"):
+            de_giorgi_certificate(self.system, self.trajectory, self.density, tolerance=tolerance)
+
     def test_explicit_tolerance_override(self):
         report = de_giorgi_certificate(
             self.system, self.trajectory, self.density, tolerance=1e-15
