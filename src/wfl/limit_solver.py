@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -388,14 +389,38 @@ def time_grid(loading: LoadingProgram, grid=None) -> np.ndarray:
     return grid
 
 
+def _play(lower, upper, z0: float) -> np.ndarray:
+    """States of the clamp recursion on the sampled strip ``[lower, upper]``.
+
+    The first state is ``min(max(z0, lower[0]), upper[0])``.  After it the
+    loop reads the envelopes one Python float at a time through
+    ``memoryview`` and clamps with two comparisons, which pick what
+    ``min(high, max(low, z))`` picks, ties and signed zeros included; the
+    states fill an ``array("d")`` that NumPy reads without a copy.
+    """
+    z = float(min(max(z0, lower[0]), upper[0]))
+    states = array("d", (z,))
+    append = states.append
+    for low, high in zip(memoryview(lower)[1:], memoryview(upper)[1:]):
+        if not z > low:
+            z = low
+        if not z < high:
+            z = high
+        append(z)
+    return np.frombuffer(states)
+
+
 def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
     """Evolve the play process from ``z0`` on a :func:`time_grid`.
 
-    ``z0`` must lie inside the elastic strip at the initial time (up to a
-    1e-12 slack for roundoff); otherwise the quasistatic problem has no
-    solution starting there and :class:`ConfigError` is raised.
+    ``z0`` must be finite and lie inside the elastic strip at the initial
+    time (up to a 1e-12 slack for roundoff); otherwise the quasistatic
+    problem has no solution starting there and :class:`ConfigError` is
+    raised.  The clamp recursion runs in :func:`_play` on Python floats.
     """
     grid = time_grid(system.loading, grid)
+    if not math.isfinite(z0):
+        raise ConfigError(f"initial state must be finite, got {z0}")
     with overflow_raises("limit solution"):
         lower, upper = elastic_strip(system, grid)
         scale = max(1.0, abs(z0), float(np.max(np.abs(upper))))
@@ -406,13 +431,7 @@ def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
                 f"[{lower[0]}, {upper[0]}] at t = {grid[0]}"
             )
 
-        states = np.empty_like(grid)
-        states[0] = min(max(z0, lower[0]), upper[0])
-        z = states[0]
-        for n in range(1, grid.size):
-            z = min(upper[n], max(lower[n], z))
-            states[n] = z
-
+        states = _play(lower, upper, z0)
         increments = np.diff(states)
         dissipation = np.concatenate((
             [0.0],

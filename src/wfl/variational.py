@@ -401,7 +401,9 @@ def de_giorgi_certificate(
     true solution, so the default certification tolerance scales like
     10 * Lip(ell) * max|z| * dt.  A force excursion beyond the interval
     (the indicator firing) fails the certificate immediately and reports
-    the offending time.
+    the offending time.  The dissipation sums |dz| K(xi) over the steps,
+    with K evaluated only at the midpoints of the steps where z moves; a
+    stuck step adds 0.0 without a call to K.
     """
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ConfigError(f"tolerance must lie in [0, inf), got {tolerance}")
@@ -436,7 +438,12 @@ def de_giorgi_certificate(
     t_mid = t[:-1] + 0.5 * dt
     z_mid = 0.5 * (z[:-1] + z[1:])
     xi_mid = interval.clip(system.ell(t_mid) - system.phi_force(z_mid))
-    dissipated = float(np.sum(np.abs(np.diff(z)) * density.k(xi_mid)))
+    # K only where z moves: a stuck step adds |dz| K = 0.0 either way
+    gains = np.abs(np.diff(z))
+    moving = np.flatnonzero(gains)
+    if moving.size:
+        gains[moving] *= density.k(xi_mid[moving])
+    dissipated = float(np.sum(gains))
 
     # external power int dE/dt = -int ell'(t) z dt, Simpson with linearly
     # interpolated midpoints

@@ -1,10 +1,12 @@
 """Tests for the quasistatic play-process solver and loading programs."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import limit_route
 import piecewise_route
 from wfl.errors import ConfigError, SolverError
 from wfl.limit_solver import (
@@ -14,6 +16,7 @@ from wfl.limit_solver import (
     SinusoidLoading,
     SmoothedPiecewiseLinear,
     default_grid,
+    _play,
     elastic_strip,
     overflow_raises,
     solve_limit,
@@ -294,6 +297,72 @@ def test_initial_state_outside_strip_rejected():
     # boundary is admissible
     traj = solve_limit(system, 0.1)
     assert traj.states[0] == 0.1
+
+
+@pytest.mark.parametrize("z0", [math.inf, -math.inf, math.nan])
+def test_non_finite_initial_state_rejected(z0):
+    # an infinite z0 made the 1e-12 slack infinite, and the run started at a strip edge
+    with pytest.raises(ConfigError, match="initial state must be finite"):
+        solve_limit(canonical_system(), z0)
+
+
+def _random_limit_system(rng, kind):
+    duration = float(rng.uniform(0.5, 3.0))
+    if kind == "ramp":
+        loading = Ramp(q0=float(rng.normal()), rate=float(rng.normal()), duration=duration)
+    elif kind == "sinusoid":
+        loading = SinusoidLoading(
+            q0=float(rng.normal()), amplitude=float(rng.uniform(0.0, 1.0)),
+            frequency=float(rng.uniform(0.2, 3.0)), duration=duration,
+            phase=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+    else:
+        loading = _random_loading(rng)
+    return LimitSystem(
+        k_h=float(rng.uniform(0.5, 3.0)), L_h_rest=float(rng.normal(0.0, 0.5)),
+        loading=loading, rho_plus=float(rng.uniform(0.01, 0.5)),
+        rho_minus=-float(rng.uniform(0.01, 0.5)),
+    )
+
+
+@pytest.mark.parametrize("kind", ["ramp", "sinusoid", "piecewise"])
+def test_play_matches_the_index_loop_route_bytewise(kind):
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        system = _random_limit_system(rng, kind)
+        grid = default_grid(system.loading.horizon, int(rng.integers(1, 3000)))
+        lower, upper = elastic_strip(system, grid)
+        # inside the strip, or exactly on one of its edges
+        z0 = float(rng.choice([lower[0], upper[0], rng.uniform(lower[0], upper[0])]))
+        states = solve_limit(system, z0, grid).states
+        assert states.tobytes() == limit_route.play(lower, upper, z0).tobytes()
+
+
+def test_play_takes_ties_and_signed_zeros_as_min_and_max_do():
+    # every three-step strip over {-1, -0, 0, 1}, edges equal or crossing
+    # zero, from every start in that set: each tie picks the same operand
+    values = (-1.0, -0.0, 0.0, 1.0)
+    pairs = [(lo, hi) for lo in values for hi in values if lo <= hi]
+    for z0 in values:
+        for strip in itertools.product(pairs, repeat=3):
+            lower, upper = np.array(strip).T
+            expected = limit_route.play(lower, upper, z0)
+            assert _play(lower, upper, z0).tobytes() == expected.tobytes(), (z0, strip)
+    # -0.0 stays -0.0 while it is inside the strip
+    assert np.all(np.signbit(_play(np.array([0.0, -1.0]), np.array([1.0, 1.0]), -0.0)))
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.0, -1.0])
+def test_negative_zero_start_on_a_zero_lower_edge(rate):
+    # L_h_rest = -rho_plus / k_h puts the lower edge at exactly 0.0 at t = 0
+    system = LimitSystem(k_h=2.0, L_h_rest=-0.1 / 2.0, loading=Ramp(rate=rate, duration=1.0),
+                         rho_plus=0.1, rho_minus=-0.1)
+    grid = default_grid(1.0, 64)
+    lower, upper = elastic_strip(system, grid)
+    assert lower[0] == 0.0 and not np.signbit(lower[0])
+    states = solve_limit(system, -0.0, grid).states
+    assert np.signbit(states[0])
+    assert states.tobytes() == limit_route.play(lower, upper, -0.0).tobytes()
 
 
 def test_solution_stays_in_strip():

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import limit_route
 from wfl.errors import ConfigError
-from wfl.limit_solver import LimitSystem, Ramp, solve_limit
+from wfl.limit_solver import LimitSystem, Ramp, SinusoidLoading, elastic_strip, solve_limit
 from wfl.models import (
     AngularBristle, VerticalBristle, SlantedBristle, coefficients, invert_contact_map,
 )
@@ -430,3 +431,76 @@ class TestCertificate:
         )
         assert not report.passed
         assert report.tolerance == 1e-15
+
+
+class RecordingK:
+    """Stands in for a :class:`LimitWithK` in the certificate and records every array K receives."""
+
+    def __init__(self, density):
+        self.interval = density.interval
+        self._k = density.k
+        self.calls = []
+
+    def k(self, xi):
+        self.calls.append(np.array(xi))
+        return self._k(xi)
+
+
+CERTIFICATE_LOADINGS = {
+    "ramp": Ramp(rate=1.0, duration=2.0),
+    "sinusoid": SinusoidLoading(amplitude=0.5, frequency=1.0, duration=2.0),
+    # the load never reaches a threshold: the state never moves
+    "pinned": SinusoidLoading(amplitude=0.02, frequency=1.0, duration=2.0),
+}
+
+
+class TestCertificateRoute:
+    """The certificate, which calls K only where z moves, against the all-midpoint route."""
+
+    @staticmethod
+    def setting(geometry, loading):
+        model = ORACLE_MODELS[geometry]
+        density = limit_density(model, SurfaceProfile.sinusoid(slope=0.1))
+        system = LimitSystem(
+            k_h=1.0, L_h_rest=0.0, loading=CERTIFICATE_LOADINGS[loading],
+            rho_plus=density.interval.upper, rho_minus=density.interval.lower,
+        )
+        return system, solve_limit(system, 0.0), density
+
+    @staticmethod
+    def assert_matches_route(system, trajectory, density):
+        """Bitwise equal residuals, and K called once, on the moving midpoints only."""
+        recorded, every = RecordingK(density), RecordingK(density)
+        report = de_giorgi_certificate(system, trajectory, recorded)
+        oracle = limit_route.certificate_residual(system, trajectory, every)
+        assert report.residual.hex() == oracle.hex()
+        moving = np.flatnonzero(np.diff(trajectory.states))
+        if moving.size:
+            assert len(recorded.calls) == 1
+            assert np.array_equal(recorded.calls[0], every.calls[0][moving])
+        else:
+            assert recorded.calls == []
+        return report
+
+    @pytest.mark.parametrize("geometry", ["vertical", "slanted", "angular"])
+    @pytest.mark.parametrize("loading", ["ramp", "sinusoid"])
+    def test_solutions_match_the_all_midpoint_route(self, geometry, loading):
+        system, trajectory, density = self.setting(geometry, loading)
+        stuck = np.count_nonzero(np.diff(trajectory.states) == 0.0)
+        assert 0 < stuck < trajectory.states.size - 1
+        assert self.assert_matches_route(system, trajectory, density).passed
+
+    def test_perturbed_trajectory_inside_the_strip_matches(self):
+        system, trajectory, density = self.setting("slanted", "sinusoid")
+        lower, upper = elastic_strip(system, trajectory.times)
+        rng = np.random.default_rng(26)
+        kick = 0.3 * (upper - lower) * rng.uniform(-1.0, 1.0, lower.size)
+        window = (trajectory.times >= 0.5) & (trajectory.times <= 1.2)
+        states = np.clip(trajectory.states + np.where(window, kick, 0.0), lower, upper)
+        report = self.assert_matches_route(system, replace(trajectory, states=states), density)
+        assert report.chi_time is None and not report.passed
+
+    def test_trajectory_that_never_moves_calls_no_k(self):
+        system, trajectory, density = self.setting("vertical", "pinned")
+        assert np.all(trajectory.states == 0.0)
+        assert self.assert_matches_route(system, trajectory, density).passed
