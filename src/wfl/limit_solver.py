@@ -75,9 +75,8 @@ class LoadingProgram(ABC):
 
         The viscous right-hand side calls it at every stage.  The built-in
         programs return a closure over their parameters that uses only
-        ``math``, and their ``q`` on a Python float calls that closure, so
-        there is one scalar formula per program.  This default goes
-        through ``q``.
+        ``math`` and equals their array ``q`` bit for bit; it is their one
+        scalar formula.  This default goes through ``q``.
         """
         q = self.q
         return lambda t: float(q(t))
@@ -116,14 +115,13 @@ class Ramp(LoadingProgram):
         return lambda t: q0 + rate * t
 
     def q(self, t):
-        if isinstance(t, float):
-            return self.scalar_q()(t)
         ts = _as_array(t)
-        return like_input(t, self.q0 + self.rate * ts)
+        with np.errstate(invalid="ignore"):  # 0 * inf for rate 0 at t = +-inf
+            return like_input(t, self.q0 + self.rate * ts)
 
     def qdot(self, t):
         ts = _as_array(t)
-        return like_input(t, np.full_like(ts, self.rate))
+        return like_input(t, np.where(np.isnan(ts), ts, self.rate))
 
     @property
     def horizon(self) -> float:
@@ -159,17 +157,17 @@ class SinusoidLoading(LoadingProgram):
         return lambda t: q0 + amplitude * sin(rate * t + phase)
 
     def q(self, t):
-        if isinstance(t, float):
-            return self.scalar_q()(t)
         ts = _as_array(t)
         u = 2.0 * math.pi * self.frequency * ts + self.phase
-        return like_input(t, self.q0 + self.amplitude * np.sin(u))
+        with np.errstate(invalid="ignore"):  # sin(+-inf) is nan
+            return like_input(t, self.q0 + self.amplitude * np.sin(u))
 
     def qdot(self, t):
         ts = _as_array(t)
         u = 2.0 * math.pi * self.frequency * ts + self.phase
         rate = 2.0 * math.pi * self.frequency * self.amplitude
-        return like_input(t, rate * np.cos(u))
+        with np.errstate(invalid="ignore"):
+            return like_input(t, rate * np.cos(u))
 
     @property
     def horizon(self) -> float:
@@ -253,12 +251,11 @@ class SmoothedPiecewiseLinear(LoadingProgram):
         return q
 
     def q(self, t):
-        if isinstance(t, float):
-            return self.scalar_q()(t)
         ts = _as_array(t)
         anchor, value, slope, change = self._pieces_at(ts)
         u = ts - anchor
-        out = value + slope * u
+        with np.errstate(invalid="ignore"):  # a flat end segment at t = +-inf
+            out = value + slope * u
         bent = change != 0.0
         out[bent] += change[bent] * u[bent] * u[bent] / (4.0 * self.blend)
         return like_input(t, out)
@@ -268,6 +265,8 @@ class SmoothedPiecewiseLinear(LoadingProgram):
         anchor, _, out, change = self._pieces_at(ts)
         bent = change != 0.0
         out[bent] += change[bent] * ((ts[bent] - anchor[bent]) / (2.0 * self.blend))
+        # a nan time sorts past the last piece start, whose slope would be returned
+        out[np.isnan(ts)] = np.nan
         return like_input(t, out)
 
     @property

@@ -83,11 +83,14 @@ def k_of_xi(xi: float, wprime: Callable) -> float:
     around it.  When there is no crossing at all, the zero-average property
     of ``W'`` collapses the integral to ``|xi|`` exactly.  This is the
     reference route for any sampled ``W'`` (a 1-periodic callable that takes
-    arrays); :meth:`LimitWithK.k` is the exact one for a bristle.  SciPy is
-    imported here, so only this oracle needs it.
+    arrays); :meth:`LimitWithK.k` is the exact one for a bristle.  Only this
+    oracle imports SciPy (the ``test`` extra); without it, :class:`ConfigError`.
     """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq, minimize_scalar
+    try:
+        from scipy.integrate import quad
+        from scipy.optimize import brentq, minimize_scalar
+    except ImportError as exc:
+        raise ConfigError("k_of_xi needs SciPy, from the 'test' extra") from exc
 
     xi = float(xi)
     ys = np.linspace(0.0, 1.0, 1025)
@@ -285,17 +288,22 @@ class LimitWithK:
         two Python floats take the ``math``-only route of :meth:`k`.
         """
         if type(v) is float and type(xi) is float:
-            if self.interval.lower <= xi <= self.interval.upper:
-                return abs(v) * self.k(xi)
-            return math.inf
+            if xi < self.interval.lower or xi > self.interval.upper:
+                return math.inf
+            return abs(v) * self.k(xi)
         xi = np.asarray(xi, dtype=float)
-        inside = (self.interval.lower <= xi) & (xi <= self.interval.upper)
-        out = np.where(inside, np.abs(v) * self.k(xi), math.inf)
+        outside = (xi < self.interval.lower) | (xi > self.interval.upper)
+        # a nan xi gives nan; 0 * K(+-inf) is nan too but lies outside
+        with np.errstate(invalid="ignore"):
+            out = np.where(outside, math.inf, np.abs(v) * self.k(xi))
         return out if out.ndim else float(out)
 
     def residual(self, v, xi):
-        """Duality defect M(v, xi) - v xi, elementwise; +inf stays +inf."""
-        return self.value(v, xi) - v * xi
+        """Duality defect M(v, xi) - v xi, elementwise; +inf stays +inf, inf - inf is nan."""
+        if type(v) is float and type(xi) is float:  # Python floats never warn
+            return self.value(v, xi) - v * xi
+        with np.errstate(invalid="ignore"):
+            return self.value(v, xi) - v * xi
 
 
 def _polish(profile, level, p, p0, p1):
@@ -385,10 +393,7 @@ class CertificateReport:
 
 
 def de_giorgi_certificate(
-    system: LimitSystem,
-    trajectory: Trajectory,
-    density: LimitWithK,
-    tolerance: Optional[float] = None,
+    system: LimitSystem, trajectory: Trajectory, density: LimitWithK
 ) -> CertificateReport:
     """Check the energy identity that characterizes limit solutions.
 
@@ -398,15 +403,13 @@ def de_giorgi_certificate(
 
     and the driving force -D_z E never leaves the threshold interval.  The
     residual of the discretized identity is pure quadrature error for a
-    true solution, so the default certification tolerance scales like
-    10 * Lip(ell) * max|z| * dt.  A force excursion beyond the interval
+    true solution, so the certification tolerance is
+    10 * Lip(ell) * max|z| * max dt.  A force excursion beyond the interval
     (the indicator firing) fails the certificate immediately and reports
     the offending time.  The dissipation sums |dz| K(xi) over the steps,
     with K evaluated only at the midpoints of the steps where z moves; a
     stuck step adds 0.0 without a call to K.
     """
-    if tolerance is not None and not 0.0 <= tolerance < math.inf:
-        raise ConfigError(f"tolerance must lie in [0, inf), got {tolerance}")
     interval = density.interval
     if (
         abs(interval.lower - system.rho_minus) > 1e-6 * interval.upper
@@ -422,17 +425,14 @@ def de_giorgi_certificate(
     z = trajectory.states
     xi = system.ell(t) - system.phi_force(z)
     dt = np.diff(t)
-    if tolerance is None:
-        tolerance = (
-            10.0 * system.ell_lipschitz * float(np.max(np.abs(z))) * float(np.max(dt))
-        )
+    tolerance = 10.0 * system.ell_lipschitz * float(np.max(np.abs(z))) * float(np.max(dt))
 
     tau_xi = 1e-8 * interval.upper
     outside = (xi < interval.lower - tau_xi) | (xi > interval.upper + tau_xi)
     if np.any(outside):
         when = float(t[int(np.argmax(outside))])
         return CertificateReport(
-            residual=math.inf, tolerance=float(tolerance), passed=False, chi_time=when
+            residual=math.inf, tolerance=tolerance, passed=False, chi_time=when
         )
 
     t_mid = t[:-1] + 0.5 * dt
@@ -447,10 +447,9 @@ def de_giorgi_certificate(
 
     # external power int dE/dt = -int ell'(t) z dt, Simpson with linearly
     # interpolated midpoints
-    f_lo = -system.ell_rate(t[:-1]) * z[:-1]
-    f_hi = -system.ell_rate(t[1:]) * z[1:]
+    f = -system.ell_rate(t) * z
     f_mid = -system.ell_rate(t_mid) * z_mid
-    power = float(np.sum((dt / 6.0) * (f_lo + 4.0 * f_mid + f_hi)))
+    power = float(np.sum((dt / 6.0) * (f[:-1] + 4.0 * f_mid + f[1:])))
 
     residual = float(
         system.energy(t[-1], z[-1])
@@ -460,7 +459,7 @@ def de_giorgi_certificate(
     )
     return CertificateReport(
         residual=residual,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passed=abs(residual) <= tolerance,
         chi_time=None,
     )

@@ -642,11 +642,13 @@ def test_extreme_value_keeps_the_exit_contract_within_seconds(
         assert not out.exists()
 
 
-def modules_loaded_by(tmp_path, runs, modules):
+def modules_loaded_by(tmp_path, runs, modules, blocked=()):
     """Run ``cli.main`` on each ``(command, payload, *extra)`` in one fresh process.
 
     Returns, after ``import wfl`` and after each run, the exit code (None after
-    the import) and whether each of ``modules`` is in ``sys.modules``.
+    the import) and whether each of ``modules`` is in ``sys.modules``.  Each
+    of ``blocked`` is set to None in ``sys.modules`` first, so importing it
+    raises ``ModuleNotFoundError``, as if it were not installed.
     """
     argvs = []
     for i, (command, payload, *extra) in enumerate(runs):
@@ -654,6 +656,7 @@ def modules_loaded_by(tmp_path, runs, modules):
         argvs.append([command, "--config", config, "--out", str(tmp_path / f"out{i}"), *extra])
     script = (
         "import json, sys\n"
+        f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
         "import wfl\n"
         "from wfl import cli\n"
         f"modules = {modules!r}\n"
@@ -679,6 +682,12 @@ def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
     loaded = modules_loaded_by(tmp_path, runs, ["scipy"])
     assert loaded == [(None, False)] + [(0, False)] * len(runs)
     assert (tmp_path / "out0" / "overlay.svg").exists()
+    # NumPy is the one runtime dependency: all seven subcommands run without SciPy
+    svg_runs = [(command, config, *CONTRACT_ARGS.get(command, []), "--svg")
+                for command, config in CONTRACT_CONFIGS.items()]
+    (tmp_path / "blocked").mkdir()
+    blocked = modules_loaded_by(tmp_path / "blocked", svg_runs, [], blocked=["scipy"])
+    assert blocked == [(None,)] + [(0,)] * len(svg_runs) and len(svg_runs) == 7
 
 
 def test_svg_runs_leave_the_xml_and_network_modules_unloaded(tmp_path):

@@ -118,10 +118,44 @@ def test_float_branch_of_q_matches_the_array_route_bitwise(loading):
         [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 0.25 - 1e-12, 2.0 + 1e-9],
         edges,
     ))
-    scalar = np.array([loading.q(float(t)) for t in ts])
+    scalar_q = loading.scalar_q()
+    scalar = np.array([scalar_q(float(t)) for t in ts])
     assert all(type(loading.q(float(t))) is float for t in ts[:5])
     np.testing.assert_array_equal(scalar, loading.q(ts))
+    np.testing.assert_array_equal(scalar, [loading.q(float(t)) for t in ts])
     np.testing.assert_array_equal(scalar, [loading.q(np.array([t]))[0] for t in ts])
+
+
+NONFINITE_TIMES = np.array([math.inf, -math.inf, math.nan])
+SINUSOID = SinusoidLoading(amplitude=0.5, frequency=1.0, duration=2.0)
+# flat after t = 1: its q at +inf is q(1) + 0 * inf
+FLAT_END = SmoothedPiecewiseLinear(times=(0.0, 1.0, 2.0), values=(0.0, 1.0, 1.0), blend=0.1)
+NAN3 = [math.nan] * 3
+
+# each of these warned "invalid value encountered" (NumPy) or raised a bare
+# ValueError (math.sin), or gave a finite slope at a nan time
+NONFINITE_LOADING_CASES = {
+    "sinusoid-q": (lambda: SINUSOID.q(NONFINITE_TIMES), NAN3),
+    "sinusoid-q-float": (lambda: SINUSOID.q(math.inf), math.nan),
+    "sinusoid-qdot": (lambda: SINUSOID.qdot(NONFINITE_TIMES), NAN3),
+    "sinusoid-qdot-float": (lambda: SINUSOID.qdot(math.inf), math.nan),
+    "sinusoid-elastic_strip": (
+        lambda: elastic_strip(LimitSystem(k_h=1.0, L_h_rest=0.0, loading=SINUSOID, rho_plus=0.1,
+                                          rho_minus=-0.1), math.inf), (math.nan, math.nan)),
+    "ramp-q-rate-zero": (lambda: Ramp(rate=0.0).q(NONFINITE_TIMES), NAN3),
+    "ramp-qdot": (lambda: Ramp(rate=2.0).qdot(NONFINITE_TIMES), [2.0, 2.0, math.nan]),
+    "ramp-qdot-nan": (lambda: Ramp(rate=2.0).qdot(math.nan), math.nan),
+    "piecewise-q-flat-end": (lambda: FLAT_END.q(NONFINITE_TIMES), [math.nan, -math.inf, math.nan]),
+    "piecewise-qdot": (lambda: FLAT_END.qdot(NONFINITE_TIMES), [0.0, 1.0, math.nan]),
+    "piecewise-qdot-nan": (lambda: FLAT_END.qdot(math.nan), math.nan),
+}
+
+
+@pytest.mark.parametrize("case", list(NONFINITE_LOADING_CASES))
+def test_nonfinite_times_give_nan_without_a_warning(case):
+    # RuntimeWarnings are errors in this suite (pyproject.toml)
+    call, expected = NONFINITE_LOADING_CASES[case]
+    np.testing.assert_array_equal(call(), expected)
 
 
 def test_touching_blend_zones_take_the_later_zone():
