@@ -9,7 +9,9 @@ constant.
 
 Scales run one after another, coarsest first, in this process: on two
 cores a process pool measured no faster than this loop and used more than
-twice its peak memory.
+twice its peak memory.  Each scale's trajectory is reduced to its sup error
+and window gaps before the next scale starts, so a sweep holds one
+trajectory at a time.
 """
 
 from __future__ import annotations
@@ -110,25 +112,25 @@ def run_sweep(
     limit = solve_limit(system, z0, grid=grid)
     limit_diss = tuple(limit.dissipated(t1, t2) for t1, t2 in windows)
 
-    runs: list = []  # (trajectory, runtime) per scale
+    sup_errors, gaps, runtimes = [], [], []
     for wiggly in systems:
         start = time.perf_counter()
         try:
             trajectory = integrate(wiggly, float(z0), config=config, grid=grid)
         except SolverError as exc:
             raise SolverError(f"sweep aborted at eps = {wiggly.epsilon}: {exc}") from exc
-        runs.append((trajectory, time.perf_counter() - start))
+        runtimes.append(time.perf_counter() - start)
+        sup_errors.append(float(np.max(np.abs(trajectory.states - limit.states))))
+        gaps.append(tuple(abs(trajectory.dissipated(t1, t2) - d)
+                          for (t1, t2), d in zip(windows, limit_diss)))
+        del trajectory  # the next scale runs without it: a sweep holds one at a time
 
-    sup_errors = [float(np.max(np.abs(tr.states - limit.states))) for tr, _ in runs]
     return SweepReport(
         epsilons=tuple(eps),
         sup_errors=tuple(sup_errors),
         windows=windows,
-        dissipation_gaps=tuple(
-            tuple(abs(tr.dissipated(t1, t2) - d) for (t1, t2), d in zip(windows, limit_diss))
-            for tr, _ in runs
-        ),
+        dissipation_gaps=tuple(gaps),
         limit_dissipation=limit_diss,
         fitted_order=_fit_order(eps, sup_errors),
-        runtimes=tuple(runtime for _, runtime in runs),
+        runtimes=tuple(runtimes),
     )

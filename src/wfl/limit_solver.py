@@ -327,11 +327,13 @@ class LimitSystem:
 
 def elastic_strip(system: LimitSystem, t):
     """Admissible interval [z_minus(t), z_plus(t)] of the force inclusion."""
-    ts = _as_array(t)
-    ell = system.ell(ts)
-    lower = (ell - system.rho_plus) / system.k_h
-    upper = (ell - system.rho_minus) / system.k_h
+    lower, upper = _strip(system, system.ell(_as_array(t)))
     return like_input(t, lower), like_input(t, upper)
+
+
+def _strip(system: LimitSystem, ell):
+    """[z_minus, z_plus] where the driving force takes the values ``ell``."""
+    return (ell - system.rho_plus) / system.k_h, (ell - system.rho_minus) / system.k_h
 
 
 @dataclass(frozen=True)
@@ -421,7 +423,8 @@ def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
     if not math.isfinite(z0):
         raise ConfigError(f"initial state must be finite, got {z0}")
     with overflow_raises("limit solution"):
-        lower, upper = elastic_strip(system, grid)
+        ell = system.ell(grid)
+        lower, upper = _strip(system, ell)
         scale = max(1.0, abs(z0), float(np.max(np.abs(upper))))
         slack = 1e-12 * scale
         if not lower[0] - slack <= z0 <= upper[0] + slack:
@@ -439,7 +442,7 @@ def solve_limit(system: LimitSystem, z0: float, grid=None) -> Trajectory:
                 + system.rho_minus * np.minimum(increments, 0.0)
             ),
         ))
-        energies = system.phi_value(states) - system.ell(grid) * states
+        energies = system.phi_value(states) - ell * states
         return Trajectory(
             times=grid,
             states=states,

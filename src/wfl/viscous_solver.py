@@ -15,8 +15,9 @@ The pair is Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.4-6), stepped in plain Python floats by
 :func:`solve_ivp` with SciPy's RK45 initial step, error norm and step-size
 controller, so it takes SciPy's steps to rounding.  Each accepted step keeps
-its quartic dense-output coefficients, and the whole post-processing mesh is
-evaluated from them in one vectorised pass.
+its quartic dense-output coefficients, and post-processing evaluates them
+one block of ``_BLOCK`` mesh segments at a time, so that its transient
+arrays keep one size however many steps a run takes.
 
 The stepper advances the tip abscissa ``p`` by :func:`scalar_rhs`: the root
 position ``z = g(p) = p + shift(eps w(p / eps))`` is explicit and strictly
@@ -59,6 +60,10 @@ MAX_STEPS = 10**6
 #: Simpson panels per mesh segment for a tilted bristle: with one, the dissipation's
 #: quadrature error reaches 2e-6 of the energy scale at eps = 0.01; with three, 3e-8.
 TILTED_SPLIT = 3
+
+#: Mesh segments :func:`integrate` post-processes at a time, so that its
+#: transient arrays keep one size whatever the run's step count.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -336,7 +341,9 @@ def integrate(
     stepper advances :func:`scalar_rhs`, built once here, from the contact
     point of ``z0``; the samples, the dissipation and the power integral
     come from the dense output and :meth:`WigglySystem.at_contact` on the
-    whole quadrature mesh.  A run whose :func:`step_cap` needs more than
+    quadrature mesh, one block of ``_BLOCK`` segments at a time: only the
+    mesh, its per-segment dissipation and power terms and the grid samples
+    outlive a block.  A run whose :func:`step_cap` needs more than
     ``MAX_STEPS`` steps is refused with :class:`ConfigError`.  Raises
     :class:`SolverError` when the adaptive integrator drives its step below
     the floating-point spacing (the problem is stiffer than the explicit pair
@@ -362,42 +369,57 @@ def integrate(
     with overflow_raises("post-processing"):
         # accepted steps refined by the output grid: the dense output fills in the rest
         nodes = sorted_distinct(np.concatenate((sol.t, grid)))
-        p_nodes = sol.sample(nodes)
-        p_nodes[np.searchsorted(nodes, sol.t)] = sol.y
-        z_nodes, xi_nodes, e_nodes, _ = system.at_contact(nodes, p_nodes)
-        # the run starts at z0 exactly; g(p0) meets it to the contact tolerance
-        z_nodes[0] = z0
-        zdot_nodes = xi_nodes / tau
-
-        # dissipation int eps^gamma zdot^2 dt and power int dE/dt = -int ell'(t) z dt:
-        # composite Simpson, m / 2 panels a segment (TILTED_SPLIT for a tip with a
-        # shift), interior points weighted 4, 2, ..., 4 and taken one at a time
-        g_nodes = tau * np.square(zdot_nodes)
-        power_nodes = -system.base.ell_rate(nodes) * z_nodes
-        diss_steps, power_steps = g_nodes[:-1], power_nodes[:-1]
-        m = 2 * (TILTED_SPLIT if system.model.formulas(math.sqrt, math.acos)[0] else 1)
-        for j in range(1, m):
-            at = (1.0 - j / m) * nodes[:-1] + (j / m) * nodes[1:]
-            z_at, xi_at, _, _ = system.at_contact(at, sol.sample(at))
-            weight = 4.0 if j % 2 else 2.0
-            diss_steps = diss_steps + weight * (tau * np.square(xi_at / tau))
-            power_steps = power_steps + weight * (-system.base.ell_rate(at) * z_at)
-        weights = np.diff(nodes) / (3.0 * m)
-        diss_cum = np.concatenate(([0.0], np.cumsum(weights * (diss_steps + g_nodes[1:]))))
-        power_integral = float(np.sum(weights * (power_steps + power_nodes[1:])))
-
         grid_idx = np.searchsorted(nodes, grid)
-        states = z_nodes[grid_idx]
+        m = 2 * (TILTED_SPLIT if system.model.formulas(math.sqrt, math.acos)[0] else 1)
+        # per mesh segment, the dissipation int eps^gamma zdot^2 dt and the power
+        # int dE/dt = -int ell'(t) z dt: composite Simpson, m / 2 panels a segment
+        # (TILTED_SPLIT for a tip with a shift), interior points weighted 4, 2, ..., 4
+        # and taken one at a time
+        diss_terms, power_terms = np.empty(nodes.size - 1), np.empty(nodes.size - 1)
+        states, velocities, energies, xi = (np.empty(grid.size) for _ in range(4))
+        for a in range(0, nodes.size - 1, _BLOCK):
+            b = min(a + _BLOCK, nodes.size - 1)
+            t = nodes[a:b + 1]
+            p = sol.sample(t)
+            # at an accepted time the earlier step's dense output is off by rounding
+            steps = slice(np.searchsorted(sol.t, t[0]), np.searchsorted(sol.t, t[-1], "right"))
+            p[np.searchsorted(t, sol.t[steps])] = sol.y[steps]
+            z, xi_t, e, _ = system.at_contact(t, p)
+            if a == 0:
+                # the run starts at z0 exactly; g(p0) meets it to the contact tolerance
+                z[0] = z0
+            zdot = xi_t / tau
+            g = tau * np.square(zdot)
+            power = -system.base.ell_rate(t) * z
+            diss_steps, power_steps = g[:-1], power[:-1]
+            for j in range(1, m):
+                at = (1.0 - j / m) * t[:-1] + (j / m) * t[1:]
+                z_at, xi_at, _, _ = system.at_contact(at, sol.sample(at))
+                weight = 4.0 if j % 2 else 2.0
+                diss_steps = diss_steps + weight * (tau * np.square(xi_at / tau))
+                power_steps = power_steps + weight * (-system.base.ell_rate(at) * z_at)
+            weights = np.diff(t) / (3.0 * m)
+            diss_terms[a:b] = weights * (diss_steps + g[1:])
+            power_terms[a:b] = weights * (power_steps + power[1:])
+            # the grid points among this block's nodes, its end node included
+            out = slice(np.searchsorted(grid_idx, a), np.searchsorted(grid_idx, b, "right"))
+            local = grid_idx[out] - a
+            states[out], velocities[out], energies[out], xi[out] = (
+                z[local], zdot[local], e[local], xi_t[local])
+        # the dissipation at node k + 1 is the sum of the terms of segments 0..k
+        diss_cum = np.cumsum(diss_terms, out=diss_terms)
+        power_integral = float(np.sum(power_terms))
+
         lower, upper = elastic_strip(system.base, grid)
         delta = np.maximum(np.maximum(states - upper, lower - states), 0.0)
 
         return ViscousTrajectory(
             times=grid,
             states=states,
-            velocities=zdot_nodes[grid_idx],
-            energies=e_nodes[grid_idx],
-            dissipation=diss_cum[grid_idx],
-            xi=xi_nodes[grid_idx],
+            velocities=velocities,
+            energies=energies,
+            dissipation=np.concatenate(([0.0], diss_cum[grid_idx[1:] - 1])),
+            xi=xi,
             delta=delta,
             power_integral=power_integral,
         )

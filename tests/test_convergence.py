@@ -2,12 +2,15 @@
 
 import pytest
 
+import viscous_route
 import wfl.convergence as convergence
+from wfl import viscous_solver
 from wfl.convergence import run_sweep
 from wfl.errors import ConfigError, SolverError
-from wfl.limit_solver import LimitSystem, Ramp
-from wfl.models import VerticalBristle
+from wfl.limit_solver import LimitSystem, Ramp, solve_limit, time_grid
+from wfl.models import SlantedBristle, VerticalBristle
 from wfl.profiles import SurfaceProfile
+from wfl.viscous_solver import WigglySystem
 
 PROFILE = SurfaceProfile.sinusoid(slope=0.1)
 MODEL = VerticalBristle(k=1.0, L_rest=2.0, h=1.0)
@@ -56,6 +59,26 @@ class TestRunSweep:
         assert report.limit_dissipation[0] == pytest.approx(0.09, rel=1e-10)
         assert report.limit_dissipation[1] == pytest.approx(0.10, rel=1e-10)
         assert len(report.dissipation_gaps[0]) == 2
+
+    @pytest.mark.parametrize("model, epsilons", [
+        (MODEL, [0.1, 0.05, 0.02]),
+        (SlantedBristle(k=1.0, L_rest=1.0, h=0.05, theta=0.5), [0.1, 0.05]),
+    ], ids=["vertical", "slanted"])
+    def test_rows_match_the_whole_mesh_route(self, model, epsilons, monkeypatch):
+        # the sweep's stepper results post-processed on the whole mesh, every
+        # trajectory kept to the end: the same rows, runtime_s masked
+        sols = []
+        stepper = viscous_solver.solve_ivp
+        monkeypatch.setattr(viscous_solver, "solve_ivp",
+                            lambda *args, **kwargs: sols.append(stepper(*args, **kwargs)) or sols[-1])
+        system, windows = canonical_system(), ((0.0, 0.7), (0.7, 2.0))
+        report = run_sweep(system, PROFILE, model, epsilons, windows=windows, z0=0.02)
+        grid = time_grid(system.loading, None)
+        systems = [WigglySystem(base=system, model=model, profile=PROFILE, epsilon=e)
+                   for e in report.epsilons]
+        oracle = viscous_route.sweep_rows(solve_limit(system, 0.02, grid=grid), systems, sols,
+                                          0.02, grid, windows)
+        assert [row[:-1] for row in report.rows] == oracle
 
     def test_input_validation(self):
         with pytest.raises(ConfigError):
