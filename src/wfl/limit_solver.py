@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from .codegen import function_of_t
 from .errors import ConfigError, SolverError
 from .profiles import like_input, positive_integer
 
@@ -73,13 +74,21 @@ class LoadingProgram(ABC):
     def scalar_q(self) -> Callable[[float], float]:
         """``q`` as a function of one Python float, built once per run.
 
-        The viscous right-hand side calls it at every stage.  The built-in
-        programs return a closure over their parameters that uses only
-        ``math`` and equals their array ``q`` bit for bit; it is their one
-        scalar formula.  This default goes through ``q``.
+        The built-in programs return a closure over their parameters that
+        uses only ``math`` and equals their array ``q`` bit for bit.  This
+        default goes through ``q``.
         """
         q = self.q
         return lambda t: float(q(t))
+
+    def scalar_source(self) -> tuple[str, dict]:
+        """``q`` at one Python float ``t`` as an expression, and the values it names.
+
+        The viscous stepper splices it into each stage.  The ramp and the
+        sinusoid give their formula, the one text their ``scalar_q`` is
+        compiled from; this default calls ``scalar_q``.
+        """
+        return "q(t)", {"q": self.scalar_q()}
 
     @abstractmethod
     def qdot(self, t):
@@ -110,9 +119,11 @@ class Ramp(LoadingProgram):
         if not (math.isfinite(self.q0) and math.isfinite(self.rate)):
             raise ConfigError("ramp parameters must be finite")
 
+    def scalar_source(self) -> tuple[str, dict]:
+        return "q0 + rate * t", {"q0": self.q0, "rate": self.rate}
+
     def scalar_q(self) -> Callable[[float], float]:
-        q0, rate = self.q0, self.rate
-        return lambda t: q0 + rate * t
+        return function_of_t(*self.scalar_source())
 
     def q(self, t):
         ts = _as_array(t)
@@ -151,10 +162,13 @@ class SinusoidLoading(LoadingProgram):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
 
+    def scalar_source(self) -> tuple[str, dict]:
+        return "q0 + amplitude * sin(rate * t + phase)", {
+            "q0": self.q0, "amplitude": self.amplitude, "sin": math.sin,
+            "rate": 2.0 * math.pi * self.frequency, "phase": self.phase}
+
     def scalar_q(self) -> Callable[[float], float]:
-        q0, amplitude, phase = self.q0, self.amplitude, self.phase
-        rate, sin = 2.0 * math.pi * self.frequency, math.sin
-        return lambda t: q0 + amplitude * sin(rate * t + phase)
+        return function_of_t(*self.scalar_source())
 
     def q(self, t):
         ts = _as_array(t)

@@ -36,7 +36,7 @@ from which the friction thresholds follow:
     alpha < 0:  rho_plus = alpha * mu_minus, rho_minus = alpha * mu_plus.
 
 Each geometry is one class holding ``name``, ``alpha``, ``slope_factor``
-and three methods, to which the module functions delegate; a fourth
+and four methods, to which the module functions delegate; a fourth
 geometry is one more class.
 
 * ``conditions(extrema)``: admissibility inequalities, for :func:`coefficients`;
@@ -53,14 +53,19 @@ geometry is one more class.
   - ``energy(y)``: microscale potential at tip height ``y``, zeroed on the
     flat.
 
-The closures use Python's arithmetic operators and the ``sqrt``/``acos``
-passed in, so one formula set serves both routes: :func:`wiggly_force`,
-:func:`wiggly_energy` and :func:`at_contact` pass ``np.sqrt`` and libm's
-``acos`` taken elementwise and call them on arrays; :func:`scalar_force`
-(the integrator's right-hand side) passes ``math.sqrt`` and ``math.acos``
-and calls them on floats.  ``sqrt`` is correctly rounded in both, and the
-``acos`` is libm's in both, so the two routes agree bitwise and neither
-depends on NumPy's SIMD ``arccos``.
+  The closures use Python's arithmetic operators and the ``sqrt``/``acos``
+  passed in: :func:`wiggly_force`, :func:`wiggly_energy` and
+  :func:`at_contact` pass ``np.sqrt`` and libm's ``acos`` taken elementwise
+  and call them on arrays;
+* ``scalar_source()``: the force, and for a tip with a shift the shift
+  ``s`` and its rate ``ds``, as straight-line source text on floats that
+  reads ``y`` and ``wp`` and sets ``f`` (``s`` and ``ds``), with the
+  constants it names; any other name in it is a local of its own.  The
+  viscous stepper splices it into each stage
+  (:func:`wfl.viscous_solver.scalar_rhs`).  It repeats ``formulas``'
+  operations in their order with ``math.sqrt`` and ``math.acos``, so the two
+  routes agree bitwise: ``sqrt`` is correctly rounded on both, the ``acos``
+  is libm's on both, and neither depends on NumPy's SIMD ``arccos``.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ from .profiles import (
     eval_profile,
     like_input,
     positive_integer,
-    scalar_terms,
 )
 
 
@@ -140,6 +144,9 @@ class VerticalBristle:
 
         return None, force, energy
 
+    def scalar_source(self) -> tuple[str, dict]:
+        return "f = k * (rest + y) * wp", {"k": self.k, "rest": self.L_rest - self.h}
+
 
 @dataclass(frozen=True)
 class SlantedBristle:
@@ -195,6 +202,14 @@ class SlantedBristle:
             return 0.5 * k * ((rest + y / cos_t) ** 2 - rest ** 2)
 
         return shift, force, energy
+
+    def scalar_source(self) -> tuple[str, dict]:
+        cos_t, tan_t = math.cos(self.theta), math.tan(self.theta)
+        return ("s = rate * y\n"
+                "ds = rate\n"
+                "f = tension * (L_rest - (h - y) / cos_t) * wp / (1.0 - tan_t * wp)\n",
+                {"rate": -tan_t, "tension": self.k / cos_t, "L_rest": self.L_rest, "h": self.h,
+                 "cos_t": cos_t, "tan_t": tan_t})
 
 
 @dataclass(frozen=True)
@@ -276,6 +291,17 @@ class AngularBristle:
             return 0.5 * k * ((acos((h - y) / L) - theta_rest) ** 2 - rest)
 
         return shift, force, energy
+
+    def scalar_source(self) -> tuple[str, dict]:
+        LL, h = self.L * self.L, self.h
+        return ("d = h - y\n"
+                "r = sqrt(LL - d * d)\n"
+                "s = r - flat\n"
+                "ds = d / r\n"
+                "rf = sqrt(L2 - d * d)\n"
+                "f = k * (acos(d / L) - theta_rest) * wp / (rf * (1.0 + d / rf * wp))\n",
+                {"h": h, "LL": LL, "L2": self.L ** 2, "flat": math.sqrt(LL - h * h), "k": self.k,
+                 "L": self.L, "theta_rest": self.theta_rest, "sqrt": math.sqrt, "acos": math.acos})
 
 
 BristleModel = Union[VerticalBristle, SlantedBristle, AngularBristle]
@@ -602,36 +628,6 @@ def at_contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, p):
         return ps, force(y, wp), energy(y), 1.0
     s, ds = shift(y)
     return ps + s, force(y, wp), energy(y), 1.0 + ds * wp
-
-
-def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
-    """:func:`at_contact`'s ``(z, V_eps'(z), g'(p))`` as a function of one Python float ``p``.
-
-    The viscous integrator's, built once per run from ``formulas`` on
-    ``math``: no NumPy call, w and w' summed as :func:`eval_profile` sums
-    them, so bitwise :func:`at_contact`; ``V_eps'(z)`` alone for a tip under
-    its root (``z = p``).  ``epsilon`` is checked here, once.  A non-finite
-    ``p`` may raise ``ValueError`` from ``math``.
-    """
-    _require_valid_epsilon(model, profile, epsilon)
-    shift, force, _ = model.formulas(math.sqrt, math.acos)
-    terms = scalar_terms(profile)
-    sin, cos = math.sin, math.cos
-
-    def at(p: float):
-        x = p / epsilon
-        w = wp = 0.0
-        for rate, phase, amplitude, slope, _ in terms:
-            u = rate * x + phase
-            w += amplitude * sin(u)
-            wp += slope * cos(u)
-        if shift is None:
-            return force(epsilon * w, wp)
-        y = epsilon * w
-        s, ds = shift(y)
-        return p + s, force(y, wp), 1.0 + ds * wp
-
-    return at
 
 
 def wiggly_energy(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):

@@ -24,7 +24,13 @@ position ``z = g(p) = p + shift(eps w(p / eps))`` is explicit and strictly
 increasing inside the validity region, so ``eps^gamma g'(p) pdot =
 -Phi'(z) - V_eps'(z) + ell(t)`` needs no contact Newton (``p = z`` for a
 tip under its root), and post-processing evaluates ``z``, ``zdot``, ``xi``
-and the energy from ``p`` (:meth:`WigglySystem.at_contact`).
+and the energy from ``p`` (:meth:`WigglySystem.at_contact`).  The right-hand
+side is straight-line source text over named floats, and the stepper's loop
+is one source template, ``_DOPRI5``, with a placeholder line for each of its
+eight right-hand-side evaluations: :func:`solve_ivp` splices the text into
+them and compiles the result once per distinct text (:mod:`wfl.codegen`),
+so a stage runs without a Python call and the scales of a sweep share one
+compiled loop.
 
 Dissipation is accumulated as ``int eps^gamma zdot^2 dt`` with a composite
 Simpson rule over the union of accepted integrator steps and requested
@@ -38,19 +44,23 @@ samples, and for a tilted bristle each segment is first split in
 from __future__ import annotations
 
 import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from textwrap import indent
 from typing import Optional
 
 import numpy as np
 
+from .codegen import compiled, renamed
 from .errors import ConfigError, SolverError
 from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raises, time_grid
-from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point, scalar_force
+from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point
 # unused here; perfbench's tracer wraps these bindings
 from .models import epsilon_limit, wiggly_energy, wiggly_force
-from .profiles import SurfaceProfile, sorted_distinct
+from .profiles import SurfaceProfile, scalar_terms, sorted_distinct
 
 
 #: Most steps a run may take: :func:`integrate` refuses a run whose step cap
@@ -112,65 +122,209 @@ class WigglySystem:
                 self.base.phi_value(z) + micro_energy - ell * z, slope)
 
 
-def scalar_rhs(system: WigglySystem):
-    """pdot = (ell(t) - Phi'(z) - V_eps'(z)) / (eps^gamma g'(p)) as one function of two floats.
+@dataclass(frozen=True, eq=False)
+class ScalarRHS:
+    """A right-hand side ``y' = f(t, y)`` of two floats as straight-line source text.
 
-    Built once per run over plain floats, the loading's ``scalar_q`` and
-    :func:`~wfl.models.scalar_force`, with Phi'(z) = k_h z inlined: no attribute
-    lookup, NumPy call or contact Newton per call (``p = z``, g' = 1 for a tip
-    under its root).  A math error or a non-finite result (the state ran
-    away) and a fold, g' <= 0, raise :class:`SolverError`.
+    ``body`` holds statements that read the time ``T`` and the state ``Y``
+    and set ``K``; every other name in it is a local of its own or a key of
+    ``constants``, bound to its value.  :func:`solve_ivp` splices ``body``
+    into each stage of its loop, so a stage makes no Python call; calling
+    the object compiles ``body`` as a function of ``(t, y)`` on first use.
     """
-    base = system.base
-    q = base.loading.scalar_q()
-    k_h, rest, tau = base.k_h, base.L_h_rest, system.time_scale
-    contact = scalar_force(system.model, system.profile, system.epsilon)
-    isfinite, nan = math.isfinite, math.nan
 
-    def failure(t: float, p: float, slope: float = 1.0):
-        if slope <= 0.0:
-            return SolverError(f"the contact map folds at t = {t:.6g}, p = {p:.6g}")
-        return SolverError(f"force evaluation overflowed at t = {t:.6g}, p = {p:.6g}; "
-                           f"the state has left the integrable range")
+    body: str
+    constants: dict
 
-    def fun(t: float, z: float) -> float:
-        try:
-            f = contact(z)
-        except (ArithmeticError, ValueError):  # math raises where NumPy gives nan
-            f = nan
-        v = (k_h * (q(t) - rest) - k_h * z - f) / tau
-        if not isfinite(v):
-            raise failure(t, z)
-        return v
+    def __call__(self, t: float, y: float) -> float:
+        return self._function(t, y)
 
-    def tilted(t: float, p: float) -> float:
-        try:
-            z, f, slope = contact(p)
-        except (ArithmeticError, ValueError):
-            z = f = slope = nan
-        v = (k_h * (q(t) - rest) - k_h * z - f) / (tau * slope)
-        if not (isfinite(v) and slope > 0.0):
-            raise failure(t, p, slope)
-        return v
-
-    return tilted if system.model.formulas(math.sqrt, math.acos)[0] else fun
+    @cached_property
+    def _function(self):
+        body = indent(f"{self.body.rstrip()}\nreturn K\n", " " * 8)
+        source = (f"def make({', '.join(self.constants)}):\n"
+                  f"    def rhs(T, Y):\n{body}    return rhs\n")
+        return compiled(source, "make")(**self.constants)
 
 
-# Dormand-Prince 5(4) tableau: nodes C, stages A, 5th-order weights B and
-# the error weights E over the six stages plus the FSAL stage, as in SciPy's
-# RK45 (zero entries dropped).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
-)
+def _failure(t: float, p: float, slope: float = 1.0) -> SolverError:
+    if slope <= 0.0:
+        return SolverError(f"the contact map folds at t = {t:.6g}, p = {p:.6g}")
+    return SolverError(f"force evaluation overflowed at t = {t:.6g}, p = {p:.6g}; "
+                       f"the state has left the integrable range")
+
+
+def scalar_rhs(system: WigglySystem) -> ScalarRHS:
+    """pdot = (ell(t) - Phi'(z) - V_eps'(z)) / (eps^gamma g'(p)) as straight-line source.
+
+    The statements, built once per run over named floats, are assembled
+    from four sources: the profile's :func:`~wfl.profiles.scalar_terms`,
+    unrolled in :func:`~wfl.profiles.eval_profile`'s order, for w and w' at
+    ``p / eps``; the geometry's ``scalar_source`` for V_eps'(z) and, for a
+    tilted bristle, the shift and slope of ``z = g(p)``; the loading's
+    ``scalar_source`` for q(t), a formula for the ramp and the sinusoid and
+    a ``scalar_q`` call otherwise; and Phi'(z) = k_h z.  There is no NumPy
+    call and no contact Newton (``p = z``, g' = 1 for a tip under its root),
+    so each operation is the array route's, bitwise.  A math error in the
+    force maps to nan; a non-finite result (the state ran away) and a fold,
+    g' <= 0, raise :class:`SolverError`.  :func:`solve_ivp` splices the
+    statements into its stages, and the result is also a function of
+    ``(t, p)``.
+    """
+    base, model = system.base, system.model
+    constants = {"eps": system.epsilon, "k_h": base.k_h, "rest": base.L_h_rest,
+                 "tau": system.time_scale, "sin": math.sin, "cos": math.cos, "nan": math.nan,
+                 "isfinite": math.isfinite, "failure": _failure}
+    contact = ["X = Y / eps"]
+    for i, (rate, phase, amplitude, slope, _) in enumerate(scalar_terms(system.profile)):
+        constants.update({f"rate{i}": rate, f"phase{i}": phase, f"amplitude{i}": amplitude,
+                          f"slope{i}": slope})
+        add = "= 0.0 +" if i == 0 else "+="
+        contact += [f"U{i} = rate{i} * X + phase{i}", f"W {add} amplitude{i} * sin(U{i})",
+                    f"WP {add} slope{i} * cos(U{i})"]
+    contact.append("H = eps * W")
+    # the geometry's and the loading's own names get a prefix; their inputs and outputs
+    # become the body's
+    force, values = model.scalar_source()
+    contact += renamed(force, "bristle_", {"y": "H", "wp": "WP", "f": "F", "s": "S",
+                                           "ds": "DS"}).splitlines()
+    constants.update({"bristle_" + name: value for name, value in values.items()})
+    q, values = base.loading.scalar_source()
+    q = renamed(q, "load_", {"t": "T"})
+    constants.update({"load_" + name: value for name, value in values.items()})
+    tilted = model.formulas(math.sqrt, math.acos)[0] is not None
+    if tilted:
+        contact += ["Z = Y + S", "G = 1.0 + DS * WP"]
+    # math raises where NumPy gives nan: any such error means the state ran away
+    body = "try:\n" + indent("\n".join(contact), "    ")
+    body += "\nexcept (ArithmeticError, ValueError):\n"
+    if tilted:
+        body += ("    Z = F = G = nan\n"
+                 f"K = (k_h * (({q}) - rest) - k_h * Z - F) / (tau * G)\n"
+                 "if not (isfinite(K) and G > 0.0):\n    raise failure(T, Y, G)\n")
+    else:
+        body += ("    F = nan\n"
+                 f"K = (k_h * (({q}) - rest) - k_h * Y - F) / tau\n"
+                 "if not isfinite(K):\n    raise failure(T, Y)\n")
+    return ScalarRHS(body, constants)
+
+
+# The DOPRI5 loop as source text: the body of ``dopri5(t, t_end, y, rtol, atol,
+# max_step, min_step, max_steps, times, states, stages, <constants>)``, which
+# returns the evaluation count and leaves the accepted steps in the flat
+# buffers ``times``, ``states`` and ``stages``.  Each line ``k = fun(T, Y)``
+# evaluates the right-hand side at time T and state Y; :func:`_stepper` fills
+# it with the right-hand side's statements.  The tableau is bound to locals,
+# and abs, min and max are written out as the comparisons by which the
+# builtins pick, so nan and inf come out as they would.
+_DOPRI5 = """\
+    # Dormand-Prince 5(4): nodes C, stages A, 5th-order weights B and the error
+    # weights E over the six stages plus the FSAL stage, as in SciPy's RK45
+    # (zero entries dropped)
+    C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+    A21 = 1 / 5
+    A31, A32 = 3 / 40, 9 / 40
+    A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+    A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    E1, E3, E4, E5, E6, E7 = (
+        -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+    T, Y = t, y
+    k1 = fun(T, Y)
+    # SciPy's select_initial_step for one component
+    span = t_end - t
+    ay = -y if y < 0.0 else y
+    scale = atol + ay * rtol
+    d0, d1 = ay / scale, (-k1 if k1 < 0.0 else k1) / scale
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if span < h0:
+        h0 = span
+    # h0 is 0 where d1 overflowed; the first step then starts at the floor
+    if h0 > 0.0:
+        T, Y = t + h0, y + h0 * k1
+        probe = fun(T, Y)
+        d2 = probe - k1
+        d2 = (-d2 if d2 < 0.0 else d2) / scale / h0
+    else:
+        d2 = inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = h0 * 1e-3
+        h1 = h1 if h1 > 1e-6 else 1e-6
+    else:
+        h1 = (0.01 / (d2 if d2 > d1 else d1)) ** 0.2
+    h_abs = 100 * h0
+    if h1 < h_abs:
+        h_abs = h1
+    if span < h_abs:
+        h_abs = span
+    if max_step < h_abs:
+        h_abs = max_step
+    nfev = 2
+
+    append_t, append_y, extend = times.append, states.append, stages.extend
+    steps = 1
+    while t < t_end:
+        h = max_step if h_abs > max_step else (min_step if min_step > h_abs else h_abs)
+        rejected = False
+        while True:
+            if h < min_step:
+                raise SolverError(
+                    f"viscous integration stalled at t = {t:.6g}: the step size "
+                    f"fell below the floating-point spacing"
+                )
+            t_new = t + h
+            if t_end < t_new:
+                t_new = t_end
+            h = t_new - t
+            t_h = t + h  # SciPy's time for the last two stages, maybe 1 ulp off t_new
+            T, Y = t + C2 * h, y + h * (A21 * k1)
+            k2 = fun(T, Y)
+            T, Y = t + C3 * h, y + h * (A31 * k1 + A32 * k2)
+            k3 = fun(T, Y)
+            T, Y = t + C4 * h, y + h * (A41 * k1 + A42 * k2 + A43 * k3)
+            k4 = fun(T, Y)
+            T, Y = t + C5 * h, y + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4)
+            k5 = fun(T, Y)
+            T, Y = t_h, y + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5)
+            k6 = fun(T, Y)
+            y_new = y + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+            T, Y = t_h, y_new
+            k7 = fun(T, Y)
+            nfev += 6
+            error = h * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7)
+            error = -error if error < 0.0 else error
+            ay, an = -y if y < 0.0 else y, -y_new if y_new < 0.0 else y_new
+            error_norm = error / (atol + (an if an > ay else ay) * rtol)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = SAFETY * error_norm ** -0.2
+                    factor = factor if factor < MAX_FACTOR else MAX_FACTOR
+                if rejected:
+                    factor = factor if factor < 1.0 else 1.0
+                h_abs = h * factor
+                break
+            factor = SAFETY * error_norm ** -0.2
+            h *= factor if factor > MIN_FACTOR else MIN_FACTOR
+            rejected = True
+        extend((k1, k2, k3, k4, k5, k6, k7))
+        t, y, k1 = t_new, y_new, k7
+        append_t(t)
+        append_y(y)
+        steps += 1
+        if steps > max_steps and t < t_end:
+            raise SolverError(
+                f"viscous integration took {max_steps} steps to reach t = {t:.6g} of {t_end:.6g}"
+            )
+    return nfev
+"""
+# a placeholder line of _DOPRI5: its indent and the stage's name for the result
+_STAGE = re.compile(r"^( *)(\w+) = fun\(T, Y\)$", re.MULTILINE)
+
 # Quartic dense output: the step's seven stages times P give the
 # coefficients of x, x^2, x^3, x^4 (x = (t - t_old) / h), SciPy's choice of
 # the free parameter c_6 (Shampine 1986).
@@ -184,7 +338,6 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 @dataclass(frozen=True)
@@ -217,81 +370,42 @@ class StepperResult:
         return self.y[step] + h * x * (q[:, 0] + x * (q[:, 1] + x * (q[:, 2] + x * q[:, 3])))
 
 
+def _stepper(rhs: ScalarRHS):
+    """:data:`_DOPRI5` with ``rhs``'s statements in each stage, compiled once per text."""
+
+    def stage(match):
+        # the statements at the placeholder's indent, with its name for the result
+        return indent(re.sub(r"\bK\b", match[2], rhs.body), match[1]).rstrip("\n")
+
+    source = ("from math import inf\n\nfrom wfl.errors import SolverError\n\n\n"
+              "def dopri5(t, t_end, y, rtol, atol, max_step, min_step, max_steps, times, states, "
+              f"stages{''.join(', ' + name for name in rhs.constants)}):\n"
+              f"{_STAGE.sub(stage, _DOPRI5)}")
+    return compiled(source, "dopri5")
+
+
 def solve_ivp(fun, t_span, y0, *, rtol, atol, max_step) -> StepperResult:
     """Integrate the scalar ODE ``y' = fun(t, y)`` over ``t_span`` by DOPRI5.
 
-    ``fun`` takes and returns Python floats.  The first step, the error
-    norm and the controller (safety 0.9, step factor in [0.2, 10], no growth
-    right after a rejection) are those of SciPy's RK45.  The minimum step is
-    10 ulp of the end time, where SciPy takes 10 ulp(t): near t = 0 that
-    would be a subnormal step, so a stiff run would crawl instead of
-    failing.  A step forced below it raises :class:`SolverError`, and so
-    does a run that takes ``MAX_STEPS`` steps without reaching the end.
+    ``fun`` takes and returns Python floats.  The loop is compiled from one
+    source template, ``_DOPRI5``, once per distinct right-hand-side text and
+    on first use: a :class:`ScalarRHS` (such as :func:`scalar_rhs`'s) is
+    spliced into each stage, so a stage makes no Python call, and any other
+    callable is called there.  The first step, the error norm and the
+    controller (safety 0.9, step factor in [0.2, 10], no growth right after
+    a rejection) are those of SciPy's RK45.  The minimum step is 10 ulp of
+    the end time, where SciPy takes 10 ulp(t): near t = 0 that would be a
+    subnormal step, so a stiff run would crawl instead of failing.  A step
+    forced below it raises :class:`SolverError`, and so does a run that
+    takes ``MAX_STEPS`` steps without reaching the end.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     y = float(y0)
-    k1 = fun(t, y)
-    # SciPy's select_initial_step for one component
-    span = t_end - t
-    scale = atol + abs(y) * rtol
-    d0, d1 = abs(y) / scale, abs(k1) / scale
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    # h0 is 0 where d1 overflowed; the first step then starts at the floor
-    d2 = abs(fun(t + h0, y + h0 * k1) - k1) / scale / h0 if h0 > 0.0 else math.inf
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, span, max_step)
-    nfev = 2
-
-    min_step = 10.0 * math.ulp(t_end)
+    rhs = fun if isinstance(fun, ScalarRHS) else ScalarRHS("K = fun(T, Y)", {"fun": fun})
     # flat buffers, read back without a copy: 72 B a step (a tuple a step took 377 B)
     times, states, stages = array("d", (t,)), array("d", (y,)), array("d")
-    while t < t_end:
-        h = max_step if h_abs > max_step else max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h < min_step:
-                raise SolverError(
-                    f"viscous integration stalled at t = {t:.6g}: the step size "
-                    f"fell below the floating-point spacing"
-                )
-            t_new = min(t + h, t_end)
-            h = t_new - t
-            t_h = t + h  # SciPy's time for the last two stages, maybe 1 ulp off t_new
-            k2 = fun(t + _C2 * h, y + h * (_A21 * k1))
-            k3 = fun(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-            k4 = fun(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = fun(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-            k6 = fun(t_h, y + h * (
-                _A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5
-            ))
-            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k7 = fun(t_h, y_new)
-            nfev += 6
-            error = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-            error_norm = abs(error) / (atol + max(abs(y), abs(y_new)) * rtol)
-            if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs = h * factor
-                break
-            h *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
-            rejected = True
-        stages.extend((k1, k2, k3, k4, k5, k6, k7))
-        t, y, k1 = t_new, y_new, k7
-        times.append(t)
-        states.append(y)
-        if len(times) > MAX_STEPS and t < t_end:
-            raise SolverError(
-                f"viscous integration took {MAX_STEPS} steps to reach t = {t:.6g} of {t_end:.6g}"
-            )
-
+    nfev = _stepper(rhs)(t, t_end, y, rtol, atol, max_step, 10.0 * math.ulp(t_end), MAX_STEPS,
+                         times, states, stages, **rhs.constants)
     return StepperResult(
         t=np.frombuffer(times), y=np.frombuffer(states),
         q=np.frombuffer(stages).reshape(-1, 7) @ _P, nfev=nfev,

@@ -32,8 +32,8 @@ from wfl import (
 )
 from wfl import models
 from wfl.limit_solver import LimitSystem, Ramp, default_grid, elastic_strip, solve_limit
-from wfl.models import at_contact, contact_point, scalar_force
-from wfl.profiles import derivative_extrema
+from wfl.models import at_contact, contact_point
+from wfl.profiles import derivative_extrema, scalar_terms
 
 TWO_PI = 2.0 * math.pi
 
@@ -704,12 +704,36 @@ def strip_boundaries(model, profile):
     return [*lower.tolist(), *upper.tolist()]
 
 
+def scalar_force(model, profile, epsilon):
+    """The geometry's ``scalar_source`` on one float ``p``: (z, V_eps', g'), or V_eps' alone
+    for a tip under its root, with w and w' summed as ``eval_profile`` sums them."""
+    text, constants = model.scalar_source()
+    code = compile(text, "<scalar_source>", "exec")
+    terms = scalar_terms(profile)
+
+    def at(p):
+        x = p / epsilon
+        w = wp = 0.0
+        for rate, phase, amplitude, slope, _ in terms:
+            u = rate * x + phase
+            w += amplitude * math.sin(u)
+            wp += slope * math.cos(u)
+        names = dict(constants, y=epsilon * w, wp=wp)
+        exec(code, names)
+        if "s" not in names:
+            return names["f"]
+        return p + names["s"], names["f"], 1.0 + names["ds"] * wp
+
+    return at
+
+
 @pytest.mark.parametrize("limit", [False, True], ids=["eps0.05", "eps-limit"])
 @pytest.mark.parametrize("profile", [README_PROFILE, TWO_HARMONIC], ids=["sinusoid", "two-harmonic"])
 @pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
 def test_scalar_force_matches_the_array_route(model, profile, limit):
-    # the integrator's force in the contact coordinate p: one formula set on
-    # both routes, libm's acos on both, so z = g(p), V_eps' and g' bitwise
+    # the integrator's force in the contact coordinate p, the source text the
+    # stepper splices: formulas repeated in their order, libm's acos on both
+    # routes, so z = g(p), V_eps' and g' bitwise
     eps = epsilon_limit(model, profile) if limit else 0.05
     rng = np.random.default_rng(11)
     ps = [*rng.uniform(-2.0, 3.0, 300).tolist(), *strip_boundaries(model, profile)]
@@ -750,14 +774,6 @@ def test_array_route_never_calls_numpy_arccos(model, monkeypatch):
     zs = np.linspace(-1.0, 1.0, 257)
     assert np.all(np.isfinite(wiggly_force(model, CANONICAL, 0.05, zs)))
     assert np.all(np.isfinite(wiggly_energy(model, CANONICAL, 0.05, zs)))
-
-
-def test_scalar_force_checks_epsilon_when_built():
-    m = VerticalBristle(1.0, 2.0, 1.0)
-    with pytest.raises(ConfigError, match="exceeds the geometric validity limit"):
-        scalar_force(m, CANONICAL, 2.0 * epsilon_limit(m, CANONICAL))
-    with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
-        scalar_force(m, CANONICAL, 0.0)
 
 
 def test_scalar_force_hands_a_stalled_newton_to_the_array_route(monkeypatch):
