@@ -1,8 +1,9 @@
 """Regenerate the reference outputs that ``tests/test_reference.py`` checks.
 
 Runs the seven subcommands with ``--svg`` on each config in this directory
-(``readme.json``: the README physics; ``angular.json``: the angular bristle
-with a two-term profile and a piecewise loading) in-process through
+(``readme.json``: the README physics; ``slanted.json``: the slanted bristle
+under a sinusoid loading; ``angular.json``: the angular bristle with a
+two-term profile and a piecewise loading) in-process through
 ``wfl.cli.main``.  It writes ``manifest.json``, which records per config,
 subcommand and file the exit code, the byte length and the SHA-256, and
 the Python and NumPy versions that produced them.  It also stores each CSV
@@ -32,7 +33,7 @@ import numpy as np
 from wfl import cli
 
 HERE = Path(__file__).resolve().parent
-CONFIGS = ("readme", "angular")
+CONFIGS = ("readme", "slanted", "angular")
 COMMANDS = {
     "coeffs": [],
     "sweep-theta": [],
