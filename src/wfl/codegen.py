@@ -1,10 +1,12 @@
 """Float code compiled from source text, once per distinct text.
 
-The viscous stepper splices its right-hand side into its loop as text
-(:func:`wfl.viscous_solver.solve_ivp`), and the ramp and sinusoid loadings
-compile their scalar ``q`` from the text they hand the stepper.  Numbers
-enter by name, as arguments, so runs that differ only in their numbers
-share one compiled text, and nothing compiles before its first use.
+Each formula is written once, as text: a geometry's shift, force and
+energy (:mod:`wfl.models`) and the ramp's and the sinusoid's ``q``
+(:mod:`wfl.limit_solver`).  The viscous stepper splices the texts into its
+loop (:func:`wfl.viscous_solver.solve_ivp`), and :func:`closure` compiles
+them for NumPy arrays.  Numbers enter by name, as arguments, so runs that
+differ only in their numbers share one compiled text, and nothing compiles
+before its first use.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ def renamed(text: str, prefix: str, interface: dict) -> str:
     return _NAME.sub(lambda m: interface.get(m[0], prefix + m[0]), text)
 
 
-def function_of_t(expression: str, constants: dict):
-    """``lambda t: expression``, the names in ``constants`` bound to their values."""
-    source = f"def make({', '.join(constants)}):\n    return lambda t: {expression}\n"
+def closure(body: str, arguments: str, constants: dict):
+    """``def function(arguments): body``, the names in ``constants`` bound to their values."""
+    # str.replace, not textwrap.indent: this runs on each array force evaluation
+    lines = body.rstrip("\n").replace("\n", "\n        ")
+    source = (f"def make({', '.join(constants)}):\n    def function({arguments}):\n"
+              f"        {lines}\n    return function\n")
     return compiled(source, "make")(**constants)

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codegen import function_of_t
+from .codegen import closure
 from .errors import ConfigError, SolverError
 from .profiles import like_input, positive_integer
 
@@ -72,10 +72,10 @@ class LoadingProgram(ABC):
         """Anchor position at time t (scalar or array)."""
 
     def scalar_q(self) -> Callable[[float], float]:
-        """``q`` as a function of one Python float, built once per run.
+        """``q`` as a function of one Python float, built once per run, for :meth:`scalar_source`.
 
-        The built-in programs return a closure over their parameters that
-        uses only ``math`` and equals their array ``q`` bit for bit.  This
+        The piecewise loading returns a closure over its piece table that
+        uses only ``math`` and equals its array ``q`` bit for bit.  This
         default goes through ``q``.
         """
         q = self.q
@@ -85,8 +85,8 @@ class LoadingProgram(ABC):
         """``q`` at one Python float ``t`` as an expression, and the values it names.
 
         The viscous stepper splices it into each stage.  The ramp and the
-        sinusoid give their formula, the one text their ``scalar_q`` is
-        compiled from; this default calls ``scalar_q``.
+        sinusoid give their formula, written once: their array ``q`` is the
+        same text compiled for arrays.  This default calls ``scalar_q``.
         """
         return "q(t)", {"q": self.scalar_q()}
 
@@ -105,8 +105,29 @@ class LoadingProgram(ABC):
         """Supremum of |qdot| over the horizon, from the parameters."""
 
 
+class _Formula(LoadingProgram):
+    """A loading whose ``q`` is its :meth:`scalar_source` expression, compiled for arrays.
+
+    The text compiles once per loading, on first use, with ``sin = np.sin``.
+    """
+
+    @cached_property
+    def _array_q(self):
+        expression, constants = self.scalar_source()
+        return closure(f"return {expression}\n", "t", {**constants, "sin": np.sin})
+
+    def __getstate__(self) -> dict:
+        # the compiled q is rebuilt on first use, not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_array_q"}
+
+    def q(self, t):
+        # 0 * inf for a ramp of rate 0 and sin(+-inf) are nan at t = +-inf
+        with np.errstate(invalid="ignore"):
+            return like_input(t, self._array_q(_as_array(t)))
+
+
 @dataclass(frozen=True)
-class Ramp(LoadingProgram):
+class Ramp(_Formula):
     """Uniform pull: q(t) = q0 + rate * t."""
 
     q0: float = 0.0
@@ -122,14 +143,6 @@ class Ramp(LoadingProgram):
     def scalar_source(self) -> tuple[str, dict]:
         return "q0 + rate * t", {"q0": self.q0, "rate": self.rate}
 
-    def scalar_q(self) -> Callable[[float], float]:
-        return function_of_t(*self.scalar_source())
-
-    def q(self, t):
-        ts = _as_array(t)
-        with np.errstate(invalid="ignore"):  # 0 * inf for rate 0 at t = +-inf
-            return like_input(t, self.q0 + self.rate * ts)
-
     def qdot(self, t):
         ts = _as_array(t)
         return like_input(t, np.where(np.isnan(ts), ts, self.rate))
@@ -144,7 +157,7 @@ class Ramp(LoadingProgram):
 
 
 @dataclass(frozen=True)
-class SinusoidLoading(LoadingProgram):
+class SinusoidLoading(_Formula):
     """Oscillating pull: q(t) = q0 + amplitude * sin(2 pi frequency t + phase)."""
 
     q0: float = 0.0
@@ -166,15 +179,6 @@ class SinusoidLoading(LoadingProgram):
         return "q0 + amplitude * sin(rate * t + phase)", {
             "q0": self.q0, "amplitude": self.amplitude, "sin": math.sin,
             "rate": 2.0 * math.pi * self.frequency, "phase": self.phase}
-
-    def scalar_q(self) -> Callable[[float], float]:
-        return function_of_t(*self.scalar_source())
-
-    def q(self, t):
-        ts = _as_array(t)
-        u = 2.0 * math.pi * self.frequency * ts + self.phase
-        with np.errstate(invalid="ignore"):  # sin(+-inf) is nan
-            return like_input(t, self.q0 + self.amplitude * np.sin(u))
 
     def qdot(self, t):
         ts = _as_array(t)

@@ -35,37 +35,31 @@ from which the friction thresholds follow:
     alpha > 0:  rho_plus = alpha * mu_plus,  rho_minus = alpha * mu_minus
     alpha < 0:  rho_plus = alpha * mu_minus, rho_minus = alpha * mu_plus.
 
-Each geometry is one class holding ``name``, ``alpha``, ``slope_factor``
-and four methods, to which the module functions delegate; a fourth
-geometry is one more class.
+Each geometry is one class holding ``name``, ``alpha``, ``slope_factor``,
+two methods, to which the module functions delegate, and three texts with
+the values they name; a fourth geometry is one more class.
 
 * ``conditions(extrema)``: admissibility inequalities, for :func:`coefficients`;
 * ``clearance(profile)``: tolerated corrugation height, for :func:`epsilon_limit`;
-* ``formulas(sqrt, acos)``: the geometry's three formulas, as closures over
-  constants computed once:
+* ``shift``, ``force`` and ``energy``: the geometry, each part written once
+  as straight-line source text on the tip height ``y`` and the surface slope
+  ``wp``.  They read the values that ``constants`` names, ``sqrt`` and
+  ``acos``, and each may read the locals of the ones before it:
 
-  - ``shift(y)``: root minus tip abscissa (relative to flat contact) at tip
-    height ``y``, and its ``y``-derivative; the contact point solves
-    ``p + shift(eps w(p / eps)) = z``.  ``None`` when the tip sits under
-    the root;
-  - ``force(y, wp)``: microscale force at tip height ``y`` and surface
-    slope ``wp``;
-  - ``energy(y)``: microscale potential at tip height ``y``, zeroed on the
-    flat.
+  - ``shift`` sets ``s``, root minus tip abscissa (relative to flat
+    contact), and its ``y``-derivative ``ds``; the contact point solves
+    ``p + s(eps w(p / eps)) = z``.  It is empty for a tip under its root,
+    and a tip with a shift is tilted;
+  - ``force`` sets ``f``, the microscale force;
+  - ``energy`` sets ``e``, the microscale potential, zeroed on the flat.
 
-  The closures use Python's arithmetic operators and the ``sqrt``/``acos``
-  passed in: :func:`wiggly_force`, :func:`wiggly_energy` and
-  :func:`at_contact` pass ``np.sqrt`` and libm's ``acos`` taken elementwise
-  and call them on arrays;
-* ``scalar_source()``: the force, and for a tip with a shift the shift
-  ``s`` and its rate ``ds``, as straight-line source text on floats that
-  reads ``y`` and ``wp`` and sets ``f`` (``s`` and ``ds``), with the
-  constants it names; any other name in it is a local of its own.  The
-  viscous stepper splices it into each stage
-  (:func:`wfl.viscous_solver.scalar_rhs`).  It repeats ``formulas``'
-  operations in their order with ``math.sqrt`` and ``math.acos``, so the two
-  routes agree bitwise: ``sqrt`` is correctly rounded on both, the ``acos``
-  is libm's on both, and neither depends on NumPy's SIMD ``arccos``.
+  The viscous stepper splices the shift and the force, never the energy,
+  into each stage, on floats with ``math`` (:func:`wfl.viscous_solver.scalar_rhs`).
+  :func:`contact_point` runs the shift alone on arrays and :func:`at_contact`
+  all three, with ``np.sqrt`` and libm's ``acos`` taken elementwise, compiled
+  once per text (:mod:`wfl.codegen`).  ``sqrt`` is correctly rounded on both
+  routes and the ``acos`` is libm's on both, so they agree bitwise, and
+  neither depends on NumPy's SIMD ``arccos``.
 """
 
 from __future__ import annotations
@@ -76,6 +70,7 @@ from typing import Union
 
 import numpy as np
 
+from .codegen import closure
 from .errors import ConfigError, SolverError
 from .profiles import (
     DerivativeExtrema,
@@ -133,19 +128,13 @@ class VerticalBristle:
     def clearance(self, profile: SurfaceProfile) -> float:
         return 0.5 * self.h
 
-    def formulas(self, sqrt, acos):
-        k, rest = self.k, self.L_rest - self.h
+    shift = ""
+    force = "f = k * (rest + y) * wp\n"
+    energy = "e = 0.5 * k * ((rest + y) ** 2 - rest ** 2)\n"
 
-        def force(y, wp):
-            return k * (rest + y) * wp
-
-        def energy(y):
-            return 0.5 * k * ((rest + y) ** 2 - rest ** 2)
-
-        return None, force, energy
-
-    def scalar_source(self) -> tuple[str, dict]:
-        return "f = k * (rest + y) * wp", {"k": self.k, "rest": self.L_rest - self.h}
+    @property
+    def constants(self) -> dict:
+        return {"k": self.k, "rest": self.L_rest - self.h}
 
 
 @dataclass(frozen=True)
@@ -187,29 +176,15 @@ class SlantedBristle:
         omega_plus = derivative_extrema(profile).omega_plus
         return 0.25 * self.h * (1.0 - math.tan(self.theta) * omega_plus)
 
-    def formulas(self, sqrt, acos):
-        k, L_rest, h = self.k, self.L_rest, self.h
+    shift = "s = rate * y\nds = rate\n"
+    force = "f = tension * (L_rest - (h - y) / cos_t) * wp / (1.0 - tan_t * wp)\n"
+    energy = "e = 0.5 * k * ((rest + y / cos_t) ** 2 - rest ** 2)\n"
+
+    @property
+    def constants(self) -> dict:
         cos_t, tan_t = math.cos(self.theta), math.tan(self.theta)
-        rate, tension, rest = -tan_t, k / cos_t, L_rest - h / cos_t
-
-        def shift(y):
-            return rate * y, rate
-
-        def force(y, wp):
-            return tension * (L_rest - (h - y) / cos_t) * wp / (1.0 - tan_t * wp)
-
-        def energy(y):
-            return 0.5 * k * ((rest + y / cos_t) ** 2 - rest ** 2)
-
-        return shift, force, energy
-
-    def scalar_source(self) -> tuple[str, dict]:
-        cos_t, tan_t = math.cos(self.theta), math.tan(self.theta)
-        return ("s = rate * y\n"
-                "ds = rate\n"
-                "f = tension * (L_rest - (h - y) / cos_t) * wp / (1.0 - tan_t * wp)\n",
-                {"rate": -tan_t, "tension": self.k / cos_t, "L_rest": self.L_rest, "h": self.h,
-                 "cos_t": cos_t, "tan_t": tan_t})
+        return {"rate": -tan_t, "tension": self.k / cos_t, "L_rest": self.L_rest, "h": self.h,
+                "cos_t": cos_t, "tan_t": tan_t, "k": self.k, "rest": self.L_rest - self.h / cos_t}
 
 
 @dataclass(frozen=True)
@@ -270,38 +245,22 @@ class AngularBristle:
     def clearance(self, profile: SurfaceProfile) -> float:
         return 0.5 * min(self.h, self.L - self.h)
 
-    def formulas(self, sqrt, acos):
-        k, L, h, theta_rest = self.k, self.L, self.h, self.theta_rest
-        # L * L in the shift, L ** 2 in the force: pow need not round as a product does
-        LL, L2 = L * L, L ** 2
-        flat = sqrt(LL - h * h)
-        rest = (self.theta_lim - theta_rest) ** 2
+    # L * L in the shift, L ** 2 in the force, as constants: pow need not round as a product does
+    shift = ("d = h - y\n"
+             "r = sqrt(LL - d * d)\n"
+             "s = r - flat\n"
+             "ds = d / r\n")
+    force = ("rf = sqrt(L2 - d * d)\n"
+             "theta = acos(d / L)\n"
+             "f = k * (theta - theta_rest) * wp / (rf * (1.0 + d / rf * wp))\n")
+    energy = "e = 0.5 * k * ((theta - theta_rest) ** 2 - rest)\n"
 
-        def shift(y):
-            d = h - y
-            s = sqrt(LL - d * d)
-            return s - flat, d / s
-
-        def force(y, wp):
-            d = h - y
-            s = sqrt(L2 - d * d)
-            return k * (acos(d / L) - theta_rest) * wp / (s * (1.0 + d / s * wp))
-
-        def energy(y):
-            return 0.5 * k * ((acos((h - y) / L) - theta_rest) ** 2 - rest)
-
-        return shift, force, energy
-
-    def scalar_source(self) -> tuple[str, dict]:
+    @property
+    def constants(self) -> dict:
         LL, h = self.L * self.L, self.h
-        return ("d = h - y\n"
-                "r = sqrt(LL - d * d)\n"
-                "s = r - flat\n"
-                "ds = d / r\n"
-                "rf = sqrt(L2 - d * d)\n"
-                "f = k * (acos(d / L) - theta_rest) * wp / (rf * (1.0 + d / rf * wp))\n",
-                {"h": h, "LL": LL, "L2": self.L ** 2, "flat": math.sqrt(LL - h * h), "k": self.k,
-                 "L": self.L, "theta_rest": self.theta_rest, "sqrt": math.sqrt, "acos": math.acos})
+        return {"h": h, "LL": LL, "L2": self.L ** 2, "flat": math.sqrt(LL - h * h), "k": self.k,
+                "L": self.L, "theta_rest": self.theta_rest,
+                "rest": (self.theta_lim - self.theta_rest) ** 2}
 
 
 BristleModel = Union[VerticalBristle, SlantedBristle, AngularBristle]
@@ -605,29 +564,36 @@ def wiggly_force(model: BristleModel, profile: SurfaceProfile, epsilon: float, z
                                     contact_point(model, profile, epsilon, z))[1])
 
 
+def _on_arrays(model: BristleModel, text: str, arguments: str, returns: str):
+    """``text``, from ``model``'s shift, force and energy, as a function of NumPy arrays
+    returning ``returns``."""
+    return closure(f"{text}return {returns}\n", arguments,
+                   {**model.constants, "sqrt": np.sqrt, "acos": _libm_acos})
+
+
 def contact_point(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
     """Tip abscissa ``p`` of root position ``z``, the inverse of :func:`at_contact`'s ``z``."""
     _require_valid_epsilon(model, profile, epsilon)
-    shift, _, _ = model.formulas(np.sqrt, _libm_acos)
+    shift = _on_arrays(model, model.shift, "y", "s, ds") if model.shift else None
     return like_input(z, _contact(profile, epsilon, z, shift))
 
 
 def at_contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, p):
     """``z``, ``V_eps'(z)``, ``V_eps(z)`` and ``g'(p)`` with the tip at abscissa ``p``, as arrays.
 
-    No Newton: the root position ``z = g(p) = p + shift(y)``, ``y = eps w(p / eps)``,
+    No Newton: the root position ``z = g(p) = p + s(y)``, ``y = eps w(p / eps)``,
     is explicit, and so is the slope ``g'(p) = 1 + ds(y) w'(p / eps)`` of the contact map.
     """
     _require_valid_epsilon(model, profile, epsilon)
-    shift, force, energy = model.formulas(np.sqrt, _libm_acos)
     ps = np.array(p, dtype=float, ndmin=1)
     x = ps / epsilon
     y = epsilon * eval_profile(profile, x, 0)
     wp = eval_profile(profile, x, 1)
-    if shift is None:
-        return ps, force(y, wp), energy(y), 1.0
-    s, ds = shift(y)
-    return ps + s, force(y, wp), energy(y), 1.0 + ds * wp
+    text = model.shift + model.force + model.energy
+    if not model.shift:
+        return (ps, *_on_arrays(model, text, "y, wp", "f, e")(y, wp), 1.0)
+    s, ds, f, e = _on_arrays(model, text, "y, wp", "s, ds, f, e")(y, wp)
+    return ps + s, f, e, 1.0 + ds * wp
 
 
 def wiggly_energy(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):

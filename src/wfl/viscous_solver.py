@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codegen import compiled, renamed
+from .codegen import closure, compiled, renamed
 from .errors import ConfigError, SolverError
 from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raises, time_grid
 from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point
@@ -141,10 +141,7 @@ class ScalarRHS:
 
     @cached_property
     def _function(self):
-        body = indent(f"{self.body.rstrip()}\nreturn K\n", " " * 8)
-        source = (f"def make({', '.join(self.constants)}):\n"
-                  f"    def rhs(T, Y):\n{body}    return rhs\n")
-        return compiled(source, "make")(**self.constants)
+        return closure(f"{self.body.rstrip()}\nreturn K\n", "T, Y", self.constants)
 
 
 def _failure(t: float, p: float, slope: float = 1.0) -> SolverError:
@@ -160,9 +157,11 @@ def scalar_rhs(system: WigglySystem) -> ScalarRHS:
     The statements, built once per run over named floats, are assembled
     from four sources: the profile's :func:`~wfl.profiles.scalar_terms`,
     unrolled in :func:`~wfl.profiles.eval_profile`'s order, for w and w' at
-    ``p / eps``; the geometry's ``scalar_source`` for V_eps'(z) and, for a
-    tilted bristle, the shift and slope of ``z = g(p)``; the loading's
-    ``scalar_source`` for q(t), a formula for the ramp and the sinusoid and
+    ``p / eps``; the geometry's ``shift`` and ``force`` texts, the ones
+    :func:`~wfl.models.at_contact` compiles for arrays, with ``math.sqrt`` and
+    ``math.acos``, for V_eps'(z) and, for a tilted bristle, the shift and
+    slope of ``z = g(p)``; the loading's ``scalar_source`` for q(t), the
+    formula its array ``q`` is compiled from for the ramp and the sinusoid and
     a ``scalar_q`` call otherwise; and Phi'(z) = k_h z.  There is no NumPy
     call and no contact Newton (``p = z``, g' = 1 for a tip under its root),
     so each operation is the array route's, bitwise.  A math error in the
@@ -173,8 +172,9 @@ def scalar_rhs(system: WigglySystem) -> ScalarRHS:
     """
     base, model = system.base, system.model
     constants = {"eps": system.epsilon, "k_h": base.k_h, "rest": base.L_h_rest,
-                 "tau": system.time_scale, "sin": math.sin, "cos": math.cos, "nan": math.nan,
-                 "isfinite": math.isfinite, "failure": _failure}
+                 "tau": system.time_scale, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
+                 "acos": math.acos, "nan": math.nan, "isfinite": math.isfinite,
+                 "failure": _failure}
     contact = ["X = Y / eps"]
     for i, (rate, phase, amplitude, slope, _) in enumerate(scalar_terms(system.profile)):
         constants.update({f"rate{i}": rate, f"phase{i}": phase, f"amplitude{i}": amplitude,
@@ -185,14 +185,14 @@ def scalar_rhs(system: WigglySystem) -> ScalarRHS:
     contact.append("H = eps * W")
     # the geometry's and the loading's own names get a prefix; their inputs and outputs
     # become the body's
-    force, values = model.scalar_source()
-    contact += renamed(force, "bristle_", {"y": "H", "wp": "WP", "f": "F", "s": "S",
-                                           "ds": "DS"}).splitlines()
-    constants.update({"bristle_" + name: value for name, value in values.items()})
+    contact += renamed(model.shift + model.force, "bristle_", {
+        "y": "H", "wp": "WP", "f": "F", "s": "S", "ds": "DS", "sqrt": "sqrt", "acos": "acos"}
+    ).splitlines()
+    constants.update({"bristle_" + name: value for name, value in model.constants.items()})
     q, values = base.loading.scalar_source()
     q = renamed(q, "load_", {"t": "T"})
     constants.update({"load_" + name: value for name, value in values.items()})
-    tilted = model.formulas(math.sqrt, math.acos)[0] is not None
+    tilted = bool(model.shift)
     if tilted:
         contact += ["Z = Y + S", "G = 1.0 + DS * WP"]
     # math raises where NumPy gives nan: any such error means the state ran away
@@ -484,7 +484,7 @@ def integrate(
         # accepted steps refined by the output grid: the dense output fills in the rest
         nodes = sorted_distinct(np.concatenate((sol.t, grid)))
         grid_idx = np.searchsorted(nodes, grid)
-        m = 2 * (TILTED_SPLIT if system.model.formulas(math.sqrt, math.acos)[0] else 1)
+        m = 2 * (TILTED_SPLIT if system.model.shift else 1)
         # per mesh segment, the dissipation int eps^gamma zdot^2 dt and the power
         # int dE/dt = -int ell'(t) z dt: composite Simpson, m / 2 panels a segment
         # (TILTED_SPLIT for a tip with a shift), interior points weighted 4, 2, ..., 4

@@ -4,7 +4,7 @@
 splices :func:`wfl.viscous_solver.scalar_rhs`'s statements into each stage.
 This module keeps the route it replaced: the loop over a callable, the
 right-hand side as closures, and the geometry's force on one float as a
-closure over ``formulas``.  The tests compare the two routes' accepted
+closure over ``formula_route.formulas``.  The tests compare the two routes' accepted
 times, states and dense-output coefficients byte for byte, their
 evaluation counts, and the type and message of each error they raise.
 """
@@ -14,6 +14,7 @@ from array import array
 
 import numpy as np
 
+from formula_route import formulas, scalar_q
 from wfl.errors import SolverError
 from wfl.models import BristleModel, _require_valid_epsilon
 from wfl.profiles import SurfaceProfile, scalar_terms
@@ -33,7 +34,7 @@ def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
     ``p`` may raise ``ValueError`` from ``math``.
     """
     _require_valid_epsilon(model, profile, epsilon)
-    shift, force, _ = model.formulas(math.sqrt, math.acos)
+    shift, force, _ = formulas(model, math.sqrt, math.acos)
     terms = scalar_terms(profile)
     sin, cos = math.sin, math.cos
 
@@ -56,14 +57,14 @@ def scalar_force(model: BristleModel, profile: SurfaceProfile, epsilon: float):
 def scalar_rhs(system: WigglySystem):
     """pdot = (ell(t) - Phi'(z) - V_eps'(z)) / (eps^gamma g'(p)) as one function of two floats.
 
-    Built once per run over plain floats, the loading's ``scalar_q`` and
+    Built once per run over plain floats, the loading's ``scalar_source`` and
     :func:`scalar_force`, with Phi'(z) = k_h z inlined: no attribute
     lookup, NumPy call or contact Newton per call (``p = z``, g' = 1 for a tip
     under its root).  A math error or a non-finite result (the state ran
     away) and a fold, g' <= 0, raise :class:`SolverError`.
     """
     base = system.base
-    q = base.loading.scalar_q()
+    q = scalar_q(base.loading)
     k_h, rest, tau = base.k_h, base.L_h_rest, system.time_scale
     contact = scalar_force(system.model, system.profile, system.epsilon)
     isfinite, nan = math.isfinite, math.nan
@@ -94,7 +95,7 @@ def scalar_rhs(system: WigglySystem):
             raise failure(t, p, slope)
         return v
 
-    return tilted if system.model.formulas(math.sqrt, math.acos)[0] else fun
+    return tilted if formulas(system.model, math.sqrt, math.acos)[0] else fun
 
 
 # Dormand-Prince 5(4) tableau: nodes C, stages A, 5th-order weights B and

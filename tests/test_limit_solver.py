@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import formula_route
 import limit_route
 import piecewise_route
 from wfl.errors import ConfigError, SolverError
@@ -118,12 +120,22 @@ def test_float_branch_of_q_matches_the_array_route_bitwise(loading):
         [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 0.25 - 1e-12, 2.0 + 1e-9],
         edges,
     ))
-    scalar_q = loading.scalar_q()
+    scalar_q = formula_route.scalar_q(loading)
     scalar = np.array([scalar_q(float(t)) for t in ts])
     assert all(type(loading.q(float(t))) is float for t in ts[:5])
     np.testing.assert_array_equal(scalar, loading.q(ts))
     np.testing.assert_array_equal(scalar, [loading.q(float(t)) for t in ts])
     np.testing.assert_array_equal(scalar, [loading.q(np.array([t]))[0] for t in ts])
+
+
+@pytest.mark.parametrize("loading", [Ramp(rate=2.0), SinusoidLoading(phase=0.5)],
+                         ids=["ramp", "sinusoid"])
+def test_a_loading_pickles_after_its_compiled_q_is_built(loading):
+    # the array q compiled on first use stays out of the pickle, and is rebuilt after it
+    want = loading.q(np.linspace(0.0, 1.0, 5))
+    copy = pickle.loads(pickle.dumps(loading))
+    assert copy == loading
+    np.testing.assert_array_equal(copy.q(np.linspace(0.0, 1.0, 5)), want)
 
 
 NONFINITE_TIMES = np.array([math.inf, -math.inf, math.nan])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+import formula_route
 import z_route
 
 from wfl import (
@@ -30,7 +31,7 @@ from wfl import (
     wiggly_energy,
     wiggly_force,
 )
-from wfl import models
+from wfl import codegen, models
 from wfl.limit_solver import LimitSystem, Ramp, default_grid, elastic_strip, solve_limit
 from wfl.models import at_contact, contact_point
 from wfl.profiles import derivative_extrema, scalar_terms
@@ -633,7 +634,7 @@ def test_force_and_energy_match_the_written_out_formulas(model, scalar):
 def test_shift_vanishes_on_the_flat_with_the_slope_factor_as_its_rate(model):
     # the contact Newton divides by 1 + ds * w': ds must be the y-derivative
     # of the tip shift, and at y = 0 it is the slope factor of mu_from_omega
-    shift, _, _ = model.formulas(math.sqrt, math.acos)
+    shift, _, _ = formula_route.formulas(model, math.sqrt, math.acos)
     if isinstance(model, VerticalBristle):
         assert shift is None
         return
@@ -705,10 +706,11 @@ def strip_boundaries(model, profile):
 
 
 def scalar_force(model, profile, epsilon):
-    """The geometry's ``scalar_source`` on one float ``p``: (z, V_eps', g'), or V_eps' alone
-    for a tip under its root, with w and w' summed as ``eval_profile`` sums them."""
-    text, constants = model.scalar_source()
-    code = compile(text, "<scalar_source>", "exec")
+    """The geometry's ``shift`` and ``force`` on one float ``p`` with ``math``: (z, V_eps', g'),
+    or V_eps' alone for a tip under its root, with w and w' summed as ``eval_profile`` sums
+    them."""
+    constants = {**model.constants, "sqrt": math.sqrt, "acos": math.acos}
+    code = compile(model.shift + model.force, "<shift and force>", "exec")
     terms = scalar_terms(profile)
 
     def at(p):
@@ -732,7 +734,7 @@ def scalar_force(model, profile, epsilon):
 @pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
 def test_scalar_force_matches_the_array_route(model, profile, limit):
     # the integrator's force in the contact coordinate p, the source text the
-    # stepper splices: formulas repeated in their order, libm's acos on both
+    # stepper splices: the array route's text on floats, libm's acos on both
     # routes, so z = g(p), V_eps' and g' bitwise
     eps = epsilon_limit(model, profile) if limit else 0.05
     rng = np.random.default_rng(11)
@@ -761,6 +763,37 @@ def test_scalar_force_matches_the_array_route(model, profile, limit):
                - at_contact(model, profile, eps, np.array(ps) - step)[0]) / (2.0 * step)
     np.testing.assert_allclose(slope, central, rtol=1e-6)
     assert np.min(slope) > 0.0
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS + SCALAR_MODELS,
+                         ids=[f"{name}-{set_}" for set_ in ("oracle", "scalar") for name in ORACLE_IDS])
+def test_formula_text_on_arrays_matches_the_closures_bitwise(model):
+    # the text the stepper splices, compiled for arrays with np.sqrt and libm's acos,
+    # against the closures it replaced: s, ds, f and e bit for bit
+    rng = np.random.default_rng(13)
+    y = rng.uniform(-1.0, 1.0, 10_000) * model.clearance(CANONICAL)
+    wp = rng.uniform(-0.5, 0.5, 10_000)
+    shift, force, energy = formula_route.formulas(model, np.sqrt, models._libm_acos)
+    text = model.shift + model.force + model.energy
+    if shift is None:
+        assert model.shift == ""
+        got, want = models._on_arrays(model, text, "y, wp", "f, e")(y, wp), ()
+    else:
+        got, want = models._on_arrays(model, text, "y, wp", "s, ds, f, e")(y, wp), shift(y)
+    want = (*want, force(y, wp), energy(y))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(np.broadcast_to(a, y.shape).view(np.int64),
+                                      np.broadcast_to(b, y.shape).view(np.int64))
+
+
+def test_at_contact_compiles_once_per_geometry_text():
+    # the numbers enter the compiled text as arguments: a second slanted bristle reuses it
+    codegen.compiled.cache_clear()
+    ps = np.linspace(-0.5, 0.5, 17)
+    for model in (SlantedBristle(1.0, 1.0, 0.05, 0.5), SlantedBristle(2.0, 1.5, 0.1, 0.3)):
+        at_contact(model, CANONICAL, 0.05, ps)
+    assert codegen.compiled.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)

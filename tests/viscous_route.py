@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from formula_route import formulas
 from wfl.limit_solver import elastic_strip, overflow_raises
 from wfl.profiles import sorted_distinct
 from wfl.viscous_solver import TILTED_SPLIT, ViscousTrajectory
@@ -30,7 +31,7 @@ def post_process(system, sol, z0, grid):
         g_nodes = tau * np.square(zdot_nodes)
         power_nodes = -system.base.ell_rate(nodes) * z_nodes
         diss_steps, power_steps = g_nodes[:-1], power_nodes[:-1]
-        m = 2 * (TILTED_SPLIT if system.model.formulas(math.sqrt, math.acos)[0] else 1)
+        m = 2 * (TILTED_SPLIT if formulas(system.model, math.sqrt, math.acos)[0] else 1)
         for j in range(1, m):
             at = (1.0 - j / m) * nodes[:-1] + (j / m) * nodes[1:]
             z_at, xi_at, _, _ = system.at_contact(at, sol.sample(at))

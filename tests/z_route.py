@@ -11,6 +11,7 @@ compare the post-processed force and energy.
 
 import math
 
+from formula_route import formulas, scalar_q
 from wfl import models
 from wfl.profiles import scalar_terms
 
@@ -26,7 +27,7 @@ def scalar_force(model, profile, epsilon):
     to ``wiggly_force``, whose bisection and ``SolverError`` apply.
     """
     models._require_valid_epsilon(model, profile, epsilon)
-    shift, bristle_force, _ = model.formulas(math.sqrt, math.acos)
+    shift, bristle_force, _ = formulas(model, math.sqrt, math.acos)
     terms = scalar_terms(profile)
     sin, cos = math.sin, math.cos
     ymax = epsilon * profile.amplitude_bound
@@ -82,7 +83,7 @@ def rhs(system, t, z):
 def scalar_rhs(system):
     """:func:`rhs` on two Python floats, its operations in its order, so bitwise equal to it."""
     base = system.base
-    q = base.loading.scalar_q()
+    q = scalar_q(base.loading)
     k_h, rest, tau = base.k_h, base.L_h_rest, system.time_scale
     micro_force = scalar_force(system.model, system.profile, system.epsilon)
 
