@@ -17,12 +17,12 @@ Exit codes: 0 success, 1 configuration or usage error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import reprlib
 import sys
 from dataclasses import MISSING, astuple, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -332,17 +332,27 @@ def _experiment(raw: dict, *blocks: str) -> tuple:
 
 
 def _write_csv(path: Path, header, rows):
+    """``header``, then ``rows`` (tuples as long as it), as ``csv.writer`` writes them.
+
+    Each field goes through ``str``, as ``csv`` puts every field that is not a
+    string, and the header and the identifiers the package writes need none of
+    its quoting, so one ``%s`` template per row gives the same bytes.  The text
+    goes out 1,024 rows at a time, each row formatted as it comes: a list of the
+    rows, or one join of the whole table, raises the peak memory.
+    """
+    format_row = (",".join(["%s"] * len(header)) + "\r\n").__mod__
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(format_row(tuple(header)))
+        while text := "".join(map(format_row, islice(rows, 1024))):
+            handle.write(text)
 
 
 def _columns(*columns):
     """Rows of Python floats from equal-length array columns, made as they are written.
 
-    ``csv`` writes a float as ``str`` does, which for a NumPy scalar is the
-    same text but slower to produce, so the columns go through ``tolist``.
+    ``str`` gives a NumPy scalar the same text as a float, but slower, so the
+    columns go through ``tolist``.
     """
     yield from zip(*(np.asarray(column).tolist() for column in columns))
 

@@ -57,15 +57,17 @@ the values they name; a fourth geometry is one more class.
   into each stage, on floats with ``math`` (:func:`wfl.viscous_solver.scalar_rhs`).
   :func:`contact_point` runs the shift alone on arrays and :func:`at_contact`
   all three, with ``np.sqrt`` and libm's ``acos`` taken elementwise, compiled
-  once per text (:mod:`wfl.codegen`).  ``sqrt`` is correctly rounded on both
-  routes and the ``acos`` is libm's on both, so they agree bitwise, and
-  neither depends on NumPy's SIMD ``arccos``.
+  once per text (:mod:`wfl.codegen`) and bound to its numbers once per model
+  instance.  ``sqrt`` is correctly rounded on both routes and the ``acos`` is
+  libm's on both, so they agree bitwise, and neither depends on NumPy's SIMD
+  ``arccos``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -99,8 +101,31 @@ def _require_spring(model, **more: float) -> None:
         raise ConfigError(f"rest length must be nonnegative, got {model.L_rest}")
 
 
+class _Geometry:
+    """A geometry's texts as functions of NumPy arrays, built on first use, once per instance.
+
+    Per instance, not per equal value: ``0.0 == -0.0``, and the two hash alike.
+    """
+
+    @cached_property
+    def _shift_on_arrays(self):
+        """``s, ds`` of ``y``; None for a tip under its root."""
+        return _on_arrays(self, self.shift, "y", "s, ds") if self.shift else None
+
+    @cached_property
+    def _contact_on_arrays(self):
+        """``s, ds, f, e`` of ``y, wp``, or ``f, e`` for a tip under its root."""
+        returns = "s, ds, f, e" if self.shift else "f, e"
+        return _on_arrays(self, self.shift + self.force + self.energy, "y, wp", returns)
+
+    def __getstate__(self) -> dict:
+        # the compiled functions are rebuilt on first use, not pickled
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_shift_on_arrays", "_contact_on_arrays")}
+
+
 @dataclass(frozen=True)
-class VerticalBristle:
+class VerticalBristle(_Geometry):
     """Vertical linear spring: stiffness ``k``, rest length ``L_rest``, stand-off ``h``."""
 
     k: float
@@ -138,7 +163,7 @@ class VerticalBristle:
 
 
 @dataclass(frozen=True)
-class SlantedBristle:
+class SlantedBristle(_Geometry):
     """Linear spring mounted at angle ``theta`` from the vertical."""
 
     k: float
@@ -188,7 +213,7 @@ class SlantedBristle:
 
 
 @dataclass(frozen=True)
-class AngularBristle:
+class AngularBristle(_Geometry):
     """Rigid rod of length ``L`` on a torsional spring at height ``h``.
 
     The rod hangs from a hinge that travels horizontally at height ``h``
@@ -574,8 +599,7 @@ def _on_arrays(model: BristleModel, text: str, arguments: str, returns: str):
 def contact_point(model: BristleModel, profile: SurfaceProfile, epsilon: float, z):
     """Tip abscissa ``p`` of root position ``z``, the inverse of :func:`at_contact`'s ``z``."""
     _require_valid_epsilon(model, profile, epsilon)
-    shift = _on_arrays(model, model.shift, "y", "s, ds") if model.shift else None
-    return like_input(z, _contact(profile, epsilon, z, shift))
+    return like_input(z, _contact(profile, epsilon, z, model._shift_on_arrays))
 
 
 def at_contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, p):
@@ -589,10 +613,9 @@ def at_contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, p):
     x = ps / epsilon
     y = epsilon * eval_profile(profile, x, 0)
     wp = eval_profile(profile, x, 1)
-    text = model.shift + model.force + model.energy
     if not model.shift:
-        return (ps, *_on_arrays(model, text, "y, wp", "f, e")(y, wp), 1.0)
-    s, ds, f, e = _on_arrays(model, text, "y, wp", "s, ds, f, e")(y, wp)
+        return (ps, *model._contact_on_arrays(y, wp), 1.0)
+    s, ds, f, e = model._contact_on_arrays(y, wp)
     return ps + s, f, e, 1.0 + ds * wp
 
 

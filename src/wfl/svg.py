@@ -60,7 +60,10 @@ class _Canvas:
 
 
 def _polyline_points(canvas: _Canvas, xs: np.ndarray, ys: np.ndarray) -> str:
-    return " ".join(map("{:.2f},{:.2f}".format, canvas.x(xs).tolist(), canvas.y(ys).tolist()))
+    """``"x,y x,y ..."`` to two decimals: one template over the interleaved floats."""
+    points = np.empty(2 * xs.size)
+    points[0::2], points[1::2] = canvas.x(xs), canvas.y(ys)
+    return (("%.2f,%.2f " * xs.size) % tuple(points.tolist()))[:-1]
 
 
 def line_plot(

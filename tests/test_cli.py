@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import output_route
 import wfl
 from wfl import cli, svg
 from wfl.errors import ConfigError, SolverError, WflError
@@ -60,20 +61,54 @@ def run(tmp_path, command, payload, *extra):
 
 
 def test_float_columns_write_the_bytes_of_numpy_scalars(tmp_path):
-    # the CSV writer gets Python floats from the array columns; csv formats
-    # them with the same text as the NumPy scalars the columns hold
+    # the CSV writer gets Python floats from the array columns; csv.writer
+    # writes the NumPy scalars the columns hold as the same text
     column = np.array([-0.0, 5e-324, 1e16, 1e22, np.inf, np.nan, 0.1, -1.0 / 3.0, 2.5e15])
     columns = (column, -column, column[::-1])
     cli._write_csv(tmp_path / "floats.csv", ("a", "b", "c"), cli._columns(*columns))
-    cli._write_csv(tmp_path / "scalars.csv", ("a", "b", "c"), zip(*columns))
+    output_route.write_csv(tmp_path / "scalars.csv", ("a", "b", "c"), zip(*columns))
     assert type(next(cli._columns(*columns))[0]) is float
     assert (tmp_path / "floats.csv").read_bytes() == (tmp_path / "scalars.csv").read_bytes()
 
 
+def _and_neighbours(*values):
+    return [float(v) for x in values for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+# every kind of field the package writes: floats where repr changes notation
+# or is subnormal, signed zeros, infinities, nan, ints, NumPy scalars, and the
+# identifiers (model names, nap directions and flags, an empty fitted order)
+_EDGE_FLOATS = _and_neighbours(-0.0, 0.0, 5e-324, 1e16, -1e16, 1e-5, -1e-5) + [
+    math.inf, -math.inf, math.nan]
+CSV_FIELDS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(),
+    st.integers(),
+    st.floats().map(np.float64),
+    st.sampled_from(["vertical", "slanted", "angular", "with", "against", "true", "false", ""]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(columns=st.integers(2, 8), count=st.sampled_from([0, 1, 1024, 1025]),
+       fields=st.lists(CSV_FIELDS, min_size=1, max_size=40), start=st.integers(0, 100))
+def test_csv_template_writes_the_bytes_of_csv_writer(tmp_path_factory, columns, count, fields, start):
+    # every table has at least two columns, so no row is one empty field, which
+    # csv alone would quote; 1,024 and 1,025 rows fill one block and cross into a second
+    header = tuple(f"c{j}" for j in range(columns))
+    rows = [tuple(fields[(start + r * columns + c) % len(fields)] for c in range(columns))
+            for r in range(count)]
+    directory = tmp_path_factory.getbasetemp()
+    cli._write_csv(directory / "template.csv", header, iter(rows))
+    output_route.write_csv(directory / "csv.csv", header, rows)
+    assert (directory / "template.csv").read_bytes() == (directory / "csv.csv").read_bytes()
+
+
 @pytest.mark.parametrize("log", [False, True], ids=["linear", "loglog"])
 def test_polyline_points_are_the_per_point_text(log):
-    # the canvas maps whole arrays and the text comes from Python floats:
-    # the same bytes as formatting each NumPy point on its own
+    # the canvas maps whole arrays and the text comes from one template over
+    # Python floats: the same bytes as formatting each NumPy point on its own,
+    # and as the per-point str.format route
     rng = np.random.default_rng(5)
     xs = np.sort(rng.uniform(1e-3, 2.0, 4097))
     ys = rng.standard_normal(4097) * 10.0 ** rng.integers(-8, 8, 4097)
@@ -82,6 +117,32 @@ def test_polyline_points_are_the_per_point_text(log):
     canvas = svg._Canvas(float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max()))
     per_point = " ".join(f"{canvas.x(x):.2f},{canvas.y(y):.2f}" for x, y in zip(xs, ys))
     assert svg._polyline_points(canvas, xs, ys) == per_point
+    assert svg._polyline_points(canvas, xs, ys) == output_route.polyline_points(canvas, xs, ys)
+
+
+class _Unscaled:
+    """A canvas that puts each value where it is, so the formatter sees exactly the test's floats."""
+
+    def x(self, values):
+        return values
+
+    y = x
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 17])
+def test_polyline_points_round_ties_and_specials_as_str_format(size):
+    # exact binary ties round half to even, -0.001 keeps its sign, nan and inf print as words
+    ties = [k + f for k in (0.0, 1.0, -3.0, 250.0) for f in (0.125, 0.375, 0.625, 0.875)]
+    values = np.array(ties + [-0.001, -0.0, 0.0, 0.005, math.nan, math.inf, -math.inf, 5e-324])
+    for xs in (values, values[::-1], np.roll(values, 7)):
+        xs, ys = xs[:size], values[:size][::-1]
+        text = svg._polyline_points(_Unscaled(), xs, ys)
+        assert text == output_route.polyline_points(_Unscaled(), xs, ys)
+        assert text.count(",") == size
+    full = svg._polyline_points(_Unscaled(), values, values)
+    assert full.startswith("0.12,0.12 0.38,0.38 0.62,0.62 0.88,0.88 1.12,1.12")
+    assert "-0.00,-0.00 -0.00,-0.00 0.00,0.00 0.01,0.01 nan,nan inf,inf -inf,-inf 0.00,0.00" in full
+    assert full == output_route.polyline_points(_Unscaled(), values, values)
 
 
 @pytest.mark.parametrize("label", [

@@ -1,6 +1,9 @@
 """Tests for bristle models: coefficients, perceived slopes, microscale forces."""
 
+import dataclasses
+import inspect
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -794,6 +797,49 @@ def test_at_contact_compiles_once_per_geometry_text():
     for model in (SlantedBristle(1.0, 1.0, 0.05, 0.5), SlantedBristle(2.0, 1.5, 0.1, 0.3)):
         at_contact(model, CANONICAL, 0.05, ps)
     assert codegen.compiled.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
+def test_a_second_call_on_the_same_model_builds_no_closure(model, monkeypatch):
+    # the compiled functions are built on the first call, once per model instance
+    builds = []
+    build = models.closure
+    monkeypatch.setattr(models, "closure", lambda *args: builds.append(args) or build(*args))
+    model = dataclasses.replace(model)
+    ps = np.linspace(-0.5, 0.5, 17)
+    at_contact(model, CANONICAL, 0.05, ps)
+    contact_point(model, CANONICAL, 0.05, ps)
+    first = len(builds)
+    assert first == (2 if model.shift else 1)
+    at_contact(model, CANONICAL, 0.05, ps)
+    contact_point(model, CANONICAL, 0.05, ps)
+    wiggly_force(model, CANONICAL, 0.05, 0.3)
+    assert len(builds) == first
+
+
+def test_equal_models_with_zeros_of_two_signs_keep_their_own_numbers():
+    # 0.0 == -0.0 and the two hash alike, so equal models share no compiled function
+    plus, minus = AngularBristle(1.0, 1.0, 0.8, 0.0), AngularBristle(1.0, 1.0, 0.8, -0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    ps = np.linspace(-0.5, 0.5, 17)
+    at_contact(plus, CANONICAL, 0.05, ps)
+    at_contact(minus, CANONICAL, 0.05, ps)
+    signs = [math.copysign(1.0, inspect.getclosurevars(m._contact_on_arrays).nonlocals["theta_rest"])
+             for m in (plus, minus)]
+    assert signs == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
+def test_a_model_pickles_after_its_compiled_functions_are_built(model):
+    # the compiled functions stay out of the pickle, and are rebuilt after it
+    model = dataclasses.replace(model)
+    ps = np.linspace(-0.5, 0.5, 17)
+    want = at_contact(model, CANONICAL, 0.05, contact_point(model, CANONICAL, 0.05, ps))
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model
+    got = at_contact(copy, CANONICAL, 0.05, contact_point(copy, CANONICAL, 0.05, ps))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("model", SCALAR_MODELS, ids=ORACLE_IDS)
