@@ -81,6 +81,7 @@ from .profiles import (
     eval_profile,
     like_input,
     positive_integer,
+    scalar_terms,
 )
 
 
@@ -470,6 +471,40 @@ def _bounded_brent(func, a: float, b: float, xatol: float) -> float:
     return fx
 
 
+#: Newton steps of :func:`_perceived_slope` before the array route, as in :func:`_contact`.
+_SLOPE_STEPS = 100
+
+
+def _perceived_slope(profile: SurfaceProfile, slope_factor: float):
+    """Exact W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z), as a function of a float z.
+
+    :func:`invert_contact_map`'s Newton on floats, summed in :func:`eval_profile`'s
+    order, with the same steps, stop and clip, so it equals that array route bit for
+    bit; a z unsolved after ``_SLOPE_STEPS`` steps takes the array route itself.
+    """
+    a, terms, ymax = slope_factor, scalar_terms(profile), profile.amplitude_bound
+    radius = max(abs(a * ymax), abs(a * -ymax))
+    sin, cos = math.sin, math.cos
+
+    def slope(z: float) -> float:
+        p, lo, hi = z, z - radius, z + radius
+        for _ in range(_SLOPE_STEPS):
+            w = wp = 0.0
+            for rate, phase, amplitude, factor, _ in terms:
+                u = rate * p + phase
+                w += amplitude * sin(u)
+                wp += factor * cos(u)
+            r = p + a * w - z
+            if abs(r) <= 1e-12:
+                break
+            p -= r / (1.0 + a * wp)
+            p = lo if p <= lo else hi if p >= hi else p  # as np.clip: a tie takes the bound
+        else:
+            wp = eval_profile(profile, invert_contact_map(profile, a, z), 1)
+        return wp / (1.0 + a * wp)
+    return slope
+
+
 def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[float, float]:
     """Extreme slopes of the perceived profile, by direct numerical search.
 
@@ -481,11 +516,7 @@ def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[flo
     """
     grid, _, slopes = perceived_profile(profile, slope_factor)
     step = 1.0 / grid.size
-
-    def slope(z):
-        """Exact W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z)."""
-        wp = eval_profile(profile, invert_contact_map(profile, slope_factor, z), 1)
-        return wp / (1.0 + slope_factor * wp)
+    slope = _perceived_slope(profile, slope_factor)
 
     def refine(idx: int, sign: float) -> float:
         z0 = float(grid[idx])

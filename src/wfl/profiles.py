@@ -17,8 +17,10 @@ maxima and minima.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from textwrap import indent
 
 import numpy as np
 
@@ -152,6 +154,30 @@ def scalar_terms(profile: SurfaceProfile) -> tuple:
         slope = amplitude * rate
         terms.append((rate, float(term.phase), amplitude, slope, slope * rate))
     return tuple(terms)
+
+
+def fourier_source(profile: SurfaceProfile, text: str) -> tuple[str, dict]:
+    """``text`` with each line ``names = sums(point)`` unrolled into w, w' or w'' (W, WP
+    or WPP) at ``point``, summed in :func:`eval_profile`'s order with term i's phase in
+    ``U{i}``, and the :func:`scalar_terms` values it names: the text depends only on
+    the number of terms."""
+    values = {}
+
+    def unroll(match):
+        lines = []
+        for i, term in enumerate(scalar_terms(profile)):
+            values.update({f"rate{i}": term[0], f"phase{i}": term[1]})
+            lines.append(f"U{i} = rate{i} * {match[3]} + phase{i}")
+            for name in match[2].split(", "):
+                order = ("W", "WP", "WPP").index(name)
+                factor, sign, call = (("amplitude", "+", "sin"), ("slope", "+", "cos"),
+                                      ("curvature", "-", "sin"))[order]
+                values[f"{factor}{i}"] = term[2 + order]
+                add = f"= 0.0 {sign}" if i == 0 else f"{sign}="
+                lines.append(f"{name} {add} {factor}{i} * {call}(U{i})")
+        return indent("\n".join(lines), match[1])
+
+    return re.sub(r"^( *)(.+) = sums\((.+)\)$", unroll, text, flags=re.M), values
 
 
 def positive_integer(value) -> bool:

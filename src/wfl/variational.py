@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .codegen import closure
 from .errors import ConfigError
 from .limit_solver import LimitSystem, Trajectory
 from .models import BristleModel, coefficients
@@ -36,8 +37,8 @@ from .profiles import (
     SurfaceProfile,
     curvature_roots,
     eval_profile,
+    fourier_source,
     like_input,
-    scalar_terms,
     sorted_distinct,
 )
 
@@ -192,12 +193,19 @@ class LimitWithK:
         return nodes[order], slopes[order], np.r_[0, last[:-1] + 1], last
 
     @cached_property
-    def _scalar_table(self) -> tuple:
-        """``_table`` as Python lists, its pieces as (first, last) pairs, and the
-        profile's :func:`scalar_terms`: all that :meth:`_scalar_k` reads."""
+    def _scalar_k(self):
+        """:meth:`k` of one Python float: :data:`_K`, compiled once per number of terms."""
         nodes, slopes, first, last = self._table
-        pieces = list(zip(first.tolist(), last.tolist()))
-        return nodes.tolist(), slopes.tolist(), pieces, scalar_terms(self.profile)
+        body, values = fourier_source(self.profile, _K)
+        return closure(body, "xi", {
+            "lower": self.interval.lower, "upper": self.interval.upper, "a": self.slope_factor,
+            "alpha": self.alpha, "nodes": nodes.tolist(), "slopes": slopes.tolist(),
+            "pieces": list(zip(first.tolist(), last.tolist())), "bisect_left": bisect_left,
+            "sin": math.sin, "cos": math.cos, **values})
+
+    def __getstate__(self) -> dict:
+        # the compiled K is rebuilt on first use, not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_scalar_k"}
 
     def k(self, xi):
         """K(xi) = int_0^1 |xi - W'(y)| dy for a scalar or an array ``xi``.
@@ -208,8 +216,8 @@ class LimitWithK:
         crosses the level ``xi / (alpha - a xi)``.  Between crossings the
         integral is the increment of ``F(p) = xi g(p) - alpha w(p)``, and K
         sums their absolute values.  Outside the thresholds K = |xi| exactly.
-        A Python float takes the ``math``-only :meth:`_scalar_k`, which
-        equals this array route bit for bit.
+        A Python float takes the compiled, ``math``-only :meth:`_scalar_k`,
+        which equals this array route bit for bit.
         """
         if type(xi) is float:
             return self._scalar_k(xi)
@@ -249,38 +257,6 @@ class LimitWithK:
             total += gap
         return total
 
-    def _scalar_k(self, xi: float) -> float:
-        """:meth:`k` of one Python float, with ``math`` only.
-
-        The operations of :meth:`_crossing_sum` in the same order:
-        ``bisect_left`` for ``searchsorted``, :func:`_polish_scalar` for
-        :func:`_polish`, a running max over the cuts and the |increments| of F
-        added left to right.  A zero-width piece adds exactly 0.0 there and
-        is skipped here.
-        """
-        if not self.interval.lower < xi < self.interval.upper:
-            return abs(xi)
-        nodes, slopes, pieces, terms = self._scalar_table
-        a, alpha = self.slope_factor, self.alpha
-        level = xi / (alpha - a * xi)
-        scale = a * xi - alpha
-        cut = total = 0.0
-        f = xi * cut + scale * _w(terms, cut)
-        for i, k in pieces:
-            if not slopes[i] < level <= slopes[k]:
-                continue
-            cell = bisect_left(slopes, level, i, k + 1)
-            p0, p1, s0 = nodes[cell - 1], nodes[cell], slopes[cell - 1]
-            guess = p0 + (level - s0) / (slopes[cell] - s0) * (p1 - p0)
-            root = _polish_scalar(terms, level, guess, p0, p1)
-            if root > cut:
-                cut, previous = root, f
-                f = xi * cut + scale * _w(terms, cut)
-                total += abs(f - previous)
-        if cut < 1.0:
-            total += abs(xi + scale * _w(terms, 1.0) - f)
-        return total
-
     def value(self, v, xi):
         """|v| K(xi) where lower <= xi <= upper, +inf elsewhere, elementwise.
 
@@ -313,8 +289,8 @@ def _polish(profile, level, p, p0, p1):
     the shrinking bracket.  K is stationary in each cut, so a root off by d
     moves K by O(d^2): each root stops on its own once its step is below
     1e-8.  A root's iterates do not depend on the other elements, and
-    :func:`_polish_scalar` repeats their operations in the same order, so a
-    scalar and an array call agree exactly.
+    :data:`_K` repeats their operations in the same order, so a scalar and an
+    array call agree exactly.
     """
     live = np.ones(p.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -331,39 +307,51 @@ def _polish(profile, level, p, p0, p1):
     return p
 
 
-def _w(terms, p: float) -> float:
-    """w(p) over :func:`scalar_terms`, summed as :func:`eval_profile` sums it."""
-    w = 0.0
-    for rate, phase, amplitude, _, _ in terms:
-        w += amplitude * math.sin(rate * p + phase)
-    return w
-
-
-def _polish_scalar(terms, level: float, p: float, p0: float, p1: float) -> float:
-    """:func:`_polish` for one root, with ``math`` only and the same steps."""
-    cos, sin = math.cos, math.sin
+# The float K(xi), a function body over ``xi`` with :func:`fourier_source`'s sums: the
+# operations of LimitWithK._crossing_sum in its order, ``bisect_left`` for ``searchsorted``,
+# _polish inlined, a running max over the cuts and the |increments| of F added left to
+# right.  A zero-width piece adds exactly 0.0 there and is skipped here.
+_K = """\
+if not lower < xi < upper:
+    return abs(xi)
+level = xi / (alpha - a * xi)
+scale = a * xi - alpha
+cut = total = 0.0
+W = sums(cut)
+f = xi * cut + scale * W
+for i, k in pieces:
+    if not slopes[i] < level <= slopes[k]:
+        continue
+    cell = bisect_left(slopes, level, i, k + 1)
+    p0, p1, s0 = nodes[cell - 1], nodes[cell], slopes[cell - 1]
+    p = p0 + (level - s0) / (slopes[cell] - s0) * (p1 - p0)
     for _ in range(60):
-        d1 = d2 = 0.0
-        for rate, phase, _, slope, curvature in terms:
-            u = rate * p + phase
-            d1 += slope * cos(u)
-            d2 -= curvature * sin(u)
-        r = d1 - level
+        WP, WPP = sums(p)
+        r = WP - level
         if r < 0.0:
             p0 = p
         else:
             p1 = p
         step = 0.5 * (p0 + p1)
         # where w'' = 0 _polish's Newton point is infinite or NaN and fails the bracket test
-        if d2 != 0.0:
-            newton = p - r / d2
+        if WPP != 0.0:
+            newton = p - r / WPP
             if (newton - p0) * (newton - p1) <= 0.0:
                 step = newton
         done = not abs(step - p) > 1e-8
         p = step
         if done:
             break
-    return p
+    if p > cut:
+        cut, previous = p, f
+        W = sums(cut)
+        f = xi * cut + scale * W
+        total += abs(f - previous)
+if cut < 1.0:
+    W = sums(1.0)
+    total += abs(xi + scale * W - f)
+return total
+"""
 
 
 def limit_density(model: BristleModel, profile: SurfaceProfile) -> LimitWithK:

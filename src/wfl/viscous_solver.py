@@ -60,7 +60,7 @@ from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raise
 from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point
 # unused here; perfbench's tracer wraps these bindings
 from .models import epsilon_limit, wiggly_energy, wiggly_force
-from .profiles import SurfaceProfile, scalar_terms, sorted_distinct
+from .profiles import SurfaceProfile, fourier_source, sorted_distinct
 
 
 #: Most steps a run may take: :func:`integrate` refuses a run whose step cap
@@ -155,9 +155,8 @@ def scalar_rhs(system: WigglySystem) -> ScalarRHS:
     """pdot = (ell(t) - Phi'(z) - V_eps'(z)) / (eps^gamma g'(p)) as straight-line source.
 
     The statements, built once per run over named floats, are assembled
-    from four sources: the profile's :func:`~wfl.profiles.scalar_terms`,
-    unrolled in :func:`~wfl.profiles.eval_profile`'s order, for w and w' at
-    ``p / eps``; the geometry's ``shift`` and ``force`` texts, the ones
+    from four sources: the profile's Fourier sums (:func:`~wfl.profiles.fourier_source`)
+    for w and w' at ``p / eps``; the geometry's ``shift`` and ``force`` texts, the ones
     :func:`~wfl.models.at_contact` compiles for arrays, with ``math.sqrt`` and
     ``math.acos``, for V_eps'(z) and, for a tilted bristle, the shift and
     slope of ``z = g(p)``; the loading's ``scalar_source`` for q(t), the
@@ -171,18 +170,12 @@ def scalar_rhs(system: WigglySystem) -> ScalarRHS:
     ``(t, p)``.
     """
     base, model = system.base, system.model
+    contact, sums = fourier_source(system.profile, "X = Y / eps\nW, WP = sums(X)\nH = eps * W")
     constants = {"eps": system.epsilon, "k_h": base.k_h, "rest": base.L_h_rest,
                  "tau": system.time_scale, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
                  "acos": math.acos, "nan": math.nan, "isfinite": math.isfinite,
-                 "failure": _failure}
-    contact = ["X = Y / eps"]
-    for i, (rate, phase, amplitude, slope, _) in enumerate(scalar_terms(system.profile)):
-        constants.update({f"rate{i}": rate, f"phase{i}": phase, f"amplitude{i}": amplitude,
-                          f"slope{i}": slope})
-        add = "= 0.0 +" if i == 0 else "+="
-        contact += [f"U{i} = rate{i} * X + phase{i}", f"W {add} amplitude{i} * sin(U{i})",
-                    f"WP {add} slope{i} * cos(U{i})"]
-    contact.append("H = eps * W")
+                 "failure": _failure, **sums}
+    contact = contact.splitlines()
     # the geometry's and the loading's own names get a prefix; their inputs and outputs
     # become the body's
     contact += renamed(model.shift + model.force, "bristle_", {

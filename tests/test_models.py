@@ -391,11 +391,12 @@ def refine_objective(profile, slope_factor, sign):
     return objective
 
 
-def brent_cases(count=240):
-    """Seeded refine objectives on random profiles (1-4 modes up to harmonic 16)
-    and slope factors, each on a bracket two table steps wide: half of them
-    near the perceived extremum g(p*), with the minimum inside, and half at a
-    random z, with the minimum mostly at a bound."""
+def brent_draws(count=240):
+    """Seeded (profile, slope factor, sign, lower bound, upper bound) of refine
+    objectives on random profiles (1-4 modes up to harmonic 16), each on a
+    bracket two table steps wide: half of them near the perceived extremum
+    g(p*), with the minimum inside, and half at a random z, with the minimum
+    mostly at a bound."""
     rng = np.random.default_rng(23)
     step = 1.0 / 4096
     cases = []
@@ -413,8 +414,14 @@ def brent_cases(count=240):
         p = ex.location_plus if sign > 0.0 else ex.location_minus
         z0 = p + a * eval_profile(profile, p) if len(cases) % 2 else float(rng.uniform(0.0, 1.0))
         z0 += float(rng.uniform(-step, step))
-        cases.append((refine_objective(profile, a, sign), z0 - step, z0 + step))
+        cases.append((profile, a, sign, z0 - step, z0 + step))
     return cases
+
+
+def brent_cases(count=240):
+    """The refine objectives of :func:`brent_draws` on their brackets."""
+    return [(refine_objective(profile, a, sign), lo, hi)
+            for profile, a, sign, lo, hi in brent_draws(count)]
 
 
 def traced(func):
@@ -447,6 +454,37 @@ def test_bounded_brent_matches_scipy_bitwise():
         assert float(least).hex() == float(res.fun).hex()
         assert len(our_points) == res.nfev
         assert our_points == their_points
+
+
+def test_float_slope_equals_the_array_route_at_every_search_point():
+    # perceived_extrema's float Newton against refine_objective's invert_contact_map,
+    # at each point the search evaluates
+    points = 0
+    for profile, a, sign, lo, hi in brent_draws():
+        objective, seen = refine_objective(profile, a, sign), []
+        models._bounded_brent(lambda z: seen.append((z, objective(z))) or seen[-1][1],
+                              lo, hi, 1e-12)
+        slope = models._perceived_slope(profile, a)
+        assert [(-sign * slope(z)).hex() for z, _ in seen] == [v.hex() for _, v in seen]
+        points += len(seen)
+    assert points > 3000
+
+
+def test_float_slope_hands_an_unsolved_point_to_the_array_route(monkeypatch):
+    want = models._perceived_slope(CANONICAL, -1.0)(0.37)
+    calls, exact = [], models.invert_contact_map
+    monkeypatch.setattr(models, "invert_contact_map",
+                        lambda *args: calls.append(args) or exact(*args))
+    monkeypatch.setattr(models, "_SLOPE_STEPS", 0)
+    assert models._perceived_slope(CANONICAL, -1.0)(0.37).hex() == want.hex()
+    assert calls == [(CANONICAL, -1.0, 0.37)]
+    # the array route's error reaches the search: w jumps over z = 0 (see
+    # test_bisection_sweep_raises_when_no_root_exists)
+    patch_profile(monkeypatch, height=lambda x, w: np.where(x < 0.0, -0.01, 0.01),
+                  slope=lambda x, wp: np.zeros_like(wp))
+    with pytest.raises(SolverError, match="stalled at residual"):
+        models._perceived_slope(CANONICAL, 1.0)(0.0)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Tests for the convex duality layer: K, densities, contact set, certificate."""
 
 import math
+import pickle
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import limit_route
+from wfl import codegen
 from wfl.errors import ConfigError
 from wfl.limit_solver import LimitSystem, Ramp, SinusoidLoading, elastic_strip, solve_limit
 from wfl.models import (
@@ -322,6 +326,47 @@ class TestScalarRoute:
         scalars = [density.k(x) for x in xis.tolist()]
         assert all(type(s) is float for s in scalars)
         assert np.array_equal(density.k(xis), scalars, equal_nan=True)
+
+    # 1-4 terms up to harmonic 16, each of slope amplitude 0.005-0.1: admissible for
+    # all three geometries (|w'| <= 0.4 < cot(theta_lim) = 0.577 for the angular one)
+    TERMS = st.lists(st.builds(
+        lambda slope, harmonic, phase: FourierTerm(slope / (TWO_PI * harmonic), harmonic, phase),
+        st.floats(0.005, 0.1) | st.floats(-0.1, -0.005), st.integers(1, 16),
+        st.floats(0.0, TWO_PI)), min_size=1, max_size=4)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(terms=TERMS, name=st.sampled_from(["vertical", "slanted", "angular"]), data=st.data())
+    def test_compiled_k_equals_the_loop_route_bitwise(self, terms, name, data):
+        try:
+            density = limit_density(ORACLE_MODELS[name], SurfaceProfile(tuple(terms)))
+        except ConfigError:  # terms that cancel
+            assume(False)
+        lo, hi = density.interval.lower, density.interval.upper
+        edges = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 0.0), 0.0, -0.0,
+                 math.nan, math.inf, -math.inf, 5e-324]
+        for xi in edges + data.draw(st.lists(st.floats(lo, hi), max_size=40)):
+            assert density.k(xi).hex() == limit_route.scalar_k(density, xi).hex()
+
+    def test_fresh_densities_share_one_compile_per_term_count(self):
+        # the numbers enter as arguments, so the text depends on the number of terms alone
+        first = SurfaceProfile((FourierTerm(0.01, 1), FourierTerm(0.002, 3, 0.4),
+                                FourierTerm(-0.001, 4, 1.1), FourierTerm(0.0005, 7, 2.0)))
+        second = SurfaceProfile((FourierTerm(0.012, 2, 0.3), FourierTerm(-0.001, 5),
+                                 FourierTerm(0.0008, 6, 0.9), FourierTerm(0.0004, 9, 2.5)))
+        codegen.compiled.cache_clear()
+        limit_density(ORACLE_MODELS["slanted"], first)
+        assert codegen.compiled.cache_info().misses == 0
+        for profile in (first, second):
+            for _ in range(20):
+                limit_density(ORACLE_MODELS["slanted"], profile).k(0.01)
+            assert codegen.compiled.cache_info().misses == 1
+
+    def test_density_pickles_after_a_float_k(self):
+        density = limit_density(ORACLE_MODELS["angular"], MULTI_CROSSING)
+        k = density.k(0.01)
+        copy = pickle.loads(pickle.dumps(density))
+        assert copy == density and "_scalar_k" not in copy.__dict__
+        assert copy.k(0.01).hex() == k.hex()
 
     def test_eleven_pieces_profile_has_eight_or_more(self):
         # eight or more summed columns is where NumPy's pairwise sum reorders
