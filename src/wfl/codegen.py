@@ -1,10 +1,11 @@
 """Float code compiled from source text, once per distinct text.
 
 Each formula is written once, as text: a geometry's shift, force and
-energy (:mod:`wfl.models`) and the ramp's and the sinusoid's ``q``
-(:mod:`wfl.limit_solver`).  The viscous stepper splices the texts into its
-loop (:func:`wfl.viscous_solver.solve_ivp`), and :func:`closure` compiles
-them for NumPy arrays.  Numbers enter by name, as arguments, so runs that
+energy (:mod:`wfl.models`), the ramp's and the sinusoid's ``q``
+(:mod:`wfl.limit_solver`) and the profile's Fourier sums
+(:func:`wfl.profiles.fourier_source`).  The viscous stepper splices the texts
+into its loop (:func:`wfl.viscous_solver.solve_ivp`), and :func:`closure`
+compiles them for NumPy arrays.  Numbers enter by name, as arguments, so runs that
 differ only in their numbers share one compiled text, and nothing compiles
 before its first use.
 """
@@ -21,7 +22,7 @@ _serial = count(1)
 _NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def compiled(source: str, name: str):
     """The function ``name`` that ``source`` defines, compiled on first use.
 

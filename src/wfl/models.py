@@ -79,9 +79,10 @@ from .profiles import (
     SurfaceProfile,
     derivative_extrema,
     eval_profile,
+    fourier_source,
+    fourier_sums,
     like_input,
     positive_integer,
-    scalar_terms,
 )
 
 
@@ -339,6 +340,16 @@ def mu_from_omega(
     return omega_plus / den_plus, omega_minus / den_minus
 
 
+def _admissible(model: BristleModel, profile: SurfaceProfile) -> DerivativeExtrema:
+    """The profile's slope extrema; :class:`ConfigError` if a ``model.conditions`` fails."""
+    extrema = derivative_extrema(profile)
+    failing = [c for c in model.conditions(extrema) if not c.margin > 0.0]
+    if failing:
+        detail = "; ".join(f"{c.label} (margin {c.margin:.3e})" for c in failing)
+        raise ConfigError(f"model inadmissible for this profile: {detail}")
+    return extrema
+
+
 def coefficients(model: BristleModel, profile: SurfaceProfile) -> FrictionCoefficients:
     """Friction coefficients of a bristle model on a given profile.
 
@@ -347,11 +358,7 @@ def coefficients(model: BristleModel, profile: SurfaceProfile) -> FrictionCoeffi
     its margin, positive when satisfied; none for the vertical bristle) or
     when the contact carries no force on the flat.
     """
-    extrema = derivative_extrema(profile)
-    failing = [c for c in model.conditions(extrema) if not c.margin > 0.0]
-    if failing:
-        detail = "; ".join(f"{c.label} (margin {c.margin:.3e})" for c in failing)
-        raise ConfigError(f"model inadmissible for this profile: {detail}")
+    extrema = _admissible(model, profile)
     alpha = model.alpha
     if alpha == 0.0:
         raise ConfigError("contact tension scale alpha is zero")
@@ -398,9 +405,8 @@ def perceived_profile(profile: SurfaceProfile, slope_factor: float, samples: int
     if not positive_integer(samples):
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     zs = np.arange(samples, dtype=float) / samples
-    ps = invert_contact_map(profile, slope_factor, zs)
-    wp = eval_profile(profile, ps, 1)
-    return zs, eval_profile(profile, ps, 0), wp / (1.0 + slope_factor * wp)
+    w, wp = fourier_sums(profile, "W, WP")(invert_contact_map(profile, slope_factor, zs))
+    return zs, w, wp / (1.0 + slope_factor * wp)
 
 
 def _bounded_brent(func, a: float, b: float, xatol: float) -> float:
@@ -475,34 +481,33 @@ def _bounded_brent(func, a: float, b: float, xatol: float) -> float:
 _SLOPE_STEPS = 100
 
 
+# W'(z) of one Python float, a function body over ``z`` with :func:`fourier_source`'s sums: the
+# operations of invert_contact_map's Newton at eps = 1, at most ``steps`` of them, in its order.
+_SLOPE = """\
+p, lo, hi = z, z - radius, z + radius
+for _ in range(steps):
+    W, WP = sums(p)
+    r = p + a * W - z
+    if abs(r) <= 1e-12:
+        break
+    p -= r / (1.0 + a * WP)
+    p = lo if p <= lo else hi if p >= hi else p  # as np.clip: a tie takes the bound
+else:
+    WP = unsolved(z)
+return WP / (1.0 + a * WP)
+"""
+
+
 def _perceived_slope(profile: SurfaceProfile, slope_factor: float):
-    """Exact W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z), as a function of a float z.
-
-    :func:`invert_contact_map`'s Newton on floats, summed in :func:`eval_profile`'s
-    order, with the same steps, stop and clip, so it equals that array route bit for
-    bit; a z unsolved after ``_SLOPE_STEPS`` steps takes the array route itself.
-    """
-    a, terms, ymax = slope_factor, scalar_terms(profile), profile.amplitude_bound
-    radius = max(abs(a * ymax), abs(a * -ymax))
-    sin, cos = math.sin, math.cos
-
-    def slope(z: float) -> float:
-        p, lo, hi = z, z - radius, z + radius
-        for _ in range(_SLOPE_STEPS):
-            w = wp = 0.0
-            for rate, phase, amplitude, factor, _ in terms:
-                u = rate * p + phase
-                w += amplitude * sin(u)
-                wp += factor * cos(u)
-            r = p + a * w - z
-            if abs(r) <= 1e-12:
-                break
-            p -= r / (1.0 + a * wp)
-            p = lo if p <= lo else hi if p >= hi else p  # as np.clip: a tie takes the bound
-        else:
-            wp = eval_profile(profile, invert_contact_map(profile, a, z), 1)
-        return wp / (1.0 + a * wp)
-    return slope
+    """Exact W'(z) = w'(p) / (1 + a w'(p)) at p = g^{-1}(z) of a float z, by :data:`_SLOPE`:
+    bitwise :func:`invert_contact_map`'s array route, which takes a z unsolved after
+    ``_SLOPE_STEPS`` steps."""
+    a, ymax = slope_factor, profile.amplitude_bound
+    body, values = fourier_source(profile, _SLOPE)
+    return closure(body, "z", {
+        "a": a, "radius": max(abs(a * ymax), abs(a * -ymax)), "steps": _SLOPE_STEPS,
+        "unsolved": lambda z: eval_profile(profile, invert_contact_map(profile, a, z), 1),
+        "sin": math.sin, "cos": math.cos, **values})
 
 
 def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[float, float]:
@@ -514,8 +519,9 @@ def perceived_extrema(profile: SurfaceProfile, slope_factor: float) -> tuple[flo
     table, so the two routes cross-check each other even where two extrema
     of ``W'`` nearly tie.
     """
-    grid, _, slopes = perceived_profile(profile, slope_factor)
-    step = 1.0 / grid.size
+    grid = np.arange(4096, dtype=float) / 4096
+    wp = eval_profile(profile, invert_contact_map(profile, slope_factor, grid), 1)
+    slopes, step = wp / (1.0 + slope_factor * wp), 1.0 / grid.size
     slope = _perceived_slope(profile, slope_factor)
 
     def refine(idx: int, sign: float) -> float:
@@ -641,9 +647,8 @@ def at_contact(model: BristleModel, profile: SurfaceProfile, epsilon: float, p):
     """
     _require_valid_epsilon(model, profile, epsilon)
     ps = np.array(p, dtype=float, ndmin=1)
-    x = ps / epsilon
-    y = epsilon * eval_profile(profile, x, 0)
-    wp = eval_profile(profile, x, 1)
+    w, wp = fourier_sums(profile, "W, WP")(ps / epsilon)
+    y = epsilon * w
     if not model.shift:
         return (ps, *model._contact_on_arrays(y, wp), 1.0)
     s, ds, f, e = model._contact_on_arrays(y, wp)

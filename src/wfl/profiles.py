@@ -24,6 +24,7 @@ from textwrap import indent
 
 import numpy as np
 
+from .codegen import closure
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -122,62 +123,49 @@ def eval_profile(profile: SurfaceProfile, x, order: int = 0):
     """
     if order not in (0, 1, 2, 3):
         raise ConfigError(f"order must be 0, 1, 2 or 3, got {order}")
-    xs = np.asarray(x, dtype=float)
-    out = np.zeros_like(xs)
-    # sin and cos of +-inf are nan, which propagates without a warning
-    with np.errstate(invalid="ignore"):
-        for term in profile.terms:
-            u = TWO_PI * term.harmonic * xs + term.phase
-            rate = TWO_PI * term.harmonic
-            if order == 0:
-                out += term.amplitude * np.sin(u)
-            elif order == 1:
-                out += term.amplitude * rate * np.cos(u)
-            elif order == 2:
-                out -= term.amplitude * rate * rate * np.sin(u)
-            else:
-                out -= term.amplitude * rate * rate * rate * np.cos(u)
-    return like_input(x, out)
+    return like_input(x, fourier_sums(profile, list(_SUMS)[order])(np.asarray(x, dtype=float)))
 
 
-@lru_cache(maxsize=256)
-def scalar_terms(profile: SurfaceProfile) -> tuple:
-    """Per Fourier term ``(rate, phase, A, A rate, A rate rate)`` as Python floats.
-
-    The factors of w, w' and w'' formed as :func:`eval_profile` forms them,
-    so ``math`` sums over them, term by term in this order, equal its array
-    results bit for bit.
-    """
-    terms = []
-    for term in profile.terms:
-        rate, amplitude = float(TWO_PI * term.harmonic), float(term.amplitude)
-        slope = amplitude * rate
-        terms.append((rate, float(term.phase), amplitude, slope, slope * rate))
-    return tuple(terms)
+#: The sums :func:`fourier_source` unrolls, w, w', w'' and w''' in order of derivative:
+#: each one's factor name, the sign it adds the terms with and the function of the phase.
+_SUMS = {"W": ("amplitude", "+", "sin"), "WP": ("slope", "+", "cos"),
+         "WPP": ("curvature", "-", "sin"), "WPPP": ("third", "-", "cos")}
 
 
 def fourier_source(profile: SurfaceProfile, text: str) -> tuple[str, dict]:
-    """``text`` with each line ``names = sums(point)`` unrolled into w, w' or w'' (W, WP
-    or WPP) at ``point``, summed in :func:`eval_profile`'s order with term i's phase in
-    ``U{i}``, and the :func:`scalar_terms` values it names: the text depends only on
-    the number of terms."""
+    """``text`` with each line ``names = sums(point)`` unrolled into w, w', w'' or w''' (W, WP,
+    WPP or WPPP) at ``point``, and the values it names; the text depends only on the number
+    of terms.  Term i's phase is ``U{i} = rate{i} * point + phase{i}``, ``rate{i} = 2 pi n_i``,
+    and its factor in the k-th derivative is ``A_i rate ... rate``, k rates, multiplied left to
+    right.  Each sum starts at ``0.0`` and adds the terms in order, so a zero term of either
+    sign never shows."""
     values = {}
 
     def unroll(match):
         lines = []
-        for i, term in enumerate(scalar_terms(profile)):
-            values.update({f"rate{i}": term[0], f"phase{i}": term[1]})
+        for i, term in enumerate(profile.terms):
+            rate = float(TWO_PI * term.harmonic)
+            values.update({f"rate{i}": rate, f"phase{i}": float(term.phase)})
             lines.append(f"U{i} = rate{i} * {match[3]} + phase{i}")
             for name in match[2].split(", "):
-                order = ("W", "WP", "WPP").index(name)
-                factor, sign, call = (("amplitude", "+", "sin"), ("slope", "+", "cos"),
-                                      ("curvature", "-", "sin"))[order]
-                values[f"{factor}{i}"] = term[2 + order]
+                factor, sign, call = _SUMS[name]
+                order = list(_SUMS).index(name)
+                values[f"{factor}{i}"] = math.prod([float(term.amplitude)] + [rate] * order)
                 add = f"= 0.0 {sign}" if i == 0 else f"{sign}="
                 lines.append(f"{name} {add} {factor}{i} * {call}(U{i})")
         return indent("\n".join(lines), match[1])
 
     return re.sub(r"^( *)(.+) = sums\((.+)\)$", unroll, text, flags=re.M), values
+
+
+@lru_cache(maxsize=256)
+def fourier_sums(profile: SurfaceProfile, names: str):
+    """:func:`fourier_source`'s sums ``names`` (one, or two as ``"W, WP"``) as a function of a
+    NumPy array ``X``, compiled once per number of terms and bound once per profile value."""
+    # sin and cos of +-inf are nan, which propagates without a warning
+    text = f'with errstate(invalid="ignore"):\n    {names} = sums(X)\nreturn {names}\n'
+    body, values = fourier_source(profile, text)
+    return closure(body, "X", {**values, "sin": np.sin, "cos": np.cos, "errstate": np.errstate})
 
 
 def positive_integer(value) -> bool:
@@ -236,7 +224,7 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
     A multiple root of w'' leaves cells that neither test resolves, so cells
     are not split below a width of about 1e-8, and each contiguous run of
     such cells gives one candidate, the midpoint where ``|w''|`` is least.
-    Three Newton steps on w'' with w''' from :func:`eval_profile` polish
+    Three Newton steps on w'' with w''' (:func:`fourier_sums`) polish
     every root.  Both callers take the roots as candidates (for the extrema
     of w') or as breaks (between monotone pieces of w'), where an extra point
     is harmless and a missing one is not.  Empty when the terms cancel to
@@ -256,7 +244,7 @@ def curvature_roots(profile: SurfaceProfile) -> np.ndarray:
         x = _subdivide(spectrum[present], TWO_PI * present, 8 * int(present[-1]))
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(3):
-                step = eval_profile(profile, x, 2) / eval_profile(profile, x, 3)
+                step = np.divide(*fourier_sums(profile, "WPP, WPPP")(x))  # w'' / w'''
                 x = np.where(np.isfinite(step), x - step, x)
         x %= 1.0
         # a tiny negative x wraps to exactly 1.0

@@ -38,6 +38,7 @@ from .profiles import (
     curvature_roots,
     eval_profile,
     fourier_source,
+    fourier_sums,
     like_input,
     sorted_distinct,
 )
@@ -285,19 +286,20 @@ class LimitWithK:
 def _polish(profile, level, p, p0, p1):
     """Roots of ``w'(p) = level`` where ``w'(p0) < level <= w'(p1)``, elementwise.
 
-    Newton on w' (w'' from :func:`eval_profile`), bisecting when a step leaves
+    Newton on w' (w' and w'' from :func:`fourier_sums`), bisecting when a step leaves
     the shrinking bracket.  K is stationary in each cut, so a root off by d
     moves K by O(d^2): each root stops on its own once its step is below
     1e-8.  A root's iterates do not depend on the other elements, and
     :data:`_K` repeats their operations in the same order, so a scalar and an
     array call agree exactly.
     """
-    live = np.ones(p.shape, dtype=bool)
+    live, sums = np.ones(p.shape, dtype=bool), fourier_sums(profile, "WP, WPP")
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(60):
-            r = eval_profile(profile, p, 1) - level
+            wp, wpp = sums(p)
+            r = wp - level
             p0, p1 = np.where(r < 0.0, p, p0), np.where(r < 0.0, p1, p)
-            newton = p - r / eval_profile(profile, p, 2)
+            newton = p - r / wpp
             inside = (newton - p0) * (newton - p1) <= 0.0
             step = np.where(live, np.where(inside, newton, 0.5 * (p0 + p1)), p)
             live &= np.abs(step - p) > 1e-8

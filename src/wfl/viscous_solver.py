@@ -57,7 +57,7 @@ import numpy as np
 from .codegen import closure, compiled, renamed
 from .errors import ConfigError, SolverError
 from .limit_solver import LimitSystem, Trajectory, elastic_strip, overflow_raises, time_grid
-from .models import BristleModel, _require_valid_epsilon, at_contact, contact_point
+from .models import BristleModel, _admissible, _require_valid_epsilon, at_contact, contact_point
 # unused here; perfbench's tracer wraps these bindings
 from .models import epsilon_limit, wiggly_energy, wiggly_force
 from .profiles import SurfaceProfile, fourier_source, sorted_distinct
@@ -90,7 +90,8 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class WigglySystem:
-    """Limit system dressed with its microscale potential at scale epsilon."""
+    """Limit system dressed with its microscale potential at scale epsilon, on a profile
+    admissible for the model, as :func:`~wfl.models.coefficients` checks."""
 
     base: LimitSystem
     model: BristleModel
@@ -101,6 +102,7 @@ class WigglySystem:
     def __post_init__(self) -> None:
         if self.gamma <= 0.0 or not math.isfinite(self.gamma):
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        _admissible(self.model, self.profile)
         _require_valid_epsilon(self.model, self.profile, self.epsilon)
         try:
             tau = self.time_scale

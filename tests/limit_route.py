@@ -15,7 +15,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from wfl.profiles import scalar_terms
+from formula_route import scalar_terms
 
 
 def play(lower, upper, z0):

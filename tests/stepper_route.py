@@ -14,10 +14,10 @@ from array import array
 
 import numpy as np
 
-from formula_route import formulas, scalar_q
+from formula_route import formulas, scalar_q, scalar_terms
 from wfl.errors import SolverError
 from wfl.models import BristleModel, _require_valid_epsilon
-from wfl.profiles import SurfaceProfile, scalar_terms
+from wfl.profiles import SurfaceProfile
 from wfl.viscous_solver import StepperResult, WigglySystem
 
 #: the step budget; the tests patch it together with ``viscous_solver.MAX_STEPS``

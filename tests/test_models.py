@@ -37,7 +37,7 @@ from wfl import (
 from wfl import codegen, models
 from wfl.limit_solver import LimitSystem, Ramp, default_grid, elastic_strip, solve_limit
 from wfl.models import at_contact, contact_point
-from wfl.profiles import derivative_extrema, scalar_terms
+from wfl.profiles import derivative_extrema
 
 TWO_PI = 2.0 * math.pi
 
@@ -470,6 +470,18 @@ def test_float_slope_equals_the_array_route_at_every_search_point():
     assert points > 3000
 
 
+def test_float_slope_equals_the_loop_it_replaced_at_every_search_point():
+    # the template spliced from fourier_source against the hand-written float loop
+    points = 0
+    for profile, a, sign, lo, hi in brent_draws():
+        slope, loop = models._perceived_slope(profile, a), formula_route.perceived_slope(profile, a)
+        seen = []
+        models._bounded_brent(lambda z: seen.append(z) or -sign * slope(z), lo, hi, 1e-12)
+        assert [slope(z).hex() for z in seen] == [loop(z).hex() for z in seen]
+        points += len(seen)
+    assert points == 3581
+
+
 def test_float_slope_hands_an_unsolved_point_to_the_array_route(monkeypatch):
     want = models._perceived_slope(CANONICAL, -1.0)(0.37)
     calls, exact = [], models.invert_contact_map
@@ -752,7 +764,7 @@ def scalar_force(model, profile, epsilon):
     them."""
     constants = {**model.constants, "sqrt": math.sqrt, "acos": math.acos}
     code = compile(model.shift + model.force, "<shift and force>", "exec")
-    terms = scalar_terms(profile)
+    terms = formula_route.scalar_terms(profile)
 
     def at(p):
         x = p / epsilon

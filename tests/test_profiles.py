@@ -10,7 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
+
+import formula_route
 
 from wfl import (
     ConfigError,
@@ -20,7 +24,8 @@ from wfl import (
     eval_profile,
 )
 from wfl import profiles
-from wfl.profiles import MAX_HARMONIC, curvature_roots, scalar_terms, sorted_distinct
+from wfl.codegen import closure
+from wfl.profiles import MAX_HARMONIC, curvature_roots, sorted_distinct
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,22 +121,60 @@ def test_eval_vectorized_matches_scalar():
         np.testing.assert_array_equal(vec, scal)
 
 
-def test_scalar_terms_sum_to_eval_profile_bitwise():
-    # the one table the math-only routes of models and variational read
+# the sums compiled from fourier_source against the loop they replaced, bit for bit
+ZERO = st.sampled_from([0.0, -0.0])
+HARMONIC = st.tuples(st.integers(1, MAX_HARMONIC), st.sampled_from([int, np.int64, np.int32]))
+TERMS = st.lists(st.tuples(ZERO | st.floats(-1.0, 1.0), HARMONIC, ZERO | st.floats(-10.0, 10.0)),
+                 min_size=1, max_size=4)
+POINTS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, math.inf, -math.inf, math.nan]
+
+
+def flip_zeros(profile):
+    """An equal profile: each zero amplitude and phase of the other sign, each harmonic an int."""
+    def flip(value):
+        return -value if value == 0.0 else value
+    return SurfaceProfile(tuple(FourierTerm(flip(t.amplitude), int(t.harmonic), flip(t.phase))
+                                for t in profile.terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(terms=TERMS, drawn=st.lists(st.floats(-100.0, 100.0), max_size=8))
+def test_compiled_sums_equal_the_loop_bitwise(terms, drawn):
+    terms = [FourierTerm(a, kind(n), phase) for a, (n, kind), phase in terms]
+    assume(any(t.amplitude != 0.0 for t in terms))
+    points = np.array(POINTS + drawn)
+    inputs = [*points.tolist(), *points, points[3:4].reshape(()), points, points.reshape(-1, 1),
+              np.tile(points, (2, 1))]
+    first = SurfaceProfile(tuple(terms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # an equal profile takes the first one's binding, which its zeros' signs must not change
+        for profile in (first, flip_zeros(first)):
+            for order in range(4):
+                for x in inputs:
+                    got = eval_profile(profile, x, order)
+                    want = formula_route.eval_profile(profile, x, order)
+                    if np.ndim(x) == 0:
+                        assert type(got) is float and got.hex() == want.hex()
+                    else:
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for names, orders in (("W, WP", (0, 1)), ("WP, WPP", (1, 2)), ("WPP, WPPP", (2, 3))):
+                for order, got in zip(orders, profiles.fourier_sums(profile, names)(points)):
+                    assert got.tobytes() == formula_route.eval_profile(profile, points, order).tobytes()
+
+
+def test_float_sums_equal_eval_profile_bitwise():
+    # the math-only routes (the stepper, the float K, the oracle's W') run this text on floats
     rng = np.random.default_rng(17)
     for _ in range(10):
         p = random_profile(rng)
-        terms = scalar_terms(p)
-        assert terms is scalar_terms(p)
-        assert all(type(value) is float for term in terms for value in term)
+        body, values = profiles.fourier_source(p, "W, WP, WPP, WPPP = sums(x)")
+        assert all(type(value) is float for value in values.values())
+        sums = closure(f"{body}\nreturn W, WP, WPP, WPPP\n", "x",
+                       {**values, "sin": math.sin, "cos": math.cos})
         for x in rng.uniform(-3.0, 3.0, size=20).tolist():
-            w = wp = wpp = 0.0
-            for rate, phase, amplitude, slope, curvature in terms:
-                u = rate * x + phase
-                w += amplitude * math.sin(u)
-                wp += slope * math.cos(u)
-                wpp -= curvature * math.sin(u)
-            assert (w, wp, wpp) == tuple(eval_profile(p, x, order) for order in (0, 1, 2))
+            want = [eval_profile(p, x, order).hex() for order in range(4)]
+            assert [value.hex() for value in sums(x)] == want
 
 
 def test_derivatives_against_finite_differences():

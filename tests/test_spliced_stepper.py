@@ -9,6 +9,7 @@ same error type and message.
 """
 
 import math
+import re
 import traceback
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 import stepper_route
 from wfl import codegen, viscous_solver
 from wfl.convergence import run_sweep
-from wfl.errors import SolverError
+from wfl.errors import ConfigError, SolverError
 from wfl.limit_solver import (
     LimitSystem,
     LoadingProgram,
@@ -181,23 +182,33 @@ class TestFailures:
             assert_same_run(ours, oracle)
 
     @staticmethod
-    def folding_system(slope):
-        # slopes steeper than tan(theta_lim) = tan(0.6): g' < 0 near x = 1/2
-        base = LimitSystem(k_h=1.0, L_h_rest=0.0, loading=Ramp(rate=1.0, duration=0.5),
+    def folding_system(slope=0.68, epsilon=0.5):
+        # below tan(theta_lim) = tan(0.6) = 0.684, the slope is admissible at flat
+        # contact, but under a trough (y < 0) the map folds: g' < 0 near x = 0.53
+        base = LimitSystem(k_h=1.0, L_h_rest=0.0, loading=Ramp(rate=4.0, duration=0.5),
                            rho_plus=0.1, rho_minus=-0.1)
         return WigglySystem(base=base, model=GEOMETRIES["angular"],
-                            profile=SurfaceProfile.sinusoid(slope=slope), epsilon=0.05)
+                            profile=SurfaceProfile.sinusoid(slope=slope), epsilon=epsilon)
+
+    def test_an_inadmissible_profile_is_refused_before_the_run(self):
+        # steeper than tan(theta_lim), the map folds at flat contact: the system is
+        # refused as coefficients refuses it, instead of stalling at t = 0.474
+        message = "-tan(theta_lim) < omega_minus (margin -3.159e-01)"
+        for build in (lambda: self.folding_system(1.0, 0.05),
+                      lambda: coefficients(GEOMETRIES["angular"], SurfaceProfile.sinusoid(1.0))):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                build()
 
     def test_a_fold_met_during_the_run(self):
-        ours, oracle = both_routes(self.folding_system(0.8), rtol=1e-6, atol=1e-8)
-        assert isinstance(oracle, SolverError) and "folds at t = 0.43" in str(oracle)
+        ours, oracle = both_routes(self.folding_system(), rtol=1e-6, atol=1e-8)
+        assert isinstance(oracle, SolverError) and "folds at t = 0.347" in str(oracle)
         assert_same_run(ours, oracle)
 
     def test_a_stall_below_the_minimum_step(self):
         # near the fold g' -> 0+, pdot grows without bound, and at the default
         # tolerances the step shrinks to the floor before a stage crosses it
-        ours, oracle = both_routes(self.folding_system(1.0))
-        assert isinstance(oracle, SolverError) and "stalled at t = 0.47" in str(oracle)
+        ours, oracle = both_routes(self.folding_system())
+        assert isinstance(oracle, SolverError) and "stalled at t = 0.347" in str(oracle)
         assert_same_run(ours, oracle)
         # y' = 1 / (1 - t) blows up at t = 1; a stiff linear decay overflows the
         # initial-step estimate and stalls at once

@@ -17,7 +17,7 @@ from wfl.limit_solver import LimitSystem, Ramp, SinusoidLoading, elastic_strip, 
 from wfl.models import (
     AngularBristle, VerticalBristle, SlantedBristle, coefficients, invert_contact_map,
 )
-from wfl.profiles import TWO_PI, FourierTerm, SurfaceProfile, eval_profile
+from wfl.profiles import TWO_PI, FourierTerm, SurfaceProfile, eval_profile, fourier_sums
 from wfl.variational import (
     CertificateReport,
     ElasticInterval,
@@ -353,6 +353,10 @@ class TestScalarRoute:
                                 FourierTerm(-0.001, 4, 1.1), FourierTerm(0.0005, 7, 2.0)))
         second = SurfaceProfile((FourierTerm(0.012, 2, 0.3), FourierTerm(-0.001, 5),
                                  FourierTerm(0.0008, 6, 0.9), FourierTerm(0.0004, 9, 2.5)))
+        # the profile's sums (eval_profile's and curvature_roots') compile once per term
+        # count too, and bind once per profile: warmed on both, they leave K's compiles
+        for profile in (first, second):
+            limit_density(ORACLE_MODELS["slanted"], profile)._table
         codegen.compiled.cache_clear()
         limit_density(ORACLE_MODELS["slanted"], first)
         assert codegen.compiled.cache_info().misses == 0
@@ -360,6 +364,21 @@ class TestScalarRoute:
             for _ in range(20):
                 limit_density(ORACLE_MODELS["slanted"], profile).k(0.01)
             assert codegen.compiled.cache_info().misses == 1
+
+    def test_an_equal_profile_compiles_nothing(self):
+        # equal by value: a zero phase of the other sign, a NumPy integer harmonic
+        first = SurfaceProfile((FourierTerm(0.012, 2, 0.0), FourierTerm(-0.001, 5, 0.7)))
+        second = SurfaceProfile((FourierTerm(0.012, np.int64(2), -0.0), FourierTerm(-0.001, 5, 0.7)))
+
+        def misses(profile):
+            density = limit_density(ORACLE_MODELS["angular"], profile)
+            density.k(0.01), density.k(np.linspace(-0.02, 0.02, 9))
+            for order in range(4):
+                eval_profile(profile, 0.25, order)
+            return codegen.compiled.cache_info().misses
+
+        assert misses(first) == misses(second)
+        assert fourier_sums(first, "W, WP") is fourier_sums(second, "W, WP")
 
     def test_density_pickles_after_a_float_k(self):
         density = limit_density(ORACLE_MODELS["angular"], MULTI_CROSSING)

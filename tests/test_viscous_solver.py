@@ -29,6 +29,7 @@ from wfl.models import (
     AngularBristle,
     SlantedBristle,
     VerticalBristle,
+    at_contact,
     coefficients,
     contact_point,
     epsilon_limit,
@@ -240,7 +241,9 @@ class TestScalarRightHandSide:
 
         for owner, attr in [
             (profiles, "eval_profile"),
+            (profiles, "fourier_sums"),
             (models, "eval_profile"),
+            (models, "fourier_sums"),
             (limit_solver, "_as_array"),
             (models, "_contact"),
         ]:
@@ -474,13 +477,14 @@ class TestContactCoordinate:
             assert len(calls) == 1
 
     def test_a_folding_contact_map_raises(self):
-        # slopes of +-1 are steeper than tan(theta_lim) = tan(0.6), so at
-        # w' = -1 (x = 1/2, where y = 0) g' = 1 - cot(0.6) < 0; the system
-        # checks eps only, and coefficients would refuse this profile
+        # a slope of 0.68 is below tan(theta_lim) = tan(0.6) = 0.684, so the map
+        # does not fold at flat contact; at eps = 0.5 the trough lowers the tip
+        # (y < 0), and near x = 0.533, where w' = -0.665, g' = -0.016 < 0
         system = WigglySystem(base=canonical_base(), model=GEOMETRIES["angular"],
-                              profile=SurfaceProfile.sinusoid(slope=1.0), epsilon=0.05)
+                              profile=SurfaceProfile.sinusoid(slope=0.68), epsilon=0.5)
+        assert at_contact(system.model, system.profile, 0.5, 0.2665)[3] < 0.0
         with pytest.raises(SolverError, match="contact map folds"):
-            scalar_rhs(system)(0.0, 0.025)
+            scalar_rhs(system)(0.0, 0.2665)
 
 
 # half-second loadings: each stepped once, post-processed many times

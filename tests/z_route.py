@@ -11,9 +11,8 @@ compare the post-processed force and energy.
 
 import math
 
-from formula_route import formulas, scalar_q
+from formula_route import formulas, scalar_q, scalar_terms
 from wfl import models
-from wfl.profiles import scalar_terms
 
 
 def scalar_force(model, profile, epsilon):
